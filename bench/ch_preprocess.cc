@@ -3,21 +3,30 @@
 // worker threads on city-scale graphs, including the >= 50k-node point the
 // ROADMAP's city-growth item requires. Also re-verifies the determinism
 // contract on every point: each parallel build must produce the same
-// shortcut count and node order as the 1-thread build. Emits a table per
-// city and a JSON trajectory point (BENCH_ch_preprocess.json, see
-// bench/README.md).
+// shortcut count and node order as the 1-thread build. A second row per
+// city times what a congestion refresh does instead of a full build:
+// re-contracting the drive_s hierarchy of a congested copy of the city in
+// the free-flow hierarchy's node order (the ContractionHierarchy
+// re-contraction constructor), against a full build of the same congested graph, and
+// checks that the re-contraction is exact and identical at 1 and 4
+// threads. Emits a table per city and a JSON trajectory point
+// (BENCH_ch_preprocess.json, see bench/README.md).
 //
 // Like throughput_scaling, the recorded speedup is only meaningful relative
 // to `host_cores`: a 1-core container shows ~flat scaling by construction
 // (the >= 2.5x @ 4-thread target applies to a 4+ core host).
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/rng.h"
 #include "graph/contraction_hierarchy.h"
+#include "graph/dijkstra.h"
 #include "graph/generator.h"
 #include "graph/road_graph.h"
 
@@ -35,12 +44,82 @@ struct ThreadPoint {
   bool deterministic = true;  ///< ranks + shortcuts equal the 1-thread build
 };
 
+/// Congested drive_s: a full build vs re-contraction in the free-flow
+/// order, both on one thread.
+struct ReorderPoint {
+  double full_build_ms = 0.0;
+  std::size_t full_shortcuts = 0;
+  double reorder_ms = 0.0;
+  std::size_t reorder_shortcuts = 0;
+  bool exact = true;          ///< re-contracted distances equal Dijkstra's
+  bool deterministic = true;  ///< 4-thread re-contraction == 1-thread
+};
+
 struct CityResult {
   std::size_t rows = 0, cols = 0;
   std::size_t nodes = 0, edges = 0;
   std::vector<ThreadPoint> points;
   double speedup_4t = 0.0;  ///< 1-thread ms / 4-thread ms
+  ReorderPoint reorder;
 };
+
+/// Rush-hour-like slow-downs: one factor in [1, 2.5] per street (both
+/// directions), fixed by the endpoint pair.
+RoadGraph Congested(const RoadGraph& g) {
+  return ScaleEdgeWeights(g, [](NodeId from, NodeId to) {
+    const std::uint64_t lo = std::min(from.value(), to.value());
+    const std::uint64_t hi = std::max(from.value(), to.value());
+    Rng rng(lo * 0x9e3779b97f4a7c15ULL + hi);
+    return 1.0 + 1.5 * rng.NextDouble();
+  });
+}
+
+ReorderPoint RunReorder(const RoadGraph& g) {
+  const RoadGraph congested = Congested(g);
+  ChOptions serial;
+  serial.preprocess_threads = 1;
+  ChOptions quad;
+  quad.preprocess_threads = 4;
+  const ContractionHierarchy free_flow(g, Metric::kDriveTime, serial);
+
+  ReorderPoint point;
+  ContractionHierarchy full(congested, Metric::kDriveTime, serial);
+  point.full_build_ms = full.build_millis();
+  point.full_shortcuts = full.NumShortcuts();
+  ContractionHierarchy one(congested, Metric::kDriveTime, free_flow, serial);
+  point.reorder_ms = one.build_millis();
+  point.reorder_shortcuts = one.NumShortcuts();
+  ContractionHierarchy four(congested, Metric::kDriveTime, free_flow, quad);
+  point.deterministic = four.NumShortcuts() == one.NumShortcuts() &&
+                        four.num_batches() == one.num_batches();
+  for (std::size_t v = 0; v < g.NumNodes() && point.deterministic; ++v) {
+    const NodeId n(static_cast<NodeId::underlying_type>(v));
+    point.deterministic = four.RankOf(n) == one.RankOf(n);
+  }
+
+  DijkstraEngine dijkstra(congested);
+  Rng rng(99);
+  for (int i = 0; i < 200; ++i) {
+    const NodeId a(static_cast<NodeId::underlying_type>(
+        rng.NextIndex(g.NumNodes())));
+    const NodeId b(static_cast<NodeId::underlying_type>(
+        rng.NextIndex(g.NumNodes())));
+    const double expect = dijkstra.Distance(a, b, Metric::kDriveTime);
+    const double got = one.Distance(a, b);
+    if (std::abs(got - expect) > 1e-6 * std::max(1.0, expect)) {
+      point.exact = false;
+    }
+    if (four.Distance(a, b) != got) point.deterministic = false;
+  }
+  std::printf("  congested drive_s, 1 thread: full build %.0f ms (%zu "
+              "shortcuts), given order %.0f ms (%zu shortcuts), exact=%s "
+              "deterministic=%s\n",
+              point.full_build_ms, point.full_shortcuts, point.reorder_ms,
+              point.reorder_shortcuts, point.exact ? "yes" : "NO",
+              point.deterministic ? "yes" : "NO");
+  std::fflush(stdout);
+  return point;
+}
 
 CityResult RunCity(std::size_t rows, std::size_t cols) {
   CityOptions copt;
@@ -96,6 +175,7 @@ CityResult RunCity(std::size_t rows, std::size_t cols) {
     std::fflush(stdout);
   }
   result.speedup_4t = quad_ms > 0.0 ? serial_ms / quad_ms : 0.0;
+  result.reorder = RunReorder(g);
   return result;
 }
 
@@ -150,8 +230,18 @@ int Run() {
                      p.deterministic ? "true" : "false",
                      i + 1 < r.points.size() ? "," : "");
       }
-      std::fprintf(f, "     ],\n     \"speedup_1_to_4_threads\": %.2f}%s\n",
-                   r.speedup_4t, c + 1 < results.size() ? "," : "");
+      const ReorderPoint& o = r.reorder;
+      std::fprintf(f,
+                   "     ],\n     \"speedup_1_to_4_threads\": %.2f,\n"
+                   "     \"congested_drive_s_1_thread\": {\"full_build_ms\": "
+                   "%.1f, \"full_shortcuts\": %zu, \"given_order_ms\": %.1f, "
+                   "\"given_order_shortcuts\": %zu, \"exact\": %s, "
+                   "\"deterministic\": %s}}%s\n",
+                   r.speedup_4t, o.full_build_ms, o.full_shortcuts,
+                   o.reorder_ms, o.reorder_shortcuts,
+                   o.exact ? "true" : "false",
+                   o.deterministic ? "true" : "false",
+                   c + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -159,14 +249,19 @@ int Run() {
   }
 
   bool all_deterministic = true;
+  bool all_exact = true;
   for (const CityResult& r : results) {
     for (const ThreadPoint& p : r.points) {
       all_deterministic = all_deterministic && p.deterministic;
     }
+    all_deterministic = all_deterministic && r.reorder.deterministic;
+    all_exact = all_exact && r.reorder.exact;
   }
   std::printf("determinism across thread counts: %s\n",
               all_deterministic ? "PASS" : "FAIL");
-  return all_deterministic ? 0 : 1;
+  std::printf("given-order re-contraction exact: %s\n",
+              all_exact ? "PASS" : "FAIL");
+  return all_deterministic && all_exact ? 0 : 1;
 }
 
 }  // namespace bench

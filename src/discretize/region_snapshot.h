@@ -62,9 +62,10 @@ struct RefreshStats {
   std::uint64_t epoch = 0;            ///< current snapshot generation
   std::size_t refreshes = 0;          ///< completed RefreshDiscretization calls
   double last_rebuild_ms = 0.0;       ///< wall time of the last rebuild+swap
-  /// Wall time of the last oracle Prewarm (backend preprocessing, e.g. the
-  /// per-metric contraction hierarchies) — runs off-thread with no locks
-  /// held, before the snapshot is adopted.
+  /// Wall time of readying the last delta's oracle (PrewarmFrom: backend
+  /// preprocessing inherited from the outgoing oracle where it still holds,
+  /// the rest built, e.g. the per-metric contraction hierarchies) — runs
+  /// off-thread with no locks held, before the snapshot is adopted.
   double last_prewarm_ms = 0.0;
   /// Wall time of the last rebuild's landmark-metric batch (inside
   /// last_rebuild_ms): the part the bucket-CH many-to-many path speeds up.

@@ -10,14 +10,22 @@
 
 #include "common/clock.h"
 #include "common/thread_pool.h"
-#include "graph/path_profile.h"
 
 namespace xar {
 
 ContractionHierarchy::ContractionHierarchy(const RoadGraph& graph,
                                            Metric metric, ChOptions options)
-    : graph_(&graph),
-      metric_(metric),
+    : ContractionHierarchy(graph, metric, nullptr, options) {}
+
+ContractionHierarchy::ContractionHierarchy(
+    const RoadGraph& graph, Metric metric,
+    const ContractionHierarchy& previous, ChOptions options)
+    : ContractionHierarchy(graph, metric, &previous, options) {}
+
+ContractionHierarchy::ContractionHierarchy(
+    const RoadGraph& graph, Metric metric,
+    const ContractionHierarchy* previous, ChOptions options)
+    : metric_(metric),
       n_(graph.NumNodes()),
       options_(options),
       fwd_(n_),
@@ -27,6 +35,7 @@ ContractionHierarchy::ContractionHierarchy(const RoadGraph& graph,
       contracted_neighbors_(n_, 0),
       priority_(n_, 0.0),
       rank_(n_, 0),
+      level_(n_, 0),
       up_(n_),
       down_(n_) {
   Stopwatch build_timer;
@@ -57,7 +66,7 @@ ContractionHierarchy::ContractionHierarchy(const RoadGraph& graph,
     dedup(bwd_[u]);
   }
 
-  Contract();
+  Contract(previous);
 
   // Assemble the upward/downward search graphs from the final arc sets
   // (originals + shortcuts accumulated into fwd_/bwd_), and the unpack map
@@ -90,7 +99,7 @@ ContractionHierarchy::ContractionHierarchy(const RoadGraph& graph,
 
 ContractionHierarchy::~ContractionHierarchy() = default;
 
-void ContractionHierarchy::Contract() {
+void ContractionHierarchy::Contract(const ContractionHierarchy* previous) {
   std::size_t threads = options_.preprocess_threads;
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -132,10 +141,18 @@ void ContractionHierarchy::Contract() {
     for (std::future<void>& helper : helpers) helper.get();
   };
 
-  // Initial priorities for every node.
-  parallel_for(n_, [&](WitnessSpace& space, std::size_t v) {
-    priority_[v] = ContractPriority(space, static_cast<std::uint32_t>(v));
-  });
+  // Initial priorities for every node: simulated, or `previous`'s levels.
+  const bool fixed = previous != nullptr;
+  if (fixed) {
+    assert(previous->n_ == n_);
+    for (std::size_t v = 0; v < n_; ++v) {
+      priority_[v] = static_cast<double>(previous->level_[v]);
+    }
+  } else {
+    parallel_for(n_, [&](WitnessSpace& space, std::size_t v) {
+      priority_[v] = ContractPriority(space, static_cast<std::uint32_t>(v));
+    });
+  }
 
   // `a` strictly before `b` in the contraction order (id tie-break keeps
   // batch selection — and hence the whole hierarchy — deterministic).
@@ -157,7 +174,19 @@ void ContractionHierarchy::Contract() {
     // their uncontracted neighbors. The global minimum always qualifies, so
     // every round makes progress; two neighbors can never both qualify.
     batch.clear();
+    // Fixed levels confine the batch to the lowest level left: a node
+    // whose neighbors all sit higher would qualify earlier, but contracting
+    // it ahead of its level changes which nodes the witness searches see
+    // and avoid, which compounds into many spurious shortcuts.
+    double lowest_level = 0.0;
+    if (fixed) {
+      lowest_level = kInf;
+      for (std::uint32_t v : alive) {
+        lowest_level = std::min(lowest_level, priority_[v]);
+      }
+    }
     for (std::uint32_t v : alive) {
+      if (fixed && priority_[v] != lowest_level) continue;
       bool is_min = true;
       for (const Arc& a : fwd_[v]) {
         if (!contracted_[a.to] && before(a.to, v)) {
@@ -192,6 +221,7 @@ void ContractionHierarchy::Contract() {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::uint32_t v = batch[i];
       rank_[v] = next_rank++;
+      level_[v] = static_cast<std::uint32_t>(num_batches_ - 1);
       for (const auto& [arc, from] : batch_shortcuts[i]) {
         fwd_[from].push_back(arc);
         bwd_[arc.to].push_back(Arc{from, arc.weight, arc.via});
@@ -200,25 +230,29 @@ void ContractionHierarchy::Contract() {
       contracted_[v] = 1;
     }
 
+    for (std::uint32_t v : batch) in_batch_[v] = 0;
+
     // Lazy re-evaluation: only neighbors of the batch changed (lost a
     // neighbor and/or gained shortcut arcs) — refresh just their priorities.
-    dirty.clear();
-    for (std::uint32_t v : batch) {
-      in_batch_[v] = 0;
-      for (const Arc& a : fwd_[v]) {
-        ++contracted_neighbors_[a.to];
-        if (!contracted_[a.to]) dirty.push_back(a.to);
+    // Fixed levels never change.
+    if (!fixed) {
+      dirty.clear();
+      for (std::uint32_t v : batch) {
+        for (const Arc& a : fwd_[v]) {
+          ++contracted_neighbors_[a.to];
+          if (!contracted_[a.to]) dirty.push_back(a.to);
+        }
+        for (const Arc& a : bwd_[v]) {
+          ++contracted_neighbors_[a.to];
+          if (!contracted_[a.to]) dirty.push_back(a.to);
+        }
       }
-      for (const Arc& a : bwd_[v]) {
-        ++contracted_neighbors_[a.to];
-        if (!contracted_[a.to]) dirty.push_back(a.to);
-      }
+      std::sort(dirty.begin(), dirty.end());
+      dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+      parallel_for(dirty.size(), [&](WitnessSpace& space, std::size_t i) {
+        priority_[dirty[i]] = ContractPriority(space, dirty[i]);
+      });
     }
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    parallel_for(dirty.size(), [&](WitnessSpace& space, std::size_t i) {
-      priority_[dirty[i]] = ContractPriority(space, dirty[i]);
-    });
 
     alive.erase(std::remove_if(alive.begin(), alive.end(),
                                [&](std::uint32_t v) {
@@ -301,9 +335,10 @@ double ContractionHierarchy::Distance(NodeId src, NodeId dst) {
   return DefaultQuery().Distance(src, dst);
 }
 
-Path ContractionHierarchy::Route(NodeId src, NodeId dst) {
-  return DefaultQuery().Route(src, dst);
+std::vector<NodeId> ContractionHierarchy::RouteNodes(NodeId src, NodeId dst) {
+  return DefaultQuery().RouteNodes(src, dst);
 }
+
 
 std::size_t ContractionHierarchy::last_settled_count() const {
   return default_query_ ? default_query_->last_settled_count() : 0;
@@ -320,6 +355,7 @@ std::size_t ContractionHierarchy::MemoryFootprint() const {
   bytes += unpack_.size() *
            (sizeof(std::uint64_t) + sizeof(Arc) + 2 * sizeof(void*));
   bytes += rank_.capacity() * sizeof(std::size_t);
+  bytes += level_.capacity() * sizeof(std::uint32_t);
   return bytes;
 }
 
@@ -561,17 +597,11 @@ void ChQuery::AppendUnpacked(std::uint32_t from, std::uint32_t to,
   }
 }
 
-Path ChQuery::Route(NodeId src, NodeId dst) {
-  if (src == dst) {
-    Path p;
-    p.nodes = {src};
-    p.length_m = 0;
-    p.time_s = 0;
-    return p;
-  }
+std::vector<NodeId> ChQuery::RouteNodes(NodeId src, NodeId dst) {
+  if (src == dst) return {src};
   std::uint32_t meet;
   double d = Run(src, dst, /*record_parents=*/true, &meet);
-  if (d == kInf || meet == kNoNode) return Path{};
+  if (d == kInf || meet == kNoNode) return {};
 
   // Forward half: src -> meet along fwd_parent_, each hop an up_ arc.
   std::vector<std::uint32_t> chain;
@@ -591,7 +621,7 @@ Path ChQuery::Route(NodeId src, NodeId dst) {
     AppendUnpacked(v, next, &nodes);
     v = next;
   }
-  return ProfileNodePath(*ch_.graph_, std::move(nodes), ch_.metric_);
+  return nodes;
 }
 
 std::size_t ChQuery::MemoryFootprint() const {

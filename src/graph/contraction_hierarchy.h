@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/heap.h"
-#include "graph/path.h"
 #include "graph/road_graph.h"
 
 namespace xar {
@@ -38,11 +37,15 @@ struct ChOptions {
 /// both only affect preprocessing time and shortcut count.
 ///
 /// Every shortcut remembers the node it bypassed, so queries can *unpack*
-/// their search-graph arcs back into original-graph node chains (Route).
+/// their search-graph arcs back into original-graph node chains
+/// (RouteNodes). The hierarchy keeps no reference to the graph it was built
+/// from: it holds node ids and weights only, so a routing backend may serve
+/// it for any graph with the same arcs and weights under its metric, and
+/// profiles unpacked chains against that graph itself (ProfileNodePath).
 /// After construction the hierarchy is immutable; any number of ChQuery
-/// workspaces may read it concurrently. The Distance/Route methods on this
-/// class delegate to one lazily created internal ChQuery and are therefore
-/// convenience API for single-threaded use only.
+/// workspaces may read it concurrently. The Distance/RouteNodes methods on
+/// this class delegate to one lazily created internal ChQuery and are
+/// therefore convenience API for single-threaded use only.
 ///
 /// Preprocessing contracts *batches* of independent nodes (pairwise
 /// non-adjacent local priority minima) in parallel across
@@ -56,6 +59,21 @@ class ContractionHierarchy {
   explicit ContractionHierarchy(const RoadGraph& graph,
                                 Metric metric = Metric::kDriveDistance,
                                 ChOptions options = {});
+
+  /// Re-contracts `graph` in `previous`'s node order, where `previous` is
+  /// a hierarchy over the same arcs with other weights (a refresh's
+  /// outgoing one). Its levels — the independent-set batch each node was
+  /// contracted in — are contracted lowest first, each in batches of
+  /// pairwise non-adjacent nodes (ties by node id), so the build skips the
+  /// priority simulations and only runs the witness searches that decide
+  /// shortcuts; the result is still byte-identical for any thread count,
+  /// and over unchanged weights it rebuilds `previous` exactly. Exact for
+  /// any weights, but an order tuned for weights far from the new ones can
+  /// make shortcuts snowball on large graphs (DESIGN.md §9, "Hierarchies
+  /// across epochs").
+  ContractionHierarchy(const RoadGraph& graph, Metric metric,
+                       const ContractionHierarchy& previous,
+                       ChOptions options);
   ~ContractionHierarchy();
 
   // ChQuery instances keep a reference to this hierarchy.
@@ -66,10 +84,10 @@ class ContractionHierarchy {
   /// unreachable. Not thread-safe (see class comment).
   double Distance(NodeId src, NodeId dst);
 
-  /// One-to-one path in original-graph nodes (shortcuts unpacked), with
-  /// both length and time totals. Empty path if unreachable. Not
+  /// One-to-one shortest path as an original-graph node chain (shortcuts
+  /// unpacked), `src` and `dst` included; empty if unreachable. Not
   /// thread-safe (see class comment).
-  Path Route(NodeId src, NodeId dst);
+  std::vector<NodeId> RouteNodes(NodeId src, NodeId dst);
 
   /// Shortcut arcs added during preprocessing.
   std::size_t NumShortcuts() const { return num_shortcuts_; }
@@ -79,6 +97,7 @@ class ContractionHierarchy {
 
   /// Contraction rank of a node (0 = contracted first / least important).
   std::size_t RankOf(NodeId n) const { return rank_[n.value()]; }
+
 
   Metric metric() const { return metric_; }
   std::size_t NumNodes() const { return n_; }
@@ -145,12 +164,18 @@ class ContractionHierarchy {
   /// Priority term: edge difference + contracted-neighbor count.
   double ContractPriority(WitnessSpace& space, std::uint32_t v) const;
 
+  ContractionHierarchy(const RoadGraph& graph, Metric metric,
+                       const ContractionHierarchy* previous,
+                       ChOptions options);
+
   /// Runs the batched independent-set contraction loop (constructor body).
-  void Contract();
+  /// With `previous`, priorities are its levels and stay fixed, and each
+  /// batch is drawn from the lowest level left; otherwise priorities are
+  /// simulated up front and refreshed around each batch.
+  void Contract(const ContractionHierarchy* previous);
 
   ChQuery& DefaultQuery();
 
-  const RoadGraph* graph_;
   Metric metric_;
   std::size_t n_;
   ChOptions options_;
@@ -166,6 +191,9 @@ class ContractionHierarchy {
   std::vector<std::uint32_t> contracted_neighbors_;
   std::vector<double> priority_;
   std::vector<std::size_t> rank_;
+  /// Independent-set batch each node was contracted in (0 = first); ranks
+  /// follow (level, node id). The node order a re-contraction reuses.
+  std::vector<std::uint32_t> level_;
 
   // Final search graphs: upward arcs for the forward search, and upward
   // arcs of the reverse graph for the backward search (an arc {p, w} in
@@ -197,9 +225,9 @@ class ChQuery {
   /// One-to-one distance under the hierarchy's metric; +inf if unreachable.
   double Distance(NodeId src, NodeId dst);
 
-  /// One-to-one path in original-graph nodes (shortcuts unpacked). Empty
-  /// path if unreachable.
-  Path Route(NodeId src, NodeId dst);
+  /// One-to-one shortest path as an original-graph node chain (shortcuts
+  /// unpacked), `src` and `dst` included; empty if unreachable.
+  std::vector<NodeId> RouteNodes(NodeId src, NodeId dst);
 
   /// One-to-many distances via target buckets (Knopp et al.): one backward
   /// upward search per target deposits (target, dist) entries in per-node

@@ -70,6 +70,15 @@ GraphOracle::GraphOracle(const RoadGraph& graph,
   }
 }
 
+void PrewarmFrom(DistanceOracle& incoming, const DistanceOracle& outgoing) {
+  RoutingBackend* backend = incoming.mutable_routing_backend();
+  const RoutingBackend* previous = outgoing.routing_backend();
+  if (backend != nullptr && previous != nullptr) {
+    backend->InheritFrom(*previous);
+  }
+  incoming.Prewarm();
+}
+
 void GraphOracle::Prewarm() {
   backend_->Prepare(Metric::kDriveDistance);
   backend_->Prepare(Metric::kDriveTime);
@@ -296,23 +305,30 @@ StatsSection OracleStatsSection(const DistanceOracle& oracle) {
   const RoutingBackend* backend = oracle.routing_backend();
   StatsSection section;
   section.name = "oracle";
-  section.AddRow({StatsMetric::Text("backend", oracle.backend_name()),
-                  StatsMetric::Text("cache", oracle.cache_policy_name()),
-                  StatsMetric::Counter("computations", computations),
-                  StatsMetric::Counter("cache_hits", hits),
-                  StatsMetric::Gauge("hit_rate", hit_rate),
-                  StatsMetric::Counter("settled_nodes",
-                                       oracle.settled_count()),
-                  StatsMetric::Counter("m2m_batch_queries",
-                                       backend ? backend->m2m_batch_count()
-                                               : 0),
-                  StatsMetric::Counter("m2m_fallback_queries",
-                                       backend ? backend->m2m_fallback_count()
-                                               : 0),
-                  StatsMetric::Counter("cache_insertions", cache.insertions),
-                  StatsMetric::Counter("cache_evictions", cache.evictions),
-                  StatsMetric::Counter("cache_drops", cache.drops),
-                  StatsMetric::Counter("cache_races", cache.races)});
+  std::vector<StatsMetric> row = {
+      StatsMetric::Text("backend", oracle.backend_name()),
+      StatsMetric::Text("cache", oracle.cache_policy_name()),
+      StatsMetric::Counter("computations", computations),
+      StatsMetric::Counter("cache_hits", hits),
+      StatsMetric::Gauge("hit_rate", hit_rate),
+      StatsMetric::Counter("settled_nodes", oracle.settled_count()),
+      StatsMetric::Counter("m2m_batch_queries",
+                           backend ? backend->m2m_batch_count() : 0),
+      StatsMetric::Counter("m2m_fallback_queries",
+                           backend ? backend->m2m_fallback_count() : 0),
+      StatsMetric::Counter("cache_insertions", cache.insertions),
+      StatsMetric::Counter("cache_evictions", cache.evictions),
+      StatsMetric::Counter("cache_drops", cache.drops),
+      StatsMetric::Counter("cache_races", cache.races)};
+  // How each prepared metric's preprocessing was obtained, e.g.
+  // drive_m=inherited after a congestion refresh.
+  if (backend != nullptr) {
+    for (const PreprocessTiming& t : backend->preprocess_timings()) {
+      row.push_back(StatsMetric::Text(MetricName(t.metric),
+                                      PreprocessSourceName(t.source)));
+    }
+  }
+  section.AddRow(std::move(row));
   return section;
 }
 
@@ -324,7 +340,9 @@ StatsSection PreprocessStatsSection(const RoutingBackend& backend) {
                     StatsMetric::Gauge("build_ms", t.build_ms, 1),
                     StatsMetric::Counter("threads", t.threads),
                     StatsMetric::Counter("batches", t.batches),
-                    StatsMetric::Counter("shortcuts", t.shortcuts)});
+                    StatsMetric::Counter("shortcuts", t.shortcuts),
+                    StatsMetric::Text("source",
+                                      PreprocessSourceName(t.source))});
   }
   return section;
 }

@@ -234,14 +234,22 @@ class HaversineOracle : public DistanceOracle {
   double drive_speed_mps_;
 };
 
+/// Readies `incoming` to replace `outgoing` in a refresh: its routing
+/// backend first takes over the outgoing backend's preprocessing where it
+/// still holds (RoutingBackend::InheritFrom), then Prewarm builds the rest.
+/// Both refresh paths call this off-thread before the swap.
+void PrewarmFrom(DistanceOracle& incoming, const DistanceOracle& outgoing);
+
 /// "oracle" stats section (backend, cache policy, computations, cache hits,
-/// hit rate, settled nodes, insert-path counters) — the observability the
-/// ROADMAP's striped-cache question asked for. Register on a StatsRegistry:
+/// hit rate, settled nodes, insert-path counters, and how each prepared
+/// metric's preprocessing was obtained, e.g. `drive_m=inherited`) — the
+/// observability the ROADMAP's striped-cache question asked for. Register
+/// on a StatsRegistry:
 ///   registry.Register("oracle", [&] { return OracleStatsSection(oracle); });
 StatsSection OracleStatsSection(const DistanceOracle& oracle);
 
-/// "preprocess" stats section: one row per completed backend preprocessing
-/// build (metric, build ms, worker threads, batches, shortcuts). Empty for
+/// "preprocess" stats section: one row per prepared metric (metric, build
+/// ms, worker threads, batches, shortcuts, source). Empty for
 /// preprocessing-free backends.
 StatsSection PreprocessStatsSection(const RoutingBackend& backend);
 

@@ -3,12 +3,14 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "common/enum_option.h"
 #include "graph/alt.h"
 #include "graph/astar.h"
 #include "graph/dijkstra.h"
+#include "graph/path_profile.h"
 
 namespace xar {
 
@@ -41,6 +43,43 @@ constexpr std::size_t kNumMetrics = 3;
 
 std::size_t MetricIndex(Metric metric) {
   return static_cast<std::size_t>(metric);
+}
+
+/// Same nodes, and at every node the same arcs in the same order (the
+/// GraphDelta contract): node ids, and with them a node order, carry over.
+bool SameArcs(const RoadGraph& a, const RoadGraph& b) {
+  if (&a == &b) return true;
+  if (a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges()) {
+    return false;
+  }
+  for (std::size_t u = 0; u < a.NumNodes(); ++u) {
+    const NodeId node(static_cast<NodeId::underlying_type>(u));
+    std::span<const RoadEdge> ea = a.OutEdges(node);
+    std::span<const RoadEdge> eb = b.OutEdges(node);
+    if (ea.size() != eb.size()) return false;
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+      if (ea[i].to != eb[i].to) return false;
+    }
+  }
+  return true;
+}
+
+/// Whether every arc of two SameArcs graphs weighs exactly the same under
+/// `metric`.
+bool SameWeights(const RoadGraph& a, const RoadGraph& b, Metric metric) {
+  if (&a == &b) return true;
+  for (std::size_t u = 0; u < a.NumNodes(); ++u) {
+    const NodeId node(static_cast<NodeId::underlying_type>(u));
+    std::span<const RoadEdge> ea = a.OutEdges(node);
+    std::span<const RoadEdge> eb = b.OutEdges(node);
+    for (std::size_t i = 0; i < ea.size(); ++i) {
+      if (RoadGraph::EdgeWeight(ea[i], metric) !=
+          RoadGraph::EdgeWeight(eb[i], metric)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// Lease pool of per-thread query workspaces: engines keep mutable state,
@@ -357,11 +396,17 @@ class ChBackend final : public RoutingBackend {
 
   Path Route(NodeId from, NodeId to, Metric metric) override {
     PerMetric& pm = Ensure(metric);
-    auto query = pm.pool.Acquire(
-        [&pm] { return std::make_unique<ChQuery>(*pm.hierarchy); });
-    Path p = query->Route(from, to);
-    Account(query->last_settled_count());
-    return p;
+    std::vector<NodeId> nodes;
+    {
+      auto query = pm.pool.Acquire(
+          [&pm] { return std::make_unique<ChQuery>(*pm.hierarchy); });
+      nodes = query->RouteNodes(from, to);
+      Account(query->last_settled_count());
+    }
+    // The hierarchy may be shared from an outgoing backend whose graph has
+    // other weights under other metrics (congested times under a shared
+    // drive_m hierarchy), so the totals come from this backend's graph.
+    return ProfileNodePath(graph_, std::move(nodes), metric);
   }
 
   std::vector<double> DistancesToMany(NodeId src,
@@ -390,6 +435,34 @@ class ChBackend final : public RoutingBackend {
 
   void Prepare(Metric metric) override { Ensure(metric); }
 
+  void InheritFrom(const RoutingBackend& outgoing) override {
+    const auto* from = dynamic_cast<const ChBackend*>(&outgoing);
+    // The witness limit shapes the hierarchy, so only an equal one yields
+    // what a build here would have; other arcs invalidate node order too.
+    if (from == nullptr || from == this ||
+        from->options_.witness_search_limit != options_.witness_search_limit ||
+        !SameArcs(from->graph_, graph_)) {
+      return;
+    }
+    for (std::size_t i = 0; i < kNumMetrics; ++i) {
+      const PerMetric& old = from->metrics_[i];
+      if (!old.ready.load(std::memory_order_acquire)) continue;
+      const Metric metric = static_cast<Metric>(i);
+      if (SameWeights(from->graph_, graph_, metric)) {
+        // Equal weights: a build here would reproduce it byte for byte.
+        Obtain(metric, PreprocessSource::kInherited,
+               [&old] { return old.hierarchy; });
+      } else {
+        // Changed weights: re-contracted in the outgoing node order, now,
+        // while the outgoing hierarchy is known to be alive.
+        Obtain(metric, PreprocessSource::kReordered, [&] {
+          return std::make_shared<const ContractionHierarchy>(
+              graph_, metric, *old.hierarchy, options_);
+        });
+      }
+    }
+  }
+
   RoutingBackendKind kind() const override { return RoutingBackendKind::kCh; }
   std::size_t settled_count() const override {
     return settled_.load(std::memory_order_relaxed);
@@ -409,7 +482,10 @@ class ChBackend final : public RoutingBackend {
       if (!pm.ready.load(std::memory_order_acquire)) continue;
       PreprocessTiming t;
       t.metric = static_cast<Metric>(i);
-      t.build_ms = pm.hierarchy->build_millis();
+      t.source = pm.source;
+      t.build_ms = pm.source == PreprocessSource::kInherited
+                       ? 0.0
+                       : pm.hierarchy->build_millis();
       t.threads = pm.hierarchy->threads_used();
       t.batches = pm.hierarchy->num_batches();
       t.shortcuts = pm.hierarchy->NumShortcuts();
@@ -431,23 +507,38 @@ class ChBackend final : public RoutingBackend {
  private:
   struct PerMetric {
     std::once_flag once;
-    std::unique_ptr<const ContractionHierarchy> hierarchy;
-    /// Set (release) after `hierarchy` is fully built, so stats readers can
-    /// observe finished builds without racing the call_once.
+    /// Shared with the backends this one was inherited from or hands over to.
+    std::shared_ptr<const ContractionHierarchy> hierarchy;
+    PreprocessSource source = PreprocessSource::kBuilt;
+    /// Set (release) after `hierarchy` and `source` are final, so stats
+    /// readers can observe finished builds without racing the call_once.
     std::atomic<bool> ready{false};
     EnginePool<ChQuery> pool;
   };
 
   PerMetric& Ensure(Metric metric) {
+    return Obtain(metric, PreprocessSource::kBuilt, [this, metric] {
+      return std::make_shared<const ContractionHierarchy>(graph_, metric,
+                                                          options_);
+    });
+  }
+
+  /// Installs `make()` as the metric's hierarchy unless one is already in
+  /// place (std::call_once, so racing first queries see exactly one).
+  /// Only built and reordered hierarchies count as preprocessing time.
+  template <typename Make>
+  PerMetric& Obtain(Metric metric, PreprocessSource source, Make&& make) {
     PerMetric& pm = metrics_[MetricIndex(metric)];
-    std::call_once(pm.once, [this, &pm, metric] {
+    std::call_once(pm.once, [&] {
       auto start = std::chrono::steady_clock::now();
-      pm.hierarchy =
-          std::make_unique<const ContractionHierarchy>(graph_, metric, options_);
-      auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-      preprocess_micros_.fetch_add(micros, std::memory_order_relaxed);
+      pm.hierarchy = make();
+      pm.source = source;
+      if (source != PreprocessSource::kInherited) {
+        auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+        preprocess_micros_.fetch_add(micros, std::memory_order_relaxed);
+      }
       pm.ready.store(true, std::memory_order_release);
     });
     return pm;
@@ -494,6 +585,18 @@ Result<RoutingBackendKind> RoutingBackendFromString(std::string_view name) {
        {"astar", RoutingBackendKind::kAStar},
        {"alt", RoutingBackendKind::kAlt},
        {"ch", RoutingBackendKind::kCh}});
+}
+
+const char* PreprocessSourceName(PreprocessSource source) {
+  switch (source) {
+    case PreprocessSource::kBuilt:
+      return "built";
+    case PreprocessSource::kReordered:
+      return "reordered";
+    case PreprocessSource::kInherited:
+      return "inherited";
+  }
+  return "unknown";
 }
 
 const char* MetricName(Metric metric) {

@@ -40,12 +40,24 @@ std::optional<RoutingBackendKind> ParseRoutingBackend(std::string_view name);
 /// typo is an error instead of a silent fall-through to the default.
 Result<RoutingBackendKind> RoutingBackendFromString(std::string_view name);
 
-/// One completed preprocessing build (e.g. one metric's contraction
-/// hierarchy): what was built, how long it took and with how many worker
-/// threads. The stats surface renders these under the "preprocess" section.
+/// How a backend obtained one metric's preprocessing product.
+enum class PreprocessSource {
+  kBuilt,      ///< built from scratch on this backend's graph
+  kReordered,  ///< re-contracted in an outgoing backend's node order
+  kInherited,  ///< shared unchanged from an outgoing backend (no build)
+};
+
+/// Stable lowercase name ("built", "reordered", "inherited").
+const char* PreprocessSourceName(PreprocessSource source);
+
+/// One metric's preprocessing product (e.g. its contraction hierarchy):
+/// how it was obtained, how long this backend spent on it and with how many
+/// worker threads. The stats surface renders these under the "preprocess"
+/// section and names each source in the "oracle" section.
 struct PreprocessTiming {
   Metric metric = Metric::kDriveDistance;
-  double build_ms = 0.0;
+  PreprocessSource source = PreprocessSource::kBuilt;
+  double build_ms = 0.0;     ///< 0 for an inherited product
   std::size_t threads = 1;   ///< worker threads the build ran with
   std::size_t batches = 0;   ///< independent-set rounds (CH; 0 otherwise)
   std::size_t shortcuts = 0; ///< shortcut arcs added (CH; 0 otherwise)
@@ -97,6 +109,17 @@ class RoutingBackend {
   /// refresh swap so no query ever pays the build under a lock.
   virtual void Prepare(Metric /*metric*/) {}
 
+  /// Takes over what `outgoing` (the backend this one replaces in a
+  /// refresh) has already prepared, as far as it still holds for this
+  /// backend's graph. Call it before this backend serves queries, while
+  /// `outgoing` is alive; afterwards this backend needs nothing from it.
+  /// The CH backend shares each hierarchy whose metric's arc weights are
+  /// unchanged and re-contracts the others in the outgoing node order, so
+  /// a congestion refresh, which changes driving times only, rebuilds one
+  /// hierarchy instead of three. Metrics already prepared here, and
+  /// backends of another kind, witness limit or arc set, are left alone.
+  virtual void InheritFrom(const RoutingBackend& /*outgoing*/) {}
+
   virtual RoutingBackendKind kind() const = 0;
   const char* name() const { return RoutingBackendName(kind()); }
 
@@ -106,11 +129,12 @@ class RoutingBackend {
   /// Cumulative Distance/Route/DistancesToMany calls.
   virtual std::size_t query_count() const = 0;
 
-  /// Total milliseconds spent in preprocessing so far (0 when none ran).
+  /// Total milliseconds this backend spent in preprocessing so far (0 when
+  /// none ran; inherited products cost nothing).
   virtual double preprocess_millis() const { return 0.0; }
 
-  /// Per-build preprocessing timings completed so far (one entry per
-  /// metric whose build has run). Empty for preprocessing-free backends.
+  /// Per-metric preprocessing timings completed so far (one entry per
+  /// metric whose product is ready). Empty for preprocessing-free backends.
   virtual std::vector<PreprocessTiming> preprocess_timings() const {
     return {};
   }

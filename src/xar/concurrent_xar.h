@@ -262,12 +262,15 @@ class ConcurrentXarSystem {
     const DiscretizationOptions& build_options =
         delta.options.has_value() ? *delta.options : head_->index->options();
     // Backend preprocessing for the incoming oracle (per-metric contraction
-    // hierarchies) runs first, off-thread with no shard locks held: the
-    // snapshot rebuild batches its landmark metric on that backend, and the
-    // per-shard swap below adopts snapshot AND ready oracle together — no
-    // post-refresh query ever sees a stale hierarchy or pays a build.
+    // hierarchies, inherited from the current oracle's where they still
+    // hold) runs first, off-thread with no shard locks held: the snapshot
+    // rebuild batches its landmark metric on that backend, and the per-shard
+    // swap below adopts snapshot AND ready oracle together — no post-refresh
+    // query ever sees a stale hierarchy or pays a build.
     Stopwatch prewarm_timer;
-    if (delta.oracle != nullptr) delta.oracle->Prewarm();
+    if (delta.oracle != nullptr) {
+      PrewarmFrom(*delta.oracle, *oracle_.load(std::memory_order_acquire));
+    }
     const double prewarm_ms = prewarm_timer.ElapsedMillis();
     RoutingBackend* matrix_backend =
         delta.oracle != nullptr ? delta.oracle->mutable_routing_backend()

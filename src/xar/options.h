@@ -36,12 +36,12 @@ struct XarOptions {
   std::size_t max_results = 0;
 
   /// Booking-time schedule optimization (extension; see DESIGN.md §6):
-  /// when true, bookings on rides that have not yet departed re-order ALL
-  /// rider stops with a kinetic tree (Huang et al.) instead of splicing the
-  /// new pair into fixed segments. Produces shorter multi-rider routes but
-  /// forfeits the paper's <= 4 shortest-path bound per booking (the route
-  /// is rebuilt stop-to-stop). In-progress rides always use the paper's
-  /// fixed-segment splice.
+  /// when true, bookings re-order every rider stop not yet passed with the
+  /// ride's persistent kinetic tree (Huang et al.) instead of splicing the
+  /// new pair into fixed segments — on in-progress rides too, where the
+  /// tree is rooted at the last stop the vehicle passed. Produces shorter
+  /// multi-rider routes but forfeits the paper's <= 4 shortest-path bound
+  /// per booking (the route is rebuilt stop-to-stop).
   bool kinetic_booking = false;
 
   /// Retry policy of ConcurrentXarSystem::SearchAndBook: total number of

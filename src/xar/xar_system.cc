@@ -51,12 +51,13 @@ RefreshStats XarSystem::RefreshDiscretization(const GraphDelta& delta) {
       delta.graph != nullptr ? *delta.graph : *graph_;
   const DiscretizationOptions& build_options =
       delta.options.has_value() ? *delta.options : current->index->options();
-  // Build any backend preprocessing (per-metric hierarchies) for the
-  // incoming oracle first: the snapshot rebuild below batches its landmark
-  // metric on that backend, and the swap installs a ready oracle so no
-  // post-refresh query pays the build.
+  // Ready the incoming oracle's backend preprocessing (per-metric
+  // hierarchies) first, inheriting what the current oracle's still holds:
+  // the snapshot rebuild below batches its landmark metric on that backend,
+  // and the swap installs a ready oracle so no post-refresh query pays the
+  // build.
   Stopwatch prewarm_timer;
-  if (delta.oracle != nullptr) delta.oracle->Prewarm();
+  if (delta.oracle != nullptr) PrewarmFrom(*delta.oracle, *oracle_);
   refresh_stats_.last_prewarm_ms = prewarm_timer.ElapsedMillis();
   // The incoming oracle routes over the incoming graph, so its backend can
   // batch the landmark rows; a delta without an oracle keeps the internal

@@ -159,6 +159,12 @@ TEST_F(CommandServerTest, StatsPreprocessSectionAppearsAfterQueries) {
             std::string::npos)
       << stats;
   EXPECT_NE(stats.find("threads="), std::string::npos) << stats;
+  // Each row says how its hierarchy was obtained; with no refresh yet,
+  // every one was built here — and the oracle section names that too.
+  EXPECT_NE(stats.find(" source=built"), std::string::npos) << stats;
+  std::string oracle = server_.Execute("STATS oracle");
+  EXPECT_NE(oracle.find(" drive_m=built"), std::string::npos) << oracle;
+  EXPECT_EQ(oracle.find("inherited"), std::string::npos) << oracle;
 }
 
 TEST_F(CommandServerTest, BookAgainstPreRefreshSearchIsStale) {

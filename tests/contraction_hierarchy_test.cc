@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "graph/dijkstra.h"
 #include "graph/generator.h"
+#include "graph/path_profile.h"
 
 namespace xar {
 namespace {
@@ -127,20 +128,20 @@ TEST_P(ChCorrectnessTest, UnpackedRoutesMatchDistances) {
     NodeId b(static_cast<NodeId::underlying_type>(
         rng.NextIndex(g.NumNodes())));
     const double dist = ch.Distance(a, b);
-    Path path = ch.Route(a, b);
+    std::vector<NodeId> nodes = ch.RouteNodes(a, b);
     if (std::isinf(dist)) {
-      EXPECT_FALSE(path.Found());
+      EXPECT_TRUE(nodes.empty());
       continue;
     }
     ++found;
-    ASSERT_TRUE(path.Found());
-    ASSERT_EQ(path.nodes.front(), a);
-    ASSERT_EQ(path.nodes.back(), b);
+    ASSERT_FALSE(nodes.empty());
+    ASSERT_EQ(nodes.front(), a);
+    ASSERT_EQ(nodes.back(), b);
     double sum = 0.0;
-    for (std::size_t h = 0; h + 1 < path.nodes.size(); ++h) {
+    for (std::size_t h = 0; h + 1 < nodes.size(); ++h) {
       double hop = std::numeric_limits<double>::infinity();
-      for (const RoadEdge& e : g.OutEdges(path.nodes[h])) {
-        if (e.to == path.nodes[h + 1]) {
+      for (const RoadEdge& e : g.OutEdges(nodes[h])) {
+        if (e.to == nodes[h + 1]) {
           hop = std::min(hop, RoadGraph::EdgeWeight(e, metric));
         }
       }
@@ -159,7 +160,8 @@ TEST(ContractionHierarchyTest, RouteBetweenSameNodeIsZeroLengthSingleton) {
   opt.seed = 60;
   RoadGraph g = GenerateCity(opt);
   ContractionHierarchy ch(g);
-  Path path = ch.Route(NodeId(7), NodeId(7));
+  Path path = ProfileNodePath(g, ch.RouteNodes(NodeId(7), NodeId(7)),
+                              Metric::kDriveDistance);
   ASSERT_EQ(path.nodes.size(), 1u);
   EXPECT_EQ(path.nodes.front(), NodeId(7));
   EXPECT_DOUBLE_EQ(path.length_m, 0.0);
@@ -185,7 +187,71 @@ TEST(ContractionHierarchyTest, SeparateQueryWorkspacesAgree) {
     const double expect = ch.Distance(a, b);
     EXPECT_DOUBLE_EQ(q1.Distance(a, b), expect);
     EXPECT_DOUBLE_EQ(q2.Distance(a, b), expect);
-    EXPECT_EQ(q1.Route(a, b).nodes, ch.Route(a, b).nodes);
+    EXPECT_EQ(q1.RouteNodes(a, b), ch.RouteNodes(a, b));
+  }
+}
+
+/// Re-contracting in another hierarchy's node order — what a refresh does
+/// for a metric whose weights changed — stays exact, and the hierarchy is
+/// byte-identical at 1 and 4 worker threads.
+TEST(ContractionHierarchyTest, ReContractionIsExactAndThreadInvariant) {
+  CityOptions opt;
+  opt.rows = 10;
+  opt.cols = 10;
+  opt.seed = 63;
+  RoadGraph g = GenerateCity(opt);
+  RoadGraph congested = ScaleEdgeWeights(g, [](NodeId from, NodeId to) {
+    return 1.0 + 0.3 * static_cast<double>((from.value() * to.value()) % 7);
+  });
+  ContractionHierarchy original(g, Metric::kDriveTime);
+
+  ChOptions serial;
+  serial.preprocess_threads = 1;
+  ChOptions quad;
+  quad.preprocess_threads = 4;
+  ContractionHierarchy one(congested, Metric::kDriveTime, original, serial);
+  ContractionHierarchy four(congested, Metric::kDriveTime, original, quad);
+  EXPECT_EQ(four.threads_used(), 4u);
+  EXPECT_EQ(one.NumShortcuts(), four.NumShortcuts());
+  EXPECT_EQ(one.num_batches(), four.num_batches());
+  for (std::size_t v = 0; v < g.NumNodes(); ++v) {
+    const NodeId n(static_cast<NodeId::underlying_type>(v));
+    ASSERT_EQ(one.RankOf(n), four.RankOf(n)) << "node " << v;
+  }
+
+  DijkstraEngine dijkstra(congested);
+  Rng rng(64);
+  for (int i = 0; i < 60; ++i) {
+    NodeId a(static_cast<NodeId::underlying_type>(
+        rng.NextIndex(g.NumNodes())));
+    NodeId b(static_cast<NodeId::underlying_type>(
+        rng.NextIndex(g.NumNodes())));
+    const double d = one.Distance(a, b);
+    EXPECT_EQ(four.Distance(a, b), d);
+    EXPECT_NEAR(d, dijkstra.Distance(a, b, Metric::kDriveTime), 1e-6)
+        << a.value() << "->" << b.value();
+    EXPECT_EQ(one.RouteNodes(a, b), four.RouteNodes(a, b));
+  }
+}
+
+/// Re-contracting over unchanged weights rebuilds exactly the previous
+/// hierarchy: each of its levels is again an independent set of the graph
+/// it meets.
+TEST(ContractionHierarchyTest, ReContractionOfSameWeightsIsIdentical) {
+  CityOptions opt;
+  opt.rows = 12;
+  opt.cols = 12;
+  opt.seed = 65;
+  RoadGraph g = GenerateCity(opt);
+  for (Metric metric : {Metric::kDriveDistance, Metric::kWalkDistance}) {
+    ContractionHierarchy original(g, metric);
+    ContractionHierarchy rebuilt(g, metric, original, {});
+    EXPECT_EQ(rebuilt.NumShortcuts(), original.NumShortcuts());
+    EXPECT_EQ(rebuilt.num_batches(), original.num_batches());
+    for (std::size_t v = 0; v < g.NumNodes(); ++v) {
+      const NodeId n(static_cast<NodeId::underlying_type>(v));
+      ASSERT_EQ(rebuilt.RankOf(n), original.RankOf(n)) << "node " << v;
+    }
   }
 }
 

@@ -2,7 +2,8 @@
 // RoutingBackend interface must agree — on distances (to FP tolerance), on
 // route validity and route length under every metric, on random perturbed
 // lattices, and through a graph refresh that rebuilds the contraction
-// hierarchy via GraphDelta + RefreshDiscretization.
+// hierarchy via GraphDelta + RefreshDiscretization — or inherits it from
+// the outgoing oracle, shared or re-contracted in the old node order.
 
 #include "graph/routing_backend.h"
 
@@ -342,6 +343,157 @@ TEST(RoutingBackendTest, ChRefreshIdenticalAcrossThreadCounts) {
     EXPECT_EQ(t.threads, 8u);
     EXPECT_GT(t.batches, 0u);
   }
+}
+
+PreprocessTiming TimingOf(const RoutingBackend& backend, Metric metric) {
+  for (const PreprocessTiming& t : backend.preprocess_timings()) {
+    if (t.metric == metric) return t;
+  }
+  ADD_FAILURE() << MetricName(metric) << " was never prepared";
+  return {};
+}
+
+// A congestion refresh changes driving times only: the incoming CH backend
+// shares the outgoing drive_m and walk_m hierarchies (no build recorded)
+// and re-contracts drive_s. Routes on the shared drive_m hierarchy must be
+// profiled on the incoming graph — DriveRoute equals a from-scratch
+// oracle's bit for bit, congested time_s included.
+TEST(RoutingBackendTest, ChRefreshInheritsHierarchiesOfUnchangedMetrics) {
+  testing::TestCity city = testing::MakeTestCity(10, 10);
+  city.oracle->Prewarm();
+  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+
+  RoadGraph congested =
+      ScaleEdgeWeights(city.graph, [](NodeId from, NodeId to) {
+        return 1.0 +
+               0.25 * static_cast<double>((from.value() + to.value()) % 5);
+      });
+  GraphOracle incoming(congested);
+  GraphDelta delta;
+  delta.graph = &congested;
+  delta.oracle = &incoming;
+  ASSERT_EQ(xar.RefreshDiscretization(delta).epoch, 1u);
+
+  const RoutingBackend& backend = incoming.backend();
+  for (Metric metric : {Metric::kDriveDistance, Metric::kWalkDistance}) {
+    PreprocessTiming t = TimingOf(backend, metric);
+    EXPECT_EQ(t.source, PreprocessSource::kInherited) << MetricName(metric);
+    EXPECT_EQ(t.build_ms, 0.0) << MetricName(metric);
+    EXPECT_EQ(t.shortcuts,
+              TimingOf(city.oracle->backend(), metric).shortcuts);
+  }
+  PreprocessTiming drive_s = TimingOf(backend, Metric::kDriveTime);
+  EXPECT_EQ(drive_s.source, PreprocessSource::kReordered);
+  EXPECT_GT(drive_s.build_ms, 0.0);
+  // Only the re-contraction is this backend's preprocessing work.
+  EXPECT_GT(backend.preprocess_millis(), 0.0);
+  // The oracle stats section names each metric's source.
+  StatsSection section = OracleStatsSection(incoming);
+  ASSERT_EQ(section.rows.size(), 1u);
+  std::string sources;
+  for (const StatsMetric& m : section.rows[0]) {
+    if (m.kind != StatsMetric::Kind::kText) continue;
+    sources += m.name + "=" + m.value + " ";
+  }
+  EXPECT_EQ(sources,
+            "backend=ch cache=clock drive_m=inherited drive_s=reordered "
+            "walk_m=inherited ");
+
+  GraphOracle scratch(congested);
+  auto dijkstra = MakeRoutingBackend(RoutingBackendKind::kDijkstra, congested);
+  std::size_t slower = 0;
+  for (auto [a, b] : SamplePairs(congested, 40, 421)) {
+    Path route = incoming.DriveRoute(a, b);
+    Path expected = scratch.DriveRoute(a, b);
+    EXPECT_EQ(route.nodes, expected.nodes);
+    EXPECT_EQ(route.length_m, expected.length_m);
+    EXPECT_EQ(route.time_s, expected.time_s);
+    if (route.time_s > city.oracle->DriveRoute(a, b).time_s) ++slower;
+    EXPECT_EQ(incoming.DriveDistance(a, b), scratch.DriveDistance(a, b));
+    EXPECT_EQ(incoming.WalkDistance(a, b), scratch.WalkDistance(a, b));
+    ExpectSameDistance(incoming.DriveTime(a, b),
+                       dijkstra->Distance(a, b, Metric::kDriveTime),
+                       "reordered drive_s");
+  }
+  // The congestion is visible in the routes' times, so a route profiled on
+  // the outgoing graph would have failed the equalities above.
+  EXPECT_GT(slower, 0u);
+}
+
+// A perturbation changes lengths and times: every hierarchy the outgoing
+// backend built is re-contracted in its node order, and each metric still
+// answers exactly what Dijkstra does on the perturbed graph.
+TEST(RoutingBackendTest, ChRefreshReordersEveryChangedMetric) {
+  testing::TestCity city = testing::MakeTestCity(10, 10);
+  city.oracle->Prewarm();
+  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+
+  RoadGraph perturbed = PerturbEdgeWeights(city.graph, 0.3, 431);
+  GraphOracle incoming(perturbed);
+  GraphDelta delta;
+  delta.graph = &perturbed;
+  delta.oracle = &incoming;
+  ASSERT_EQ(xar.RefreshDiscretization(delta).epoch, 1u);
+
+  for (Metric metric : kAllMetrics) {
+    EXPECT_EQ(TimingOf(incoming.backend(), metric).source,
+              PreprocessSource::kReordered)
+        << MetricName(metric);
+  }
+  auto dijkstra = MakeRoutingBackend(RoutingBackendKind::kDijkstra, perturbed);
+  for (auto [a, b] : SamplePairs(perturbed, 40, 433)) {
+    for (Metric metric : kAllMetrics) {
+      ExpectSameDistance(incoming.backend().Distance(a, b, metric),
+                         dijkstra->Distance(a, b, metric), MetricName(metric));
+    }
+    ExpectValidRoute(perturbed, incoming.DriveRoute(a, b), a, b,
+                     Metric::kDriveDistance,
+                     dijkstra->Distance(a, b, Metric::kDriveDistance));
+  }
+}
+
+// Nothing carries over between graphs with different arcs, from a backend
+// of another kind, or across witness limits (the limit shapes the
+// hierarchy): each falls back to a full build.
+TEST(RoutingBackendTest, ChInheritanceFallsBackToFullBuilds) {
+  RoadGraph small = MakePerturbedLattice(8, 8, 441);
+  RoadGraph large = MakePerturbedLattice(9, 9, 441);
+  RoutingBackendOptions cheap;
+  cheap.ch.witness_search_limit = 5;
+  auto outgoing = MakeRoutingBackend(RoutingBackendKind::kCh, small);
+  auto cheap_outgoing =
+      MakeRoutingBackend(RoutingBackendKind::kCh, large, cheap);
+  auto dijkstra = MakeRoutingBackend(RoutingBackendKind::kDijkstra, large);
+  for (Metric metric : kAllMetrics) {
+    outgoing->Prepare(metric);
+    cheap_outgoing->Prepare(metric);
+  }
+
+  for (const RoutingBackend* from :
+       {outgoing.get(), cheap_outgoing.get(), dijkstra.get()}) {
+    auto incoming = MakeRoutingBackend(RoutingBackendKind::kCh, large);
+    incoming->InheritFrom(*from);
+    EXPECT_TRUE(incoming->preprocess_timings().empty()) << from->name();
+    for (Metric metric : kAllMetrics) {
+      incoming->Prepare(metric);
+      EXPECT_EQ(TimingOf(*incoming, metric).source, PreprocessSource::kBuilt);
+    }
+    for (auto [a, b] : SamplePairs(large, 20, 443)) {
+      for (Metric metric : kAllMetrics) {
+        ExpectSameDistance(incoming->Distance(a, b, metric),
+                           dijkstra->Distance(a, b, metric),
+                           MetricName(metric));
+      }
+    }
+  }
+
+  // Same arcs and weights: everything the outgoing backend built is shared.
+  auto twin = MakeRoutingBackend(RoutingBackendKind::kCh, small);
+  twin->InheritFrom(*outgoing);
+  for (Metric metric : kAllMetrics) {
+    EXPECT_EQ(TimingOf(*twin, metric).source, PreprocessSource::kInherited);
+  }
+  EXPECT_EQ(twin->preprocess_millis(), 0.0);
 }
 
 TEST(RoutingBackendTest, OracleStatsSectionNamesTheBackend) {

@@ -22,14 +22,19 @@ using testing::TestCity;
 /// (workload seed, request walk threshold in meters).
 using Params = std::tuple<std::uint64_t, double>;
 
-class SearchPropertyTest : public ::testing::TestWithParam<Params> {
+/// A system over the shared city loaded with 800 rides drawn from `seed`,
+/// probed by requests drawn from `seed` + 1000 with a walk threshold of
+/// `walk_limit_m`.
+class LoadedSystem {
  protected:
-  SearchPropertyTest()
-      : city_(SharedCity()),
+  LoadedSystem(std::uint64_t seed, double walk_limit_m)
+      : seed_(seed),
+        walk_limit_m_(walk_limit_m),
+        city_(SharedCity()),
         xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle) {
     WorkloadOptions opt;
     opt.num_trips = 800;
-    opt.seed = std::get<0>(GetParam());
+    opt.seed = seed_;
     for (const TaxiTrip& t : GenerateTrips(city_.graph.bounds(), opt)) {
       RideOffer offer;
       offer.source = t.pickup;
@@ -42,7 +47,7 @@ class SearchPropertyTest : public ::testing::TestWithParam<Params> {
   std::vector<RideRequest> Probes(std::size_t count) {
     WorkloadOptions opt;
     opt.num_trips = count;
-    opt.seed = std::get<0>(GetParam()) + 1000;
+    opt.seed = seed_ + 1000;
     std::vector<RideRequest> out;
     for (const TaxiTrip& t : GenerateTrips(city_.graph.bounds(), opt)) {
       RideRequest req;
@@ -51,14 +56,31 @@ class SearchPropertyTest : public ::testing::TestWithParam<Params> {
       req.destination = t.dropoff;
       req.earliest_departure_s = t.pickup_time_s;
       req.latest_departure_s = t.pickup_time_s + 900;
-      req.walk_limit_m = std::get<1>(GetParam());
+      req.walk_limit_m = walk_limit_m_;
       out.push_back(req);
     }
     return out;
   }
 
+  std::uint64_t seed_;
+  double walk_limit_m_;
   TestCity& city_;
   XarSystem xar_;
+};
+
+class SearchPropertyTest : public ::testing::TestWithParam<Params>,
+                           protected LoadedSystem {
+ protected:
+  SearchPropertyTest()
+      : LoadedSystem(std::get<0>(GetParam()), std::get<1>(GetParam())) {}
+};
+
+/// Seeds only, at the widest walk limit: one refresh per seed is enough to
+/// exercise the bound, and the walk limit does not change the refresh.
+class PerturbedRefreshTest : public ::testing::TestWithParam<std::uint64_t>,
+                             protected LoadedSystem {
+ protected:
+  PerturbedRefreshTest() : LoadedSystem(GetParam(), 1000.0) {}
 };
 
 TEST_P(SearchPropertyTest, EveryMatchSatisfiesTheContract) {
@@ -153,20 +175,23 @@ TEST_P(SearchPropertyTest, SearchIsReadOnly) {
 // booking was computed on — so it must survive a refresh onto a *different*
 // metric. Perturb every edge weight by a random factor, rebuild the region
 // over the perturbed graph, and check bookings against the new region's
-// epsilon. (One walk limit is enough to exercise the bound; skip the rest of
-// the parameter grid to keep the sweep's runtime flat.)
-TEST_P(SearchPropertyTest, DetourGuaranteeHoldsAfterPerturbedRefresh) {
-  if (std::get<1>(GetParam()) != 1000.0) {
-    GTEST_SKIP() << "guarantee sweep runs at the widest walk limit only";
-  }
-  RoadGraph perturbed =
-      PerturbEdgeWeights(city_.graph, 0.25, std::get<0>(GetParam()));
+// epsilon. The refresh re-contracts the hierarchies the shared oracle has
+// built in their old node order, so the bookings route on those.
+TEST_P(PerturbedRefreshTest, DetourGuaranteeHoldsAfterPerturbedRefresh) {
+  city_.oracle->Prewarm();
+  RoadGraph perturbed = PerturbEdgeWeights(city_.graph, 0.25, seed_);
   GraphOracle oracle(perturbed);
   GraphDelta delta;
   delta.graph = &perturbed;
   delta.oracle = &oracle;
   RefreshStats stats = xar_.RefreshDiscretization(delta);
   ASSERT_EQ(stats.epoch, 1u);
+  const std::vector<PreprocessTiming> timings =
+      oracle.backend().preprocess_timings();
+  ASSERT_EQ(timings.size(), 3u);
+  for (const PreprocessTiming& t : timings) {
+    EXPECT_EQ(t.source, PreprocessSource::kReordered) << MetricName(t.metric);
+  }
 
   // Same sweep bound as integration/stress: 4*epsilon from Theorem 6 plus
   // the 2*Delta grid->landmark association slack — but epsilon and Delta of
@@ -192,6 +217,9 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndWalkLimits, SearchPropertyTest,
     ::testing::Combine(::testing::Values(61, 62, 63),
                        ::testing::Values(200.0, 500.0, 1000.0)));
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PerturbedRefreshTest,
+                         ::testing::Values(61, 62, 63));
 
 }  // namespace
 }  // namespace xar
