@@ -4,6 +4,7 @@
 // ConcurrentXarSystem:
 //   - search-only QPS (the paper's dominant operation at high look-to-book),
 //   - mixed traffic QPS (searches with a 5% optimistic SearchAndBook mix),
+//   - pure SearchAndBook QPS (the booking path end to end),
 // and emits both a human-readable table and a JSON trajectory point
 // (BENCH_throughput_scaling.json, see bench/README.md).
 
@@ -33,10 +34,8 @@ struct SeriesPoint {
   double search_p99_ms = 0.0;
   double mixed_qps = 0.0;
   std::size_t mixed_bookings = 0;
-  /// Pure SearchAndBook stream with batch pricing on: every wave priced by
-  /// one oracle many-to-many batch (the booking hot path end to end).
-  double priced_qps = 0.0;
-  std::size_t priced_waves = 0;
+  /// Pure SearchAndBook stream (the booking hot path end to end).
+  double searchandbook_qps = 0.0;
 };
 
 std::vector<RideRequest> ToRequests(const std::vector<TaxiTrip>& trips,
@@ -117,9 +116,9 @@ int Run() {
                 host_cores);
   }
   std::printf("\n");
-  std::printf("%8s %14s %14s %14s %14s %10s %14s %12s\n", "threads",
+  std::printf("%8s %14s %14s %14s %14s %10s %14s\n", "threads",
               "search QPS", "p50 ms", "p99 ms", "mixed QPS", "bookings",
-              "priced QPS", "waves");
+              "S&B QPS");
 
   std::vector<SeriesPoint> series;
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
@@ -168,10 +167,8 @@ int Run() {
       point.mixed_bookings = bookings.load();
     }
 
-    // --- Batch-priced search-and-book: every operation is a SearchAndBook
-    // whose candidate wave is priced in ONE oracle many-to-many batch
-    // (XarOptions::batch_pricing, the default) — the booking hot path this
-    // PR optimizes, measured end to end.
+    // --- Search-and-book: every operation is a SearchAndBook that books
+    // its candidates in walk order — the booking hot path end to end.
     {
       ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
                               *world.oracle, {}, kShards);
@@ -179,14 +176,13 @@ int Run() {
       double elapsed = RunWorkers(threads, mixed_ops, [&](std::size_t i) {
         (void)xar.SearchAndBook(requests[i % requests.size()]);
       });
-      point.priced_qps = static_cast<double>(mixed_ops) / elapsed;
-      point.priced_waves = xar.retry_stats().priced_waves;
+      point.searchandbook_qps = static_cast<double>(mixed_ops) / elapsed;
     }
 
-    std::printf("%8zu %14.0f %14.3f %14.3f %14.0f %10zu %14.0f %12zu\n",
+    std::printf("%8zu %14.0f %14.3f %14.3f %14.0f %10zu %14.0f\n",
                 point.threads, point.search_qps, point.search_p50_ms,
                 point.search_p99_ms, point.mixed_qps, point.mixed_bookings,
-                point.priced_qps, point.priced_waves);
+                point.searchandbook_qps);
     series.push_back(point);
   }
 
@@ -251,11 +247,10 @@ int Run() {
                    "    {\"threads\": %zu, \"search_qps\": %.1f, "
                    "\"search_p50_ms\": %.4f, \"search_p99_ms\": %.4f, "
                    "\"mixed_qps\": %.1f, \"mixed_bookings\": %zu, "
-                   "\"priced_searchandbook_qps\": %.1f, "
-                   "\"priced_waves\": %zu}%s\n",
+                   "\"searchandbook_qps\": %.1f}%s\n",
                    p.threads, p.search_qps, p.search_p50_ms, p.search_p99_ms,
-                   p.mixed_qps, p.mixed_bookings, p.priced_qps,
-                   p.priced_waves, i + 1 < series.size() ? "," : "");
+                   p.mixed_qps, p.mixed_bookings, p.searchandbook_qps,
+                   i + 1 < series.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"search_speedup_1_to_8\": %.2f\n",

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/clock.h"
 #include "discretize/region_snapshot.h"
@@ -72,9 +73,15 @@ struct XarServeServer::Connection {
   struct PendingSearch {
     RideRequest request;
     std::vector<RideMatch> matches;
+    std::uint64_t seq = 0;  ///< the SEARCH's position on this connection
   };
   std::mutex pending_mutex;
   std::unordered_map<std::uint32_t, PendingSearch> pending;
+  /// (seq, rider id) of the last kMaxPendingSearches SEARCHes, oldest
+  /// first. A slot whose seq no longer matches its map entry was booked or
+  /// re-SEARCHed and evicts nothing when it expires.
+  std::deque<std::pair<std::uint64_t, std::uint32_t>> pending_order;
+  std::uint64_t next_seq = 0;
 };
 
 struct XarServeServer::Task {
@@ -478,8 +485,19 @@ RespStatus XarServeServer::HandleSearch(Connection& conn,
   }
   {
     std::lock_guard<std::mutex> lock(conn.pending_mutex);
+    const std::uint64_t seq = conn.next_seq++;
     conn.pending[p.rider_id] =
-        Connection::PendingSearch{ride_request, std::move(matches)};
+        Connection::PendingSearch{ride_request, std::move(matches), seq};
+    conn.pending_order.emplace_back(seq, p.rider_id);
+    if (conn.pending_order.size() > kMaxPendingSearches) {
+      const auto [old_seq, old_rider] = conn.pending_order.front();
+      conn.pending_order.pop_front();
+      auto it = conn.pending.find(old_rider);
+      if (it != conn.pending.end() && it->second.seq == old_seq) {
+        conn.pending.erase(it);
+        pending_evicted_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
   EncodeSearchResult(result, payload);
   return RespStatus::kOk;
@@ -649,6 +667,7 @@ ServeCounters XarServeServer::counters() const {
   c.connections_opened = connections_opened_.load(std::memory_order_relaxed);
   c.connections_closed = connections_closed_.load(std::memory_order_relaxed);
   c.queue_highwater = queue_highwater_.load(std::memory_order_relaxed);
+  c.pending_evicted = pending_evicted_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -664,6 +683,7 @@ StatsSection XarServeServer::ServeSection() const {
        StatsMetric::Counter("conns_opened", c.connections_opened),
        StatsMetric::Counter("conns_closed", c.connections_closed),
        StatsMetric::Counter("queue_highwater", c.queue_highwater),
+       StatsMetric::Counter("pending_evicted", c.pending_evicted),
        StatsMetric::Counter("workers", num_workers_),
        StatsMetric::Counter("queue_capacity", options_.queue_capacity)});
   for (Verb verb : {Verb::kSearch, Verb::kBook, Verb::kSearchAndBook,

@@ -42,6 +42,12 @@ struct ServeOptions {
   std::function<void(Verb)> worker_hook_for_test;
 };
 
+/// Per connection, a SEARCH stays bookable until this many newer SEARCHes
+/// have arrived on the same connection; then it is evicted and a BOOK of it
+/// fails like one that had no prior SEARCH. Bounds the look-then-book state
+/// of a client that searches with fresh rider ids and rarely books.
+constexpr std::size_t kMaxPendingSearches = 1024;
+
 /// Point-in-time serving counters (all cumulative since Start).
 struct ServeCounters {
   std::uint64_t accepted = 0;   ///< requests enqueued to a worker
@@ -51,6 +57,7 @@ struct ServeCounters {
   std::uint64_t connections_opened = 0;
   std::uint64_t connections_closed = 0;
   std::uint64_t queue_highwater = 0;  ///< max depth any worker queue reached
+  std::uint64_t pending_evicted = 0;  ///< searches evicted unbooked
 };
 
 /// Long-lived async network front end over a ConcurrentXarSystem
@@ -193,6 +200,7 @@ class XarServeServer {
   std::atomic<std::uint64_t> connections_opened_{0};
   std::atomic<std::uint64_t> connections_closed_{0};
   std::atomic<std::uint64_t> queue_highwater_{0};
+  std::atomic<std::uint64_t> pending_evicted_{0};
 
   LatencyHistogram histograms_[5];  ///< per verb, indexed by VerbIndex
 

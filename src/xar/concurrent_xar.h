@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -13,7 +12,6 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,10 +30,10 @@ struct RetryStats {
   std::size_t booked_after_research = 0; ///< booked in a re-search round
   std::size_t stale_rejections = 0;      ///< candidates rejected by Book
   std::size_t unmatched = 0;             ///< SearchAndBook returned NotFound
-  // Batch pricing on the SearchAndBook path (XarOptions::batch_pricing):
-  std::size_t priced_waves = 0;       ///< waves priced (one oracle batch each)
-  std::size_t priced_candidates = 0;  ///< matches offered to pricing
-  std::size_t priced_dropped = 0;     ///< matches dropped: unreachable leg
+  // Never written; kept only while perfbench's xar.priced_* metrics read them.
+  std::size_t priced_waves = 0;
+  std::size_t priced_candidates = 0;
+  std::size_t priced_dropped = 0;
 };
 
 /// "retry" stats section for the unified StatsRegistry surface.
@@ -47,10 +45,7 @@ inline StatsSection RetryStatsSection(const RetryStats& stats) {
        StatsMetric::Counter("booked_after_research",
                             stats.booked_after_research),
        StatsMetric::Counter("stale_rejections", stats.stale_rejections),
-       StatsMetric::Counter("unmatched", stats.unmatched),
-       StatsMetric::Counter("priced_waves", stats.priced_waves),
-       StatsMetric::Counter("priced_candidates", stats.priced_candidates),
-       StatsMetric::Counter("priced_dropped", stats.priced_dropped)});
+       StatsMetric::Counter("unmatched", stats.unmatched)});
   return section;
 }
 
@@ -101,7 +96,6 @@ class ConcurrentXarSystem {
         num_shards_(ResolveShardCount(num_shards)),
         max_results_(options.max_results),
         book_rounds_(options.search_and_book_rounds),
-        batch_pricing_(options.batch_pricing),
         head_(BorrowRegionSnapshot(region)),
         oracle_(&oracle),
         pool_(num_shards_) {
@@ -268,9 +262,7 @@ class ConcurrentXarSystem {
     // swap below adopts snapshot AND ready oracle together — no post-refresh
     // query ever sees a stale hierarchy or pays a build.
     Stopwatch prewarm_timer;
-    if (delta.oracle != nullptr) {
-      PrewarmFrom(*delta.oracle, *oracle_.load(std::memory_order_acquire));
-    }
+    if (delta.oracle != nullptr) PrewarmFrom(*delta.oracle, *oracle_);
     const double prewarm_ms = prewarm_timer.ElapsedMillis();
     RoutingBackend* matrix_backend =
         delta.oracle != nullptr ? delta.oracle->mutable_routing_backend()
@@ -285,12 +277,7 @@ class ConcurrentXarSystem {
       rehomed += shard->system.AdoptSnapshot(next, delta.graph, delta.oracle);
     }
     if (delta.graph != nullptr) graph_ = delta.graph;
-    // Every shard now routes on the new oracle; point wave pricing at it
-    // too. The old oracle stays caller-owned and alive (same contract as
-    // delta.graph), so a PriceWave racing this store reads valid data
-    // either way.
-    if (delta.oracle != nullptr)
-      oracle_.store(delta.oracle, std::memory_order_release);
+    if (delta.oracle != nullptr) oracle_ = delta.oracle;
     head_ = std::move(next);
     epoch_.store(head_->epoch, std::memory_order_release);
 
@@ -326,10 +313,6 @@ class ConcurrentXarSystem {
     stats.stale_rejections =
         stale_rejections_.load(std::memory_order_relaxed);
     stats.unmatched = unmatched_.load(std::memory_order_relaxed);
-    stats.priced_waves = priced_waves_.load(std::memory_order_relaxed);
-    stats.priced_candidates =
-        priced_candidates_.load(std::memory_order_relaxed);
-    stats.priced_dropped = priced_dropped_.load(std::memory_order_relaxed);
     return stats;
   }
 
@@ -385,11 +368,6 @@ class ConcurrentXarSystem {
       const std::uint64_t pinned_epoch = epoch();
       std::vector<RideMatch> matches = Search(request);
       if (post_search_hook_) post_search_hook_(request, round);
-      // Price the whole wave with ONE oracle many-to-many batch before any
-      // exclusive lock is taken: candidates with an unreachable splice leg
-      // (the only ones pricing may drop) never contend for a booking lock,
-      // the rest carry their exact insertion detour.
-      if (batch_pricing_) PriceWave(&matches);
       for (const RideMatch& match : matches) {
         Shard& shard = ShardOf(match.ride);
         std::unique_lock lock(shard.mutex);
@@ -412,78 +390,6 @@ class ConcurrentXarSystem {
   }
 
  private:
-  /// Concurrent counterpart of XarSystem::PriceMatches: collects every
-  /// match's splice legs under the owning shard's SHARED lock (one shard at
-  /// a time — the lock-order invariant holds), then prices all legs of the
-  /// wave in a single oracle many-to-many batch with NO locks held, and
-  /// finally annotates/filters the matches. Matches whose legs could not be
-  /// collected (stale epoch, ride gone) stay unpriced for Book to reject;
-  /// only unreachable-leg matches are dropped, which cannot change a
-  /// booking outcome — Book would fail them with the same result.
-  void PriceWave(std::vector<RideMatch>* matches) {
-    if (matches->empty()) return;
-    struct MatchLegs {
-      std::vector<std::pair<NodeId, NodeId>> legs;
-      double replaced_m = 0.0;
-      bool ok = false;
-    };
-    std::vector<MatchLegs> per_match(matches->size());
-    std::vector<NodeId> sources;
-    std::vector<NodeId> targets;
-    std::unordered_map<NodeId::underlying_type, std::size_t> src_at;
-    std::unordered_map<NodeId::underlying_type, std::size_t> tgt_at;
-    bool any = false;
-    for (std::size_t m = 0; m < matches->size(); ++m) {
-      const RideMatch& match = (*matches)[m];
-      if (!match.ride.valid()) continue;
-      MatchLegs& ml = per_match[m];
-      Shard& shard = ShardOf(match.ride);
-      {
-        std::shared_lock lock(shard.mutex);
-        ml.ok =
-            shard.system.CollectPricingLegs(match, &ml.legs, &ml.replaced_m);
-      }
-      if (!ml.ok) continue;
-      any = true;
-      for (const auto& [from, to] : ml.legs) {
-        if (src_at.emplace(from.value(), sources.size()).second)
-          sources.push_back(from);
-        if (tgt_at.emplace(to.value(), targets.size()).second)
-          targets.push_back(to);
-      }
-    }
-    if (!any) return;
-
-    std::vector<double> dist =
-        oracle_.load(std::memory_order_acquire)
-            ->DriveDistanceMatrix(sources, targets);
-
-    std::size_t dropped = 0;
-    std::vector<RideMatch> kept;
-    kept.reserve(matches->size());
-    for (std::size_t m = 0; m < matches->size(); ++m) {
-      RideMatch match = (*matches)[m];
-      const MatchLegs& ml = per_match[m];
-      if (ml.ok) {
-        double spliced = 0.0;
-        for (const auto& [from, to] : ml.legs) {
-          spliced += dist[src_at.at(from.value()) * targets.size() +
-                          tgt_at.at(to.value())];
-        }
-        if (!std::isfinite(spliced)) {
-          ++dropped;
-          continue;
-        }
-        match.priced_detour_m = std::max(0.0, spliced - ml.replaced_m);
-      }
-      kept.push_back(match);
-    }
-    *matches = std::move(kept);
-    priced_waves_.fetch_add(1, std::memory_order_relaxed);
-    priced_candidates_.fetch_add(per_match.size(), std::memory_order_relaxed);
-    priced_dropped_.fetch_add(dropped, std::memory_order_relaxed);
-  }
-
   struct Shard {
     Shard(const RoadGraph& graph, const SpatialNodeIndex& spatial,
           std::shared_ptr<const RegionSnapshot> snapshot,
@@ -509,13 +415,13 @@ class ConcurrentXarSystem {
   std::size_t num_shards_;
   std::size_t max_results_;
   std::size_t book_rounds_;
-  bool batch_pricing_;
   /// Last fully adopted snapshot; guarded by refresh_mutex_. Shards on an
   /// older epoch keep their snapshot alive independently via shared_ptr.
   std::shared_ptr<const RegionSnapshot> head_;
-  /// Oracle wave pricing batches on; atomically re-pointed by a refresh
-  /// with an oracle delta (the shards swap theirs under their locks).
-  std::atomic<DistanceOracle*> oracle_;
+  /// Oracle of the last fully adopted refresh: the one the next refresh
+  /// prewarms its incoming oracle from. Guarded by refresh_mutex_ (the
+  /// shards swap their own oracle pointers under their locks).
+  DistanceOracle* oracle_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> next_shard_{0};
   std::atomic<std::uint64_t> epoch_{0};
@@ -526,9 +432,6 @@ class ConcurrentXarSystem {
   std::atomic<std::size_t> booked_after_research_{0};
   std::atomic<std::size_t> stale_rejections_{0};
   std::atomic<std::size_t> unmatched_{0};
-  std::atomic<std::size_t> priced_waves_{0};
-  std::atomic<std::size_t> priced_candidates_{0};
-  std::atomic<std::size_t> priced_dropped_{0};
   std::function<void(const RideRequest&, std::size_t)> post_search_hook_;
   mutable ThreadPool pool_;
 };

@@ -50,23 +50,14 @@ struct XarOptions {
   /// epoch moved mid-search; 1 disables re-searching entirely.
   std::size_t search_and_book_rounds = 2;
 
-  /// Batch candidate pricing on the SearchAndBook path: price every
-  /// candidate of a search wave (its exact insertion detour) with ONE
-  /// oracle many-to-many batch — bucket CH on the default backend — instead
-  /// of per-pair oracle calls. Candidates whose insertion legs are
-  /// unreachable are dropped before any booking lock is taken; the rest
-  /// carry RideMatch::priced_detour_m. Booking order and outcomes are
-  /// otherwise unchanged.
-  bool batch_pricing = true;
-
   /// Meeting-points scenario (Laupichler & Sanders 2023): when true, Search
   /// keeps up to meeting_point_candidates pickup/drop-off landmarks per
   /// ride and side (instead of only the least-walk one), emitting one match
   /// per feasible combination — a rider willing to walk a little further
   /// can board at a meeting point that costs the driver less detour. Every
   /// emitted match passes the same walk/ETA/detour threshold checks, so the
-  /// 4-epsilon detour guarantee is unchanged. Priced naturally as one
-  /// many-to-many batch when batch_pricing is on.
+  /// 4-epsilon detour guarantee is unchanged. Book then takes the
+  /// combinations in walk order like any other candidates.
   bool meeting_points = false;
 
   /// Per ride and side, how many candidate meeting points Search keeps (and

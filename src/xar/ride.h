@@ -97,13 +97,6 @@ struct RideMatch {
   /// stale if the system has refreshed past it.
   std::uint64_t epoch = 0;
 
-  /// Exact insertion detour (meters) computed by batch pricing on the
-  /// SearchAndBook path, or -1 when the match has not been priced (pricing
-  /// off, or the match went stale before its legs could be collected).
-  /// Purely informational: booking feasibility still uses the cluster-level
-  /// detour_estimate_m, so pricing never changes which matches Book accepts.
-  double priced_detour_m = -1.0;
-
   double TotalWalkM() const { return walk_source_m + walk_dest_m; }
 };
 

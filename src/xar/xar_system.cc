@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -399,122 +398,8 @@ Result<BookingRecord> XarSystem::Book(RideId ride_id,
   return record;
 }
 
-bool XarSystem::CollectPricingLegs(const RideMatch& match,
-                                   std::vector<std::pair<NodeId, NodeId>>* legs,
-                                   double* replaced_m) const {
-  legs->clear();
-  *replaced_m = 0.0;
-  if (!OwnsRide(match.ride)) return false;
-  std::shared_ptr<const RegionSnapshot> pinned =
-      snapshot_.load(std::memory_order_acquire);
-  if (match.epoch != pinned->epoch) return false;
-  const Ride& ride = rides_[LocalIndex(match.ride)];
-  if (!ride.active) return false;
-
-  std::size_t s = 0;
-  std::size_t d = 0;
-  double joint_estimate = 0.0;
-  if (!index_->ChooseInsertionSegments(ride, match.source_cluster,
-                                       match.pickup_landmark,
-                                       match.dest_cluster,
-                                       match.dropoff_landmark, &s, &d,
-                                       &joint_estimate)) {
-    return false;
-  }
-  NodeId pickup = pinned->index->GetLandmark(match.pickup_landmark).node;
-  NodeId dropoff = pinned->index->GetLandmark(match.dropoff_landmark).node;
-
-  // Route length currently covered by the spliced-out segment(s).
-  auto span_m = [&](std::size_t seg) {
-    return ride.route_cum_dist_m[ride.via_route_index[seg + 1]] -
-           ride.route_cum_dist_m[ride.via_route_index[seg]];
-  };
-  // Book's splice_leg skips zero-length legs, so pricing must too.
-  auto add_leg = [&](NodeId from, NodeId to) {
-    if (from != to) legs->emplace_back(from, to);
-  };
-  if (s == d) {
-    add_leg(ride.via_points[s].node, pickup);
-    add_leg(pickup, dropoff);
-    add_leg(dropoff, ride.via_points[s + 1].node);
-    *replaced_m = span_m(s);
-  } else {
-    add_leg(ride.via_points[s].node, pickup);
-    add_leg(pickup, ride.via_points[s + 1].node);
-    add_leg(ride.via_points[d].node, dropoff);
-    add_leg(dropoff, ride.via_points[d + 1].node);
-    *replaced_m = span_m(s) + span_m(d);
-  }
-  return true;
-}
-
-std::size_t XarSystem::PriceMatches(std::vector<RideMatch>* matches) {
-  if (matches->empty()) return 0;
-
-  struct MatchLegs {
-    std::vector<std::pair<NodeId, NodeId>> legs;
-    double replaced_m = 0.0;
-    bool ok = false;
-  };
-  std::vector<MatchLegs> per_match(matches->size());
-  std::vector<NodeId> sources;
-  std::vector<NodeId> targets;
-  std::unordered_map<NodeId::underlying_type, std::size_t> src_at;
-  std::unordered_map<NodeId::underlying_type, std::size_t> tgt_at;
-  bool any = false;
-  for (std::size_t m = 0; m < matches->size(); ++m) {
-    MatchLegs& ml = per_match[m];
-    ml.ok = CollectPricingLegs((*matches)[m], &ml.legs, &ml.replaced_m);
-    if (!ml.ok) continue;
-    any = true;
-    for (const auto& [from, to] : ml.legs) {
-      if (src_at.emplace(from.value(), sources.size()).second)
-        sources.push_back(from);
-      if (tgt_at.emplace(to.value(), targets.size()).second)
-        targets.push_back(to);
-    }
-  }
-  if (!any) return 0;
-
-  // ONE oracle batch prices every leg of the wave: cache hits are filled
-  // from the distance cache inside the oracle, the misses go down in a
-  // single many-to-many backend call (bucket CH on the default backend).
-  std::vector<double> dist = oracle_->DriveDistanceMatrix(sources, targets);
-
-  std::size_t dropped = 0;
-  std::vector<RideMatch> kept;
-  kept.reserve(matches->size());
-  for (std::size_t m = 0; m < matches->size(); ++m) {
-    RideMatch match = (*matches)[m];
-    const MatchLegs& ml = per_match[m];
-    if (ml.ok) {
-      double spliced = 0.0;
-      for (const auto& [from, to] : ml.legs) {
-        spliced += dist[src_at.at(from.value()) * targets.size() +
-                        tgt_at.at(to.value())];
-      }
-      if (!std::isfinite(spliced)) {
-        // An unreachable splice leg: Book could only fail on it. The only
-        // matches pricing is allowed to drop — budget checks stay against
-        // the cluster estimate, so booking outcomes are unchanged.
-        ++dropped;
-        continue;
-      }
-      match.priced_detour_m = std::max(0.0, spliced - ml.replaced_m);
-    }
-    kept.push_back(match);
-  }
-  *matches = std::move(kept);
-  pricing_stats_.waves += 1;
-  pricing_stats_.candidates += per_match.size();
-  pricing_stats_.dropped += dropped;
-  return dropped;
-}
-
 Result<BookingRecord> XarSystem::SearchAndBook(const RideRequest& request) {
-  std::vector<RideMatch> matches = Search(request);
-  if (options_.batch_pricing) PriceMatches(&matches);
-  for (const RideMatch& match : matches) {
+  for (const RideMatch& match : Search(request)) {
     Result<BookingRecord> booked = Book(match.ride, request, match);
     if (booked.ok()) return booked;
   }

@@ -25,14 +25,6 @@
 
 namespace xar {
 
-/// Batch-pricing observability (XarOptions::batch_pricing): one "wave" is
-/// one Search result list priced by a single oracle many-to-many batch.
-struct PricingStats {
-  std::size_t waves = 0;       ///< priced waves (one oracle batch call each)
-  std::size_t candidates = 0;  ///< matches offered to pricing, total
-  std::size_t dropped = 0;     ///< matches dropped for an unreachable leg
-};
-
 /// Pooling observability (XarOptions::kinetic_booking with persistent
 /// per-ride schedules): lifecycle counters plus live-fleet gauges, snapshot
 /// by pooling_stats().
@@ -148,34 +140,10 @@ class XarSystem {
   Result<BookingRecord> Book(RideId ride, const RideRequest& request,
                              const RideMatch& match);
 
-  /// Search + batch pricing + booking in walk order: prices the whole wave
-  /// of candidates with ONE oracle many-to-many batch (when
-  /// XarOptions::batch_pricing, dropping candidates whose splice legs are
-  /// unreachable before any Book attempt), then books the first candidate
-  /// Book accepts. The serial counterpart of
-  /// ConcurrentXarSystem::SearchAndBook (no retry rounds — nothing races
-  /// with us here).
+  /// Search + booking in walk order: books the first candidate Book
+  /// accepts. The serial counterpart of ConcurrentXarSystem::SearchAndBook
+  /// (no retry rounds — nothing races with us here).
   Result<BookingRecord> SearchAndBook(const RideRequest& request);
-
-  /// Prices every match of a wave against the current ride state with one
-  /// oracle many-to-many batch: annotates RideMatch::priced_detour_m with
-  /// the exact insertion detour (sum of splice legs minus the replaced route
-  /// spans) and removes matches with an unreachable leg — the only ones
-  /// whose booking outcome pricing may change, since Book would fail them
-  /// anyway. Matches that went stale (epoch moved, cluster support gone) are
-  /// kept unpriced for Book to reject with its usual status. Returns the
-  /// number of matches dropped.
-  std::size_t PriceMatches(std::vector<RideMatch>* matches);
-
-  /// Resolves the shortest-path legs Book's splice would compute for
-  /// `match` (s == d: 3 legs, one replaced span; s < d: 4 legs, two spans;
-  /// zero-length legs omitted) without running any of them. False when the
-  /// match is stale against the current epoch or ride state. The building
-  /// block of PriceMatches; exposed so ConcurrentXarSystem can collect a
-  /// whole wave's legs across shards and batch them in one oracle call.
-  bool CollectPricingLegs(const RideMatch& match,
-                          std::vector<std::pair<NodeId, NodeId>>* legs,
-                          double* replaced_m) const;
 
   /// Cancels a previously confirmed booking: removes the rider's via-points,
   /// re-routes the ride through its remaining via-points (shortest paths,
@@ -255,7 +223,6 @@ class XarSystem {
     return snapshot_.load(std::memory_order_acquire)->epoch;
   }
   const RefreshStats& refresh_stats() const { return refresh_stats_; }
-  const PricingStats& pricing_stats() const { return pricing_stats_; }
   /// Lifecycle counters plus live gauges scanned over the current fleet's
   /// persistent schedules (all zero while kinetic_booking is off).
   PoolingStats pooling_stats() const;
@@ -345,7 +312,6 @@ class XarSystem {
   VirtualClock clock_;
   std::size_t active_rides_ = 0;
   RefreshStats refresh_stats_;
-  PricingStats pricing_stats_;
   PoolingStats pooling_counters_;  ///< counters only; gauges scanned live
 
   // Tracking wake-up queue: (event time, ride). Entries may be stale; they

@@ -3,7 +3,8 @@
 // ChQuery::Distance EXACTLY (same up-down relaxations, same FP operations)
 // and with a plain Dijkstra baseline to the repo's 1e-6 relative contract —
 // across all three metrics, perturbed edge weights, and a live
-// RefreshDiscretization epoch swap.
+// RefreshDiscretization epoch swap. The oracle's DriveDistanceMatrix sends
+// all cache misses of one call down as a single backend batch.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats_registry.h"
 #include "discretize/region_index.h"
 #include "graph/contraction_hierarchy.h"
 #include "graph/dijkstra.h"
@@ -198,6 +201,59 @@ TEST(BucketChRefreshTest, BatchMatchesDijkstraAcrossEpochSwap) {
                          "post-refresh batch vs dijkstra");
     }
   }
+}
+
+// One DriveDistanceMatrix call on a cold distance cache costs exactly ONE
+// backend many-to-many batch, however many pairs it asks for; repeating it
+// is answered from the cache with no further batch.
+TEST(OracleMatrixTest, ColdCacheMatrixIsOneBackendBatch) {
+  CityOptions opt;
+  opt.rows = 8;
+  opt.cols = 8;
+  opt.seed = 320;
+  RoadGraph g = GenerateCity(opt);
+  GraphOracle oracle(g);
+  ASSERT_NE(oracle.routing_backend(), nullptr);
+  Rng rng(321);
+  std::vector<NodeId> sources = RandomNodes(g, 7, &rng);
+  std::vector<NodeId> targets = RandomNodes(g, 13, &rng);
+
+  ASSERT_EQ(oracle.routing_backend()->m2m_batch_count(), 0u);
+  std::vector<double> cold = oracle.DriveDistanceMatrix(sources, targets);
+  ASSERT_EQ(cold.size(), sources.size() * targets.size());
+  EXPECT_EQ(oracle.routing_backend()->m2m_batch_count(), 1u)
+      << "one matrix call must go down as one backend batch";
+
+  DijkstraEngine dijkstra(g);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    std::vector<double> base = dijkstra.DistancesToMany(
+        sources[s], targets, Metric::kDriveDistance);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      ExpectSameDistance(cold[s * targets.size() + t], base[t],
+                         "oracle matrix vs dijkstra");
+    }
+  }
+  EXPECT_EQ(oracle.DriveDistanceMatrix(sources, targets), cold);
+  EXPECT_EQ(oracle.routing_backend()->m2m_batch_count(), 1u);
+}
+
+// The oracle stats section surfaces the backend batch/fallback counters.
+TEST(OracleMatrixTest, OracleStatsSectionHasBatchCounters) {
+  CityOptions opt;
+  opt.rows = 6;
+  opt.cols = 6;
+  opt.seed = 322;
+  RoadGraph g = GenerateCity(opt);
+  GraphOracle oracle(g);
+  StatsSection section = OracleStatsSection(oracle);
+  std::vector<std::string> names;
+  for (const auto& row : section.rows) {
+    for (const StatsMetric& m : row) names.push_back(m.name);
+  }
+  EXPECT_NE(std::find(names.begin(), names.end(), "m2m_batch_queries"),
+            names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "m2m_fallback_queries"),
+            names.end());
 }
 
 }  // namespace

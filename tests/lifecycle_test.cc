@@ -97,9 +97,8 @@ TEST_F(LifecycleTest, CancelMiddleRiderKeepsOthersConsistent) {
       BookBetween(RequestId(1), 0.2, 0.2, 0.6, 0.6, 8 * 3600).ok());
   Result<BookingRecord> second =
       BookBetween(RequestId(2), 0.35, 0.35, 0.8, 0.8, 8 * 3600);
-  if (!second.ok() || second->ride != ride) {
-    GTEST_SKIP() << "second rider did not land on the same ride";
-  }
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->ride, ride) << "second rider did not land on the same ride";
   ASSERT_TRUE(xar_.CancelBooking(ride, RequestId(1)).ok());
   ExpectRideInvariants(ride);
   // Rider 2's via-points survive and stay ordered.

@@ -153,12 +153,12 @@ TEST_F(PoolingPropertyTest, InProgressInsertionKeepsOnboardRidersFeasible) {
   RideRequest second =
       MakeRequest(2, 0.55, 0.55, 0.90, 0.90, pickup_eta + 60);
   matches = xar.Search(second);
-  if (matches.empty()) GTEST_SKIP() << "moving ride left the search window";
+  ASSERT_FALSE(matches.empty()) << "moving ride left the search window";
   Result<BookingRecord> booking =
       xar.Book(matches.front().ride, second, matches.front());
-  if (!booking.ok() || booking->ride != ride) {
-    GTEST_SKIP() << "in-progress insertion infeasible on this city";
-  }
+  ASSERT_TRUE(booking.ok()) << booking.status().ToString();
+  ASSERT_EQ(booking->ride, ride)
+      << "in-progress insertion landed on another ride";
 
   const RideSchedule* sched = xar.GetSchedule(ride);
   ASSERT_NE(sched, nullptr);

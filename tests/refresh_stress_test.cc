@@ -3,19 +3,23 @@
 // hammer the sharded system. Afterwards nothing may be lost: every created
 // ride is still retrievable, seat accounting is exact (no double-booked or
 // leaked seat across re-homing), and the epochs the refresher observed are
-// strictly monotone. Run under -DXAR_SANITIZE=thread this is the data-race
-// detector for the snapshot-swap path (ctest -L stress).
+// strictly monotone. A second scenario swaps graph AND oracle on every
+// refresh while meeting-point SearchAndBook streams book on them. Run under
+// -DXAR_SANITIZE=thread this is the data-race detector for the snapshot- and
+// oracle-swap paths (ctest -L stress).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "graph/generator.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/concurrent_xar.h"
@@ -179,6 +183,85 @@ TEST(RefreshStressTest, RefreshLoopRacingSearchCreateBook) {
   // Retry accounting is consistent with the bookers' own ledger.
   RetryStats retries = xar.retry_stats();
   EXPECT_EQ(retries.booked_first_try + retries.booked_after_research,
+            bookings.load());
+}
+
+// Booker threads run wide (meeting-point) SearchAndBook streams while a
+// refresher swaps in perturbed graphs WITH their own oracles, so shards
+// re-point their oracle under the bookers. Seat accounting must stay exact
+// and every booking must be counted by the retry stats.
+TEST(RefreshStressTest, SearchAndBookRacesOracleSwappingRefreshes) {
+  TestCity& city = SharedCity();
+  GraphOracle oracle(city.graph);
+  XarOptions options;
+  options.meeting_points = true;
+  options.meeting_point_candidates = 3;
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle,
+                          options, /*num_shards=*/4);
+
+  for (const TaxiTrip& t : Trips(city, 300, 500)) {
+    RideOffer offer;
+    offer.source = t.pickup;
+    offer.destination = t.dropoff;
+    offer.departure_time_s = t.pickup_time_s;
+    (void)xar.CreateRide(offer);
+  }
+  ASSERT_GT(xar.NumRides(), 0u);
+
+  // Refresh payloads built up front: each delta's graph and oracle must
+  // outlive every thread that might still route on them.
+  constexpr std::size_t kRefreshes = 3;
+  std::vector<std::unique_ptr<RoadGraph>> graphs;
+  std::vector<std::unique_ptr<GraphOracle>> oracles;
+  for (std::size_t r = 0; r < kRefreshes; ++r) {
+    graphs.push_back(std::make_unique<RoadGraph>(
+        PerturbEdgeWeights(city.graph, 0.2, 501 + r)));
+    oracles.push_back(std::make_unique<GraphOracle>(*graphs.back()));
+  }
+
+  std::mutex ledger_mutex;
+  std::unordered_map<RideId, int> booked_seats;
+  std::atomic<std::size_t> bookings{0};
+
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (std::size_t r = 0; r < kRefreshes; ++r) {
+      GraphDelta delta;
+      delta.graph = graphs[r].get();
+      delta.oracle = oracles[r].get();
+      RefreshStats stats = xar.RefreshDiscretization(delta);
+      EXPECT_EQ(stats.epoch, r + 1);
+    }
+  });
+  for (int b = 0; b < 3; ++b) {
+    threads.emplace_back([&, b] {
+      for (const TaxiTrip& t :
+           Trips(city, 150, 510 + static_cast<std::uint64_t>(b))) {
+        Result<BookingRecord> booking = xar.SearchAndBook(
+            ToRequest(t, static_cast<std::uint32_t>(10000 * (b + 1))));
+        if (booking.ok()) {
+          bookings.fetch_add(1, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(ledger_mutex);
+          booked_seats[booking->ride] += booking->seats;
+        } else {
+          EXPECT_EQ(booking.status().code(), StatusCode::kNotFound);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_GT(bookings.load(), 0u);
+  EXPECT_EQ(xar.epoch(), kRefreshes);
+  for (const auto& [ride_id, seats] : booked_seats) {
+    Result<Ride> ride = xar.GetRide(ride_id);
+    ASSERT_TRUE(ride.ok());
+    EXPECT_GE(ride->seats_available, 0);
+    EXPECT_EQ(ride->seats_available, ride->seats_total - seats)
+        << "ride " << ride_id.value();
+  }
+  RetryStats stats = xar.retry_stats();
+  EXPECT_EQ(stats.booked_first_try + stats.booked_after_research,
             bookings.load());
 }
 

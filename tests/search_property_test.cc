@@ -1,12 +1,15 @@
 // Property suite for the Search operation semantics: for sweeps of random
 // request streams against a loaded system, every returned match satisfies
-// the paper's Section VII contract, and top-k behaves like a prefix of the
-// full result.
+// the paper's Section VII contract, top-k behaves like a prefix of the full
+// result, and the meeting-points widening (XarOptions::meeting_points) keeps
+// the classic matches and the 4-epsilon detour guarantee.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "tests/test_helpers.h"
@@ -22,6 +25,34 @@ using testing::TestCity;
 /// (workload seed, request walk threshold in meters).
 using Params = std::tuple<std::uint64_t, double>;
 
+std::vector<TaxiTrip> Trips(std::size_t n, std::uint64_t seed) {
+  WorkloadOptions opt;
+  opt.num_trips = n;
+  opt.seed = seed;
+  return GenerateTrips(SharedCity().graph.bounds(), opt);
+}
+
+RideRequest ToRequest(const TaxiTrip& t) {
+  RideRequest req;
+  req.id = t.id;
+  req.source = t.pickup;
+  req.destination = t.dropoff;
+  req.earliest_departure_s = t.pickup_time_s;
+  req.latest_departure_s = t.pickup_time_s + 900;
+  return req;
+}
+
+/// Offers one ride per trip drawn from `seed`.
+void Seed(XarSystem* xar, std::size_t n, std::uint64_t seed) {
+  for (const TaxiTrip& t : Trips(n, seed)) {
+    RideOffer offer;
+    offer.source = t.pickup;
+    offer.destination = t.dropoff;
+    offer.departure_time_s = t.pickup_time_s;
+    (void)xar->CreateRide(offer);
+  }
+}
+
 /// A system over the shared city loaded with 800 rides drawn from `seed`,
 /// probed by requests drawn from `seed` + 1000 with a walk threshold of
 /// `walk_limit_m`.
@@ -32,30 +63,13 @@ class LoadedSystem {
         walk_limit_m_(walk_limit_m),
         city_(SharedCity()),
         xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle) {
-    WorkloadOptions opt;
-    opt.num_trips = 800;
-    opt.seed = seed_;
-    for (const TaxiTrip& t : GenerateTrips(city_.graph.bounds(), opt)) {
-      RideOffer offer;
-      offer.source = t.pickup;
-      offer.destination = t.dropoff;
-      offer.departure_time_s = t.pickup_time_s;
-      (void)xar_.CreateRide(offer);
-    }
+    Seed(&xar_, 800, seed_);
   }
 
   std::vector<RideRequest> Probes(std::size_t count) {
-    WorkloadOptions opt;
-    opt.num_trips = count;
-    opt.seed = seed_ + 1000;
     std::vector<RideRequest> out;
-    for (const TaxiTrip& t : GenerateTrips(city_.graph.bounds(), opt)) {
-      RideRequest req;
-      req.id = t.id;
-      req.source = t.pickup;
-      req.destination = t.dropoff;
-      req.earliest_departure_s = t.pickup_time_s;
-      req.latest_departure_s = t.pickup_time_s + 900;
+    for (const TaxiTrip& t : Trips(count, seed_ + 1000)) {
+      RideRequest req = ToRequest(t);
       req.walk_limit_m = walk_limit_m_;
       out.push_back(req);
     }
@@ -211,6 +225,79 @@ TEST_P(PerturbedRefreshTest, DetourGuaranteeHoldsAfterPerturbedRefresh) {
         << "request " << req.id.value();
   }
   EXPECT_GT(booked, 0u);
+}
+
+// meeting_points with one candidate per side is the classic scenario,
+// match for match; more candidates can only widen the result set.
+TEST(MeetingPointsTest, OneCandidateReproducesClassicSearch) {
+  TestCity& city = SharedCity();
+  XarOptions classic;
+  XarOptions mp1;
+  mp1.meeting_points = true;
+  mp1.meeting_point_candidates = 1;
+  XarOptions mp4;
+  mp4.meeting_points = true;
+  mp4.meeting_point_candidates = 4;
+  XarSystem xar_classic(city.graph, *city.spatial, *city.region, *city.oracle,
+                        classic);
+  XarSystem xar_mp1(city.graph, *city.spatial, *city.region, *city.oracle,
+                    mp1);
+  XarSystem xar_mp4(city.graph, *city.spatial, *city.region, *city.oracle,
+                    mp4);
+  Seed(&xar_classic, 220, 440);
+  Seed(&xar_mp1, 220, 440);
+  Seed(&xar_mp4, 220, 440);
+
+  std::size_t nonempty = 0;
+  std::size_t widened = 0;
+  for (const TaxiTrip& t : Trips(120, 441)) {
+    RideRequest req = ToRequest(t);
+    std::vector<RideMatch> base = xar_classic.Search(req);
+    std::vector<RideMatch> k1 = xar_mp1.Search(req);
+    ASSERT_EQ(base.size(), k1.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(base[i].ride, k1[i].ride);
+      EXPECT_DOUBLE_EQ(base[i].TotalWalkM(), k1[i].TotalWalkM());
+      EXPECT_EQ(base[i].pickup_landmark, k1[i].pickup_landmark);
+      EXPECT_EQ(base[i].dropoff_landmark, k1[i].dropoff_landmark);
+    }
+    std::vector<RideMatch> k4 = xar_mp4.Search(req);
+    EXPECT_GE(k4.size(), base.size())
+        << "meeting points may only widen the candidate set";
+    if (!base.empty()) ++nonempty;
+    if (k4.size() > base.size()) ++widened;
+  }
+  EXPECT_GT(nonempty, 0u);
+  EXPECT_GT(widened, 0u) << "expected at least one request to gain a "
+                            "meeting-point alternative";
+}
+
+// The paper's detour guarantee survives the meeting-points widening: every
+// emitted combination passes the same cluster-level threshold checks, so
+// each booking stays within estimated + 4*epsilon (+ the 2*Delta
+// grid->landmark association slack).
+TEST(MeetingPointsTest, DetourGuaranteeHoldsWithMeetingPoints) {
+  TestCity& city = SharedCity();
+  GraphOracle oracle(city.graph);
+  XarOptions opt;
+  opt.meeting_points = true;
+  opt.meeting_point_candidates = 4;
+  XarSystem xar(city.graph, *city.spatial, *city.region, oracle, opt);
+  Seed(&xar, 250, 450);
+
+  const double slack = 4 * xar.region().epsilon() +
+                       2 * xar.region().options().max_drive_to_landmark_m;
+  std::size_t booked = 0;
+  for (const TaxiTrip& t : Trips(200, 451)) {
+    Result<BookingRecord> booking = xar.SearchAndBook(ToRequest(t));
+    if (!booking.ok()) continue;
+    ++booked;
+    EXPECT_LE(booking->actual_detour_m,
+              booking->estimated_detour_m + slack + 1e-6)
+        << "4-epsilon bound violated on a meeting-point booking";
+    EXPECT_LE(booking->shortest_path_computations, 4u);
+  }
+  EXPECT_GT(booked, 5u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -281,6 +281,68 @@ TEST(ServeProtocol, SearchThenBookOverSocket) {
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// The look-then-book map is bounded per connection: after
+// kMaxPendingSearches + N SEARCHes with fresh rider ids, the first N are
+// evicted (a BOOK of the first fails like one with no prior SEARCH) and the
+// newest is still bookable. A rider re-SEARCHed midway keeps the new entry
+// when its first SEARCH's queue slot expires.
+TEST(ServeProtocol, PendingSearchesAreCappedPerConnection) {
+  ServedWorld world;
+  const RideRequest* bookable = nullptr;
+  for (const RideRequest& req : world.requests) {
+    if (!world.system->Search(req).empty()) {
+      bookable = &req;
+      break;
+    }
+  }
+  ASSERT_NE(bookable, nullptr) << "workload produced no searchable request";
+
+  constexpr std::uint32_t kExtra = 5;
+  constexpr std::uint32_t kFirstRider = 500000;
+  constexpr std::uint32_t kReSearchedRider = 400000;
+  // Fresh riders plus the re-SEARCHed one (twice): kMaxPendingSearches +
+  // kExtra + 1 SEARCHes, whose kExtra + 1 expired slots include one stale.
+  std::vector<std::uint32_t> riders = {kFirstRider, kReSearchedRider};
+  for (std::uint32_t i = 1; riders.size() < kMaxPendingSearches + kExtra + 1;
+       ++i) {
+    riders.push_back(riders.size() == kMaxPendingSearches / 2
+                         ? kReSearchedRider
+                         : kFirstRider + i);
+  }
+  ServeClient client = world.Connect();
+  SearchPayload payload = ServedWorld::ToPayload(*bookable);
+  std::uint32_t top_ride = 0;
+  for (std::uint32_t rider : riders) {
+    payload.rider_id = rider;
+    Result<SearchResult> found = client.Search(payload);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    ASSERT_FALSE(found->matches.empty());
+    top_ride = found->matches.front().ride_id;
+  }
+  EXPECT_EQ(world.server->counters().pending_evicted, kExtra);
+
+  Result<BookingResult> evicted = client.Book(kFirstRider, top_ride);
+  EXPECT_EQ(evicted.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(evicted.status().message().find("no prior SEARCH"),
+            std::string::npos)
+      << evicted.status().ToString();
+  // Still pending: the BOOK gets past the lookup and fails on the ride id.
+  Result<BookingResult> kept =
+      client.Book(kReSearchedRider, /*ride_id=*/0xffffffff);
+  EXPECT_NE(kept.status().message().find("not in the search results"),
+            std::string::npos)
+      << kept.status().ToString();
+  Result<BookingResult> newest = client.Book(riders.back(), top_ride);
+  ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+  EXPECT_EQ(newest->ride_id, top_ride);
+
+  Result<std::string> stats = client.Stats("serve");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->find("pending_evicted=" + std::to_string(kExtra)),
+            std::string::npos)
+      << *stats;
+}
+
 TEST(ServeProtocol, StatsAndRefreshVerbs) {
   ServedWorld world;
   ServeClient client = world.Connect();
