@@ -1,19 +1,23 @@
 // Property suite for the Search operation semantics: for sweeps of random
 // request streams against a loaded system, every returned match satisfies
 // the paper's Section VII contract, top-k behaves like a prefix of the full
-// result, and the meeting-points widening (XarOptions::meeting_points) keeps
-// the classic matches and the 4-epsilon detour guarantee.
+// result, the meeting-points widening (XarOptions::meeting_points) keeps
+// the classic matches and the 4-epsilon detour guarantee, and SearchAndBook
+// books the first bookable match in walk order, serial and sharded alike.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
+#include "xar/concurrent_xar.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -298,6 +302,85 @@ TEST(MeetingPointsTest, DetourGuaranteeHoldsWithMeetingPoints) {
     EXPECT_LE(booking->shortest_path_computations, 4u);
   }
   EXPECT_GT(booked, 5u);
+}
+
+// SearchAndBook is Search followed by Book of each match in walk order
+// until one lands: a twin system driven by hand books the same ride at the
+// same detour and walk for every request.
+TEST(SearchAndBookTest, BooksFirstBookableMatchInWalkOrder) {
+  TestCity& city = SharedCity();
+  GraphOracle oracle_a(city.graph);
+  GraphOracle oracle_b(city.graph);
+  XarSystem xar(city.graph, *city.spatial, *city.region, oracle_a);
+  XarSystem twin(city.graph, *city.spatial, *city.region, oracle_b);
+  Seed(&xar, 220, 430);
+  Seed(&twin, 220, 430);
+
+  std::size_t booked = 0;
+  for (const TaxiTrip& t : Trips(150, 431)) {
+    RideRequest req = ToRequest(t);
+    Result<BookingRecord> a = xar.SearchAndBook(req);
+    Result<BookingRecord> b = Status::NotFound("no bookable ride");
+    for (const RideMatch& match : twin.Search(req)) {
+      b = twin.Book(match.ride, req, match);
+      if (b.ok()) break;
+    }
+    ASSERT_EQ(a.ok(), b.ok()) << "request " << req.id.value();
+    if (!a.ok()) continue;
+    EXPECT_EQ(a->ride, b->ride);
+    EXPECT_DOUBLE_EQ(a->actual_detour_m, b->actual_detour_m);
+    EXPECT_DOUBLE_EQ(a->walk_m, b->walk_m);
+    ++booked;
+  }
+  EXPECT_GT(booked, 0u);
+}
+
+// With one caller, the sharded SearchAndBook books exactly what a serial
+// system over the same offers books (ride ids and merged search order are
+// shard-independent), and the retry stats account for every request.
+TEST(SearchAndBookTest, ShardedSystemBooksAsSerialSystem) {
+  TestCity& city = SharedCity();
+  GraphOracle serial_oracle(city.graph);
+  GraphOracle sharded_oracle(city.graph);
+  XarSystem serial(city.graph, *city.spatial, *city.region, serial_oracle);
+  ConcurrentXarSystem sharded(city.graph, *city.spatial, *city.region,
+                              sharded_oracle, {}, /*num_shards=*/4);
+  Seed(&serial, 250, 460);
+  for (const TaxiTrip& t : Trips(250, 460)) {
+    RideOffer offer;
+    offer.source = t.pickup;
+    offer.destination = t.dropoff;
+    offer.departure_time_s = t.pickup_time_s;
+    (void)sharded.CreateRide(offer);
+  }
+
+  std::size_t requests = 0;
+  std::size_t booked = 0;
+  for (const TaxiTrip& t : Trips(150, 461)) {
+    RideRequest req = ToRequest(t);
+    Result<BookingRecord> a = serial.SearchAndBook(req);
+    Result<BookingRecord> b = sharded.SearchAndBook(req);
+    ++requests;
+    ASSERT_EQ(a.ok(), b.ok()) << "request " << req.id.value();
+    if (!a.ok()) continue;
+    EXPECT_EQ(a->ride, b->ride);
+    EXPECT_DOUBLE_EQ(a->actual_detour_m, b->actual_detour_m);
+    EXPECT_DOUBLE_EQ(a->walk_m, b->walk_m);
+    ++booked;
+  }
+  EXPECT_GT(booked, 0u);
+  RetryStats stats = sharded.retry_stats();
+  EXPECT_EQ(stats.booked_first_try, booked);
+  EXPECT_EQ(stats.booked_after_research, 0u);
+  EXPECT_EQ(stats.unmatched, requests - booked);
+
+  std::vector<std::string> names;
+  for (const auto& row : RetryStatsSection(stats).rows) {
+    for (const StatsMetric& m : row) names.push_back(m.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"booked_first_try",
+                                             "booked_after_research",
+                                             "stale_rejections", "unmatched"}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
