@@ -10,7 +10,7 @@
 #include "bench/bench_common.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "sim/simulator.h"
+#include "sim/event_sim.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -43,7 +43,8 @@ void Run() {
     RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
     GraphOracle oracle(graph);
     XarSystem xar(graph, spatial, region, oracle);
-    SimResult sim = SimulateRideSharing(xar, trips);
+    EventSim event_sim(graph, xar.options(), ScenarioConfig{});
+    EventSimResult sim = RunEventSim(xar, event_sim, trips);
 
     PercentileTracker excess;
     for (const BookingRecord& b : sim.bookings) {

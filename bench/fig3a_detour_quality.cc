@@ -13,7 +13,7 @@
 #include "bench/bench_common.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "sim/simulator.h"
+#include "sim/event_sim.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -27,7 +27,8 @@ void Run() {
   double epsilon = world.region->epsilon();
 
   XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
-  SimResult sim = SimulateRideSharing(xar, world.trips);
+  EventSim event_sim(world.graph, xar.options(), ScenarioConfig{});
+  EventSimResult sim = RunEventSim(xar, event_sim, world.trips);
 
   // The paper's quantity (Section V, last paragraph): by how much a booking
   // overruns the ride's remaining detour budget — the search admitted it

@@ -13,7 +13,6 @@
 #include "common/clock.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "sim/simulator.h"
 #include "tshare/tshare_system.h"
 #include "xar/xar_system.h"
 

@@ -55,7 +55,7 @@ void Run() {
   // Mode 3: stand-alone ride sharing.
   GraphOracle rs_oracle(world.graph);
   XarSystem rs_xar(world.graph, *world.spatial, *world.region, rs_oracle);
-  ModeMetrics rs = EvaluateRideShareMode(rs_xar, world.trips);
+  ModeMetrics rs = EvaluateRideShareMode(world.graph, rs_xar, world.trips);
 
   // Mode 4: PT + XAR in Aider mode.
   GraphOracle rspt_oracle(world.graph);

@@ -1,14 +1,13 @@
 // City-scale ride-sharing simulation (the paper's Section X-A protocol):
 // a day of NYC-like taxi trips is replayed as ride-share requests; matched
 // requests book the least-walking ride, unmatched commuters drive and offer
-// their car. Prints match rates, latency percentiles and quality metrics.
+// their car. Prints match rates and rider-experience metrics.
 
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/stats_registry.h"
-#include "common/table.h"
-#include "sim/simulator.h"
+#include "sim/event_sim.h"
 #include "workload/trip_generator.h"
 #include "xar/xar.h"
 
@@ -37,14 +36,16 @@ int main() {
     return 1;
   }
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions());
+                     options.routing_backend, options.BackendOptions(),
+                     options.oracle_cache);
   XarSystem xar(graph, spatial, region, oracle, options);
 
   std::printf("simulating %zu trips over a day "
               "(%zu clusters, eps=%.0fm, %s routing, %s match index)...\n",
               trips.size(), region.NumClusters(), region.epsilon(),
               oracle.backend_name(), MatchIndexName(options.match_index));
-  SimResult result = SimulateRideSharing(xar, trips);
+  EventSim sim(graph, xar.options(), ScenarioConfig{});
+  EventSimResult result = RunEventSim(xar, sim, trips);
 
   std::printf("\nrequests:      %zu\n", result.requests);
   std::printf("matched:       %zu (%.1f%%)\n", result.matched,
@@ -53,20 +54,7 @@ int main() {
   std::printf("rides created: %zu  => cars saved: %zu\n",
               result.rides_created, result.requests - result.rides_created);
 
-  TextTable ops({"operation", "n", "mean_ms", "p95_ms", "p99_ms"});
-  auto row = [&](const char* name, const PercentileTracker& t) {
-    if (t.count() == 0) return;
-    ops.AddRow({name, std::to_string(t.count()), TextTable::Num(t.mean(), 3),
-                TextTable::Num(t.Percentile(95), 3),
-                TextTable::Num(t.Percentile(99), 3)});
-  };
-  std::printf("\noperation latencies:\n");
-  row("search", result.search_ms);
-  row("create", result.create_ms);
-  row("book", result.book_ms);
-  ops.Print();
-
-  std::printf("\nrider experience (matched riders):\n");
+  std::printf("\nrider experience (riders and drivers):\n");
   std::printf("  mean walk:   %.1f min\n",
               result.metrics.walk_s.count()
                   ? result.metrics.walk_s.mean() / 60.0

@@ -38,7 +38,8 @@ int main() {
     return 1;
   }
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions());
+                     options.routing_backend, options.BackendOptions(),
+                     options.oracle_cache);
   XarSystem xar(graph, spatial, region, oracle, options);
 
   ScenarioConfig config;

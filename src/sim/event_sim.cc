@@ -215,6 +215,10 @@ void EventSim::HandleRequest(SimTarget& target, const Event& event,
       ++result->matched;
       OnBooked(*booked, trip.pickup_time_s, result);
       result->bookings.push_back(*booked);
+      const double walk_s = booked->walk_m / kWalkSpeedMps;
+      result->metrics.AddTrip(
+          booked->dropoff_eta_s - trip.pickup_time_s + walk_s, walk_s,
+          std::max(0.0, booked->pickup_eta_s - trip.pickup_time_s));
       return;
     }
     Mix(0);
@@ -225,18 +229,35 @@ void EventSim::HandleRequest(SimTarget& target, const Event& event,
 
   // Fixed-fleet mode: commuters never become drivers; the fleet registered
   // at Run() start is the whole supply.
-  if (config_.fleet > 0) return;
+  if (config_.fleet > 0) {
+    ++result->metrics.requests_unserved;
+    return;
+  }
 
   // No booking: the commuter drives and offers the ride for sharing.
+  OfferRide(target, trip, result);
+}
+
+Result<RideId> EventSim::OfferRide(SimTarget& target, const TaxiTrip& trip,
+                                   EventSimResult* result) {
   RideOffer offer;
   offer.source = trip.pickup;
   offer.destination = trip.dropoff;
   offer.departure_time_s = trip.pickup_time_s;
   Result<RideId> ride = target.CreateRide(offer);
-  if (!ride.ok()) return;
+  if (!ride.ok()) {
+    ++result->metrics.requests_unserved;
+    return ride;
+  }
   ++result->rides_created;
+  ++result->metrics.cars_used;
+  // GetRide can miss after a successful create if tracking retired the ride
+  // in the same tick; the car still counted.
   Result<Ride> created = target.GetRide(*ride);
+  result->metrics.AddTrip(created.ok() ? created->route.time_s : 0.0, 0.0,
+                          0.0);
   if (created.ok()) StartMotion(created.value());
+  return ride;
 }
 
 void EventSim::HandleEdgeArrive(SimTarget& target, const Event& event,
@@ -348,6 +369,10 @@ EventSimResult EventSim::Run(SimTarget& target,
   eta_error_sum_s_ = 0.0;
 
   EventSimResult result;
+  // At most one rider/car sample per trip.
+  result.metrics.travel_s.Reserve(trips.size());
+  result.metrics.walk_s.Reserve(trips.size());
+  result.metrics.wait_s.Reserve(trips.size());
   if (trips.empty()) {
     result.final_epoch = target.epoch();
     return result;
@@ -361,16 +386,8 @@ EventSimResult EventSim::Run(SimTarget& target,
   // requests. With fleet == 0 this degenerates to the classic stream.
   const std::size_t fleet = std::min<std::size_t>(config_.fleet, trips.size());
   for (std::size_t i = 0; i < fleet; ++i) {
-    RideOffer offer;
-    offer.source = trips[i].pickup;
-    offer.destination = trips[i].dropoff;
-    offer.departure_time_s = trips[i].pickup_time_s;
-    Result<RideId> ride = target.CreateRide(offer);
+    Result<RideId> ride = OfferRide(target, trips[i], &result);
     Mix(ride.ok() ? (*ride).value() + 1 : 0);
-    if (!ride.ok()) continue;
-    ++result.rides_created;
-    Result<Ride> created = target.GetRide(*ride);
-    if (created.ok()) StartMotion(created.value());
   }
   for (std::size_t i = fleet; i < trips.size(); ++i) {
     Push(trips[i].pickup_time_s, EventKind::kRequest, i, RideId::Invalid(),

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "discretize/region_snapshot.h"
 #include "graph/road_graph.h"
+#include "sim/metrics.h"
 #include "sim/scenario.h"
 #include "workload/taxi_trip.h"
 #include "xar/options.h"
@@ -47,9 +48,9 @@ class SimTarget {
 std::unique_ptr<SimTarget> MakeSimTarget(XarSystem& xar);
 std::unique_ptr<SimTarget> MakeSimTarget(ConcurrentXarSystem& xar);
 
-/// Outcome of one event-sim run: protocol counts (matching the replay
-/// drivers' semantics), event counts, refresh bracketing, and the
-/// staleness/quality signals the refresh_under_traffic bench sweeps.
+/// Outcome of one event-sim run: protocol counts, event counts, refresh
+/// bracketing, the staleness/quality signals the refresh_under_traffic
+/// bench sweeps, and the Fig. 6 rider/car metrics.
 struct EventSimResult {
   std::size_t requests = 0;
   std::size_t matched = 0;
@@ -79,6 +80,12 @@ struct EventSimResult {
   double mean_walk_m = 0.0;
 
   std::vector<BookingRecord> bookings;
+
+  /// Fig. 6 metrics: a booked rider's travel (drop-off ETA − request time +
+  /// walk), walk and wait times; a created ride is one car serving its own
+  /// commuter for its route time. Unmatched requests in fixed-fleet mode
+  /// and failed creates count unserved, so served + unserved == trips.
+  ModeMetrics metrics;
 
   /// Order-sensitive hash of every processed event and booking. Two runs of
   /// the same scenario (same seed) must produce identical fingerprints —
@@ -175,6 +182,10 @@ class EventSim {
                         EventSimResult* result);
   void HandleRefresh(SimTarget& target, const Event& event,
                      EventSimResult* result);
+  /// The trip's commuter drives and offers the ride for sharing: one car,
+  /// set in motion.
+  Result<RideId> OfferRide(SimTarget& target, const TaxiTrip& trip,
+                           EventSimResult* result);
   void StartMotion(const Ride& ride);
   void OnBooked(const BookingRecord& record, double now_s,
                 EventSimResult* result);

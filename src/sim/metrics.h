@@ -8,6 +8,9 @@
 
 namespace xar {
 
+/// Walking speed that turns walked metres into walking time in every mode.
+inline constexpr double kWalkSpeedMps = 1.4;
+
 /// Per-transport-mode quality metrics, matching what Fig. 6 compares:
 /// end-to-end travel time, walking time, waiting time, and the number of
 /// cars needed to serve the request stream.

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <limits>
 
+#include "sim/event_sim.h"
+
 namespace xar {
 namespace {
-
-constexpr double kWalkSpeedMps = 1.4;
 
 bool JourneyHasInfeasibleSegment(const Journey& plan,
                                  const IntegrationOptions& opt) {
@@ -55,11 +55,15 @@ ModeMetrics EvaluatePublicTransportMode(const TripPlanner& planner,
   return metrics;
 }
 
-ModeMetrics EvaluateRideShareMode(XarSystem& xar,
+ModeMetrics EvaluateRideShareMode(const RoadGraph& world, XarSystem& xar,
                                   const std::vector<TaxiTrip>& trips,
                                   const SimOptions& options) {
-  SimResult result = SimulateRideSharing(xar, trips, options);
-  return result.metrics;
+  ScenarioConfig config;
+  config.protocol = options;
+  EventSim sim(world, xar.options(), config);
+  ModeMetrics metrics = RunEventSim(xar, sim, trips).metrics;
+  metrics.mode_name = "RideShare";
+  return metrics;
 }
 
 ModeMetrics EvaluateRideSharePlusTransitMode(

@@ -8,7 +8,7 @@
 #include "mmtp/integration.h"
 #include "mmtp/trip_planner.h"
 #include "sim/metrics.h"
-#include "sim/simulator.h"
+#include "sim/scenario.h"
 #include "workload/taxi_trip.h"
 #include "xar/xar_system.h"
 
@@ -25,8 +25,10 @@ ModeMetrics EvaluateTaxiMode(const SpatialNodeIndex& spatial,
 ModeMetrics EvaluatePublicTransportMode(const TripPlanner& planner,
                                         const std::vector<TaxiTrip>& trips);
 
-/// Fig. 6 mode 3 — stand-alone ride sharing (the Section X-A.2 simulation).
-ModeMetrics EvaluateRideShareMode(XarSystem& xar,
+/// Fig. 6 mode 3 — stand-alone ride sharing (the Section X-A.2 simulation),
+/// replayed by the event sim with traffic and events inert. `world` is the
+/// graph `xar` was built on.
+ModeMetrics EvaluateRideShareMode(const RoadGraph& world, XarSystem& xar,
                                   const std::vector<TaxiTrip>& trips,
                                   const SimOptions& options = {});
 

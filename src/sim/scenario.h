@@ -6,8 +6,9 @@
 
 namespace xar {
 
-/// Knobs of the ride-share simulation loop (paper Section X-A.2). Shared by
-/// every driver: the serial replay, the parallel replay and the event sim.
+/// Knobs of the paper's request protocol (Section X-A.2): each trip searches,
+/// books the least-walking match on a booking turn, otherwise the commuter
+/// drives and offers the ride.
 struct SimOptions {
   /// Departure window length granted to each request.
   double window_s = 900.0;
@@ -20,8 +21,8 @@ struct SimOptions {
   bool advance_time = true;
 };
 
-/// How traffic responds to the simulated fleet (event sim only): per-edge
-/// load and a rush-hour profile combine into a driving-time factor
+/// How traffic responds to the simulated fleet: per-edge load and a
+/// rush-hour profile combine into a driving-time factor
 ///
 ///   factor = clamp(rush(hour) * (1 + load_alpha * load), 1, max_factor)
 ///
@@ -48,17 +49,16 @@ struct EventMix {
   double no_show_probability = 0.0;
 };
 
-/// One scenario description shared by all three simulation drivers
-/// (SimulateRideSharing, SimulateRideSharingParallel, RunEventSim). The
-/// replay drivers consume `protocol` and ignore the rest; the event sim
-/// consumes everything. Keeping one config type means a bench can run the
-/// same scenario through any driver without re-plumbing knobs.
+/// One scenario for the event sim (RunEventSim). With `traffic` and `events`
+/// at their defaults and no refreshes, it replays the paper's protocol:
+/// traffic then only moves vehicles in the world, which changes no booking
+/// (pinned by EventSimTest.InertScenarioReplaysPaperProtocol).
 struct ScenarioConfig {
-  /// Protocol knobs shared with the replay drivers.
+  /// The request protocol.
   SimOptions protocol;
-  /// Traffic response model (event sim).
+  /// Traffic response model.
   TrafficModel traffic;
-  /// Cancellation / no-show behaviour (event sim).
+  /// Cancellation / no-show behaviour.
   EventMix events;
   /// If > 0, the event sim re-materializes the world graph and feeds it to
   /// RefreshDiscretization every this many sim-seconds (the live epoch-swap
@@ -67,9 +67,9 @@ struct ScenarioConfig {
   /// Seed for every stochastic draw (cancellation, no-show timing). Fixed
   /// seed => bit-identical simulation, pinned by the determinism test.
   std::uint64_t seed = 1;
-  /// Fixed-fleet mode (event sim only). When > 0, the first `fleet` trips
-  /// become the drivers — each is registered as a moving ride offer before
-  /// any request fires — and every later trip is a pure commuter request:
+  /// Fixed-fleet mode. When > 0, the first `fleet` trips become the
+  /// drivers — each is registered as a moving ride offer before any
+  /// request fires — and every later trip is a pure commuter request:
   /// an unmatched request does NOT fall back to creating a ride, so fleet
   /// size stays the swept variable (the pooling bench's knob). 0 keeps the
   /// classic behaviour where unmatched commuters drive and offer their ride.

@@ -12,7 +12,7 @@
 #include "graph/generator.h"
 #include "graph/oracle.h"
 #include "graph/spatial_index.h"
-#include "sim/simulator.h"
+#include "sim/event_sim.h"
 #include "workload/trip_generator.h"
 #include "xar/xar_system.h"
 
@@ -41,7 +41,8 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
     wopt.num_trips = 2500;
     wopt.seed = GetParam() + 2;
     trips_ = GenerateTrips(graph_.bounds(), wopt);
-    result_ = SimulateRideSharing(*xar_, trips_);
+    EventSim sim(graph_, xar_->options(), ScenarioConfig{});
+    result_ = RunEventSim(*xar_, sim, trips_);
   }
 
   RoadGraph graph_;
@@ -50,7 +51,7 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
   std::unique_ptr<GraphOracle> oracle_;
   std::unique_ptr<XarSystem> xar_;
   std::vector<TaxiTrip> trips_;
-  SimResult result_;
+  EventSimResult result_;
 };
 
 TEST_P(PipelineTest, SimulationServesTraffic) {

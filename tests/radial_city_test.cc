@@ -10,7 +10,7 @@
 #include "graph/generator.h"
 #include "graph/oracle.h"
 #include "graph/spatial_index.h"
-#include "sim/simulator.h"
+#include "sim/event_sim.h"
 #include "workload/trip_generator.h"
 #include "xar/xar_system.h"
 
@@ -78,7 +78,8 @@ TEST(RadialCityTest2, FullXarStackRunsOnRadialTopology) {
   wopt.num_trips = 1500;
   wopt.seed = 4;
   std::vector<TaxiTrip> trips = GenerateTrips(graph.bounds(), wopt);
-  SimResult result = SimulateRideSharing(xar, trips);
+  EventSim sim(graph, xar.options(), ScenarioConfig{});
+  EventSimResult result = RunEventSim(xar, sim, trips);
   EXPECT_EQ(result.requests, trips.size());
   EXPECT_GT(result.matched, 0u);
   // Booking invariants hold on the radial topology too.

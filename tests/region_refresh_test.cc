@@ -1,16 +1,17 @@
 // Refreshable-discretization suite: rebuild + epoch swap must preserve
 // live rides' matchability (no-op refresh is invisible to search), expose
 // accurate refresh stats, reject cross-epoch matches as stale, and leave the
-// replay driver's matched/created counts untouched when run mid-simulation.
+// event sim's matched/created counts untouched when run mid-simulation.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "discretize/region_snapshot.h"
-#include "sim/parallel_simulator.h"
+#include "sim/event_sim.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
+#include "xar/concurrent_xar.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -175,10 +176,10 @@ TEST_F(RegionRefreshTest, PerturbedGraphRefreshKeepsServing) {
   EXPECT_GT(booked, 0u);
 }
 
-// Acceptance criterion: a refresh executed mid-simulation by the parallel
-// replay driver yields the same matched/created counts as a run whose
-// (identical, since the refresh is a no-op rebuild) index was built up
-// front and never swapped.
+// Acceptance criterion: refreshes executed mid-simulation by the event sim
+// yield the same matched/created counts as a run whose index was built up
+// front and never swapped (identical, since zero congestion leaves every
+// refresh graph's weights unchanged).
 TEST(RegionRefreshSimTest, MidSimRefreshMatchesUpfrontCounts) {
   TestCity& city = SharedCity();
   WorkloadOptions wopt;
@@ -186,21 +187,23 @@ TEST(RegionRefreshSimTest, MidSimRefreshMatchesUpfrontCounts) {
   wopt.seed = 11;
   std::vector<TaxiTrip> trips = GenerateTrips(city.graph.bounds(), wopt);
 
-  ParallelSimOptions options;
-  options.num_threads = 2;
-  options.batch_size = 64;
+  ScenarioConfig config;
+  config.traffic.load_alpha = 0.0;
+  config.traffic.rush_amplitude = 0.0;
 
   GraphOracle oracle_upfront(city.graph);
   ConcurrentXarSystem upfront(city.graph, *city.spatial, *city.region,
                               oracle_upfront, {}, 4);
-  SimResult baseline = SimulateRideSharingParallel(upfront, trips, options);
+  EventSim upfront_sim(city.graph, XarOptions{}, config);
+  EventSimResult baseline = RunEventSim(upfront, upfront_sim, trips);
 
   GraphOracle oracle_refreshed(city.graph);
   ConcurrentXarSystem refreshed(city.graph, *city.spatial, *city.region,
                                 oracle_refreshed, {}, 4);
-  ParallelSimOptions with_refresh = options;
-  with_refresh.refresh_every_waves = 2;
-  SimResult mid = SimulateRideSharingParallel(refreshed, trips, with_refresh);
+  ScenarioConfig with_refresh = config;
+  with_refresh.refresh_period_s = 4 * 3600.0;
+  EventSim refreshed_sim(city.graph, XarOptions{}, with_refresh);
+  EventSimResult mid = RunEventSim(refreshed, refreshed_sim, trips);
 
   EXPECT_GE(refreshed.epoch(), 2u);
   EXPECT_GT(baseline.matched, 0u);

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "mmtp/trip_planner.h"
+#include "sim/event_sim.h"
 #include "sim/modes.h"
-#include "sim/simulator.h"
 #include "tests/test_helpers.h"
 #include "transit/network_generator.h"
 #include "workload/trip_generator.h"
@@ -21,31 +21,61 @@ std::vector<TaxiTrip> MakeTrips(TestCity& city, std::size_t n,
   return GenerateTrips(city.graph.bounds(), opt);
 }
 
-TEST(SimulatorTest, ConservationOfRequests) {
-  TestCity& city = SharedCity();
+EventSimResult RunInertScenario(TestCity& city,
+                                const std::vector<TaxiTrip>& trips,
+                                const ScenarioConfig& config = {}) {
   GraphOracle oracle(city.graph);
   XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
+  EventSim sim(city.graph, xar.options(), config);
+  return RunEventSim(xar, sim, trips);
+}
+
+// Every trip is served or unserved exactly once, and every created ride is
+// one car.
+void ExpectConservation(const EventSimResult& r, std::size_t trips) {
+  EXPECT_EQ(r.metrics.requests_served + r.metrics.requests_unserved, trips);
+  EXPECT_EQ(r.metrics.cars_used, r.rides_created);
+  EXPECT_EQ(r.bookings.size(), r.matched);
+}
+
+TEST(SimulatorTest, ConservationOfRequests) {
+  TestCity& city = SharedCity();
   std::vector<TaxiTrip> trips = MakeTrips(city, 1500);
-  SimResult r = SimulateRideSharing(xar, trips);
+  EventSimResult r = RunInertScenario(city, trips);
   EXPECT_EQ(r.requests, trips.size());
   EXPECT_EQ(r.matched + r.rides_created + r.metrics.requests_unserved,
             r.requests);
-  EXPECT_EQ(r.bookings.size(), r.matched);
-  EXPECT_EQ(r.metrics.cars_used, r.rides_created);
+  ExpectConservation(r, trips.size());
   EXPECT_GT(r.matched, 0u);
-  EXPECT_EQ(r.search_ms.count(), r.requests);
+}
+
+TEST(SimulatorTest, FixedFleetConservesRequests) {
+  TestCity& city = SharedCity();
+  // One rush hour, so the fleet drives while the requests arrive.
+  std::vector<TaxiTrip> trips =
+      FilterByTimeWindow(MakeTrips(city, 6000), 8 * 3600.0, 9 * 3600.0);
+  ScenarioConfig config;
+  config.fleet = 60;
+  EventSimResult r = RunInertScenario(city, trips, config);
+  // The fleet drivers are the only cars; every later trip is a request
+  // that books or goes unserved.
+  EXPECT_EQ(r.requests, trips.size() - config.fleet);
+  EXPECT_EQ(r.rides_created, config.fleet);
+  EXPECT_EQ(r.matched + r.metrics.requests_unserved, r.requests);
+  ExpectConservation(r, trips.size());
+  EXPECT_GT(r.matched, 0u);
+  EXPECT_GT(r.metrics.requests_unserved, 0u);
 }
 
 TEST(SimulatorTest, BookingsRespectInvariants) {
   TestCity& city = SharedCity();
-  GraphOracle oracle(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
-  SimResult r = SimulateRideSharing(xar, MakeTrips(city, 1500));
+  EventSimResult r = RunInertScenario(city, MakeTrips(city, 1500));
+  const double walk_limit_m = XarOptions{}.default_walk_limit_m;
   for (const BookingRecord& b : r.bookings) {
     EXPECT_LE(b.pickup_eta_s, b.dropoff_eta_s + 1e-6);
     EXPECT_LE(b.shortest_path_computations, 4u);
     EXPECT_GE(b.actual_detour_m, 0.0);
-    EXPECT_LE(b.walk_m, xar.options().default_walk_limit_m + 1e-6);
+    EXPECT_LE(b.walk_m, walk_limit_m + 1e-6);
   }
 }
 
@@ -53,28 +83,22 @@ TEST(SimulatorTest, LookToBookReducesBookings) {
   TestCity& city = SharedCity();
   std::vector<TaxiTrip> trips = MakeTrips(city, 1200);
 
-  GraphOracle o1(city.graph);
-  XarSystem always(city.graph, *city.spatial, *city.region, o1);
-  SimOptions book_all;
-  book_all.look_to_book = 1;
-  SimResult all = SimulateRideSharing(always, trips, book_all);
+  ScenarioConfig book_all;
+  book_all.protocol.look_to_book = 1;
+  EventSimResult all = RunInertScenario(city, trips, book_all);
 
-  GraphOracle o2(city.graph);
-  XarSystem rarely(city.graph, *city.spatial, *city.region, o2);
-  SimOptions book_tenth;
-  book_tenth.look_to_book = 10;
-  SimResult tenth = SimulateRideSharing(rarely, trips, book_tenth);
+  ScenarioConfig book_tenth;
+  book_tenth.protocol.look_to_book = 10;
+  EventSimResult tenth = RunInertScenario(city, trips, book_tenth);
 
   EXPECT_GT(all.matched, tenth.matched);
 }
 
 TEST(SimulatorTest, WalkLimitZeroMatchesNothing) {
   TestCity& city = SharedCity();
-  GraphOracle oracle(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
-  SimOptions opt;
-  opt.walk_limit_m = 0.0;
-  SimResult r = SimulateRideSharing(xar, MakeTrips(city, 400), opt);
+  ScenarioConfig config;
+  config.protocol.walk_limit_m = 0.0;
+  EventSimResult r = RunInertScenario(city, MakeTrips(city, 400), config);
   EXPECT_EQ(r.matched, 0u);
   EXPECT_EQ(r.rides_created + r.metrics.requests_unserved, r.requests);
 }
@@ -114,7 +138,7 @@ TEST_F(ModesTest, RideShareSavesCarsVsTaxi) {
   ModeMetrics taxi = EvaluateTaxiMode(*city_.spatial, taxi_oracle, trips_);
   GraphOracle rs_oracle(city_.graph);
   XarSystem xar(city_.graph, *city_.spatial, *city_.region, rs_oracle);
-  ModeMetrics rs = EvaluateRideShareMode(xar, trips_);
+  ModeMetrics rs = EvaluateRideShareMode(city_.graph, xar, trips_);
   EXPECT_LT(rs.cars_used, taxi.cars_used);
   // And taxi is at least as fast on average (Fig. 6 ordering).
   EXPECT_LE(taxi.travel_s.mean(), rs.travel_s.mean());
@@ -123,7 +147,7 @@ TEST_F(ModesTest, RideShareSavesCarsVsTaxi) {
 TEST_F(ModesTest, RideSharePlusTransitSavesCarsVsRideShare) {
   GraphOracle rs_oracle(city_.graph);
   XarSystem rs_xar(city_.graph, *city_.spatial, *city_.region, rs_oracle);
-  ModeMetrics rs = EvaluateRideShareMode(rs_xar, trips_);
+  ModeMetrics rs = EvaluateRideShareMode(city_.graph, rs_xar, trips_);
 
   GraphOracle rspt_oracle(city_.graph);
   XarSystem rspt_xar(city_.graph, *city_.spatial, *city_.region, rspt_oracle);
