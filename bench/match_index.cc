@@ -1,17 +1,15 @@
-// Match-index backend comparison (ISSUE 8): the extracted cluster index vs
-// the spatio-temporal hash, benched on the index layer alone — rides are
+// The cluster match index benched on the index layer alone: rides are
 // created once through a host XarSystem (route planning paid once, outside
-// all timed sections), then each backend is built standalone from the same
-// ride set and probed with the same request stream.
+// all timed sections), then a standalone MatchIndex is built from that ride
+// set and probed with one request stream.
 //
-// Three density regimes (sparse / medium / dense active-ride counts) per
-// backend; per point: index build time (bulk Insert), MemoryFootprint(),
-// search QPS and candidates per search. Emits a table and
+// Three density regimes (sparse / medium / dense active-ride counts); per
+// point: index build time (bulk Insert), MemoryFootprint(), search QPS,
+// candidates per search and the empty-search fraction. Emits a table and
 // BENCH_match_index.json (see bench/README.md).
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -36,7 +34,6 @@ class HostRideTable final : public RideLookup {
 };
 
 struct RegimePoint {
-  const char* backend;
   std::size_t rides;
   double build_ms;
   std::size_t bytes;
@@ -55,15 +52,13 @@ MatchTuning MakeTuning(const XarOptions& opt) {
   return tuning;
 }
 
-RegimePoint BenchBackend(MatchIndexKind kind, const XarSystem& host,
-                         const std::vector<RideId>& rides,
-                         const std::vector<RideRequest>& requests,
-                         const BenchWorld& world) {
-  std::unique_ptr<MatchIndex> index =
-      MakeMatchIndex(kind, host.snapshot(), world.graph);
+RegimePoint BenchIndex(const XarSystem& host, const std::vector<RideId>& rides,
+                       const std::vector<RideRequest>& requests,
+                       const BenchWorld& world) {
+  MatchIndex index(host.snapshot(), world.graph);
 
   Stopwatch build;
-  for (RideId id : rides) index->Insert(*host.GetRide(id));
+  for (RideId id : rides) index.Insert(*host.GetRide(id));
   const double build_ms = build.ElapsedMillis();
 
   HostRideTable lookup(&host);
@@ -72,17 +67,16 @@ RegimePoint BenchBackend(MatchIndexKind kind, const XarSystem& host,
   Stopwatch search;
   const MatchTuning tuning = MakeTuning(host.options());
   for (const RideRequest& request : requests) {
-    std::vector<RideMatch> matches = index->Candidates(request, tuning, lookup);
+    std::vector<RideMatch> matches = index.Candidates(request, tuning, lookup);
     total_candidates += matches.size();
     if (matches.empty()) ++empty;
   }
   const double search_s = search.ElapsedSeconds();
 
   RegimePoint point;
-  point.backend = MatchIndexName(kind);
   point.rides = rides.size();
   point.build_ms = build_ms;
-  point.bytes = index->MemoryFootprint();
+  point.bytes = index.MemoryFootprint();
   point.search_qps =
       search_s > 0 ? static_cast<double>(requests.size()) / search_s : 0.0;
   point.candidates_per_search =
@@ -105,13 +99,13 @@ int main() {
 
   const double scale = BenchScale();
   PrintHeader("BENCH match_index",
-              "cluster vs spatio-temporal hash candidate generation");
+              "cluster index build, size and search at three densities");
 
   const unsigned host_cores = std::thread::hardware_concurrency();
   if (host_cores <= 1) {
     std::fprintf(stderr,
                  "WARNING: host reports %u core(s); QPS numbers time-slice a "
-                 "single core and undersell both backends equally.\n",
+                 "single core.\n",
                  host_cores);
   }
 
@@ -143,12 +137,12 @@ int main() {
     requests.push_back(req);
   }
 
-  std::printf("%-8s %8s %10s %12s %12s %10s %8s\n", "backend", "rides",
-              "build_ms", "bytes", "search_qps", "cand/srch", "empty%");
+  std::printf("%8s %10s %12s %12s %10s %8s\n", "rides", "build_ms", "bytes",
+              "search_qps", "cand/srch", "empty%");
   std::vector<RegimePoint> points;
   for (std::size_t num_rides : regimes) {
     // One host per regime: rides are planned once here (oracle cost outside
-    // every timed section) and shared by both backends.
+    // every timed section).
     XarSystem host(world.graph, *world.spatial, *world.region, *world.oracle);
     std::vector<RideId> rides;
     for (std::size_t i = 0; i < offer_trips.size() && rides.size() < num_rides;
@@ -162,14 +156,11 @@ int main() {
       if (id.ok()) rides.push_back(id.value());
     }
 
-    for (MatchIndexKind kind :
-         {MatchIndexKind::kCluster, MatchIndexKind::kSpatioTemporalHash}) {
-      RegimePoint p = BenchBackend(kind, host, rides, requests, world);
-      std::printf("%-8s %8zu %10.1f %12zu %12.0f %10.2f %7.1f%%\n", p.backend,
-                  p.rides, p.build_ms, p.bytes, p.search_qps,
-                  p.candidates_per_search, 100.0 * p.empty_fraction);
-      points.push_back(p);
-    }
+    RegimePoint p = BenchIndex(host, rides, requests, world);
+    std::printf("%8zu %10.1f %12zu %12.0f %10.2f %7.1f%%\n", p.rides,
+                p.build_ms, p.bytes, p.search_qps, p.candidates_per_search,
+                100.0 * p.empty_fraction);
+    points.push_back(p);
   }
 
   FILE* f = std::fopen("BENCH_match_index.json", "w");
@@ -188,11 +179,11 @@ int main() {
     for (std::size_t i = 0; i < points.size(); ++i) {
       const RegimePoint& p = points[i];
       std::fprintf(f,
-                   "    {\"backend\": \"%s\", \"rides\": %zu, "
+                   "    {\"rides\": %zu, "
                    "\"build_ms\": %.2f, \"bytes\": %zu, "
                    "\"search_qps\": %.0f, \"candidates_per_search\": %.2f, "
                    "\"empty_fraction\": %.3f}%s\n",
-                   p.backend, p.rides, p.build_ms, p.bytes, p.search_qps,
+                   p.rides, p.build_ms, p.bytes, p.search_qps,
                    p.candidates_per_search, p.empty_fraction,
                    i + 1 < points.size() ? "," : "");
     }

@@ -29,8 +29,8 @@ int main() {
   std::vector<TaxiTrip> trips = GenerateTrips(graph.bounds(), workload);
 
   XarOptions options;
-  // XAR_MATCH_INDEX (and the other XAR_* overrides) swap backends under the
-  // whole simulated day; a typo is a hard error (xar_shell rules).
+  // The XAR_* overrides swap the routing backend and cache under the whole
+  // simulated day; a typo is a hard error (xar_shell rules).
   if (Status status = ApplyEnvOverrides(&options); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
@@ -41,9 +41,9 @@ int main() {
   XarSystem xar(graph, spatial, region, oracle, options);
 
   std::printf("simulating %zu trips over a day "
-              "(%zu clusters, eps=%.0fm, %s routing, %s match index)...\n",
+              "(%zu clusters, eps=%.0fm, %s routing)...\n",
               trips.size(), region.NumClusters(), region.epsilon(),
-              oracle.backend_name(), MatchIndexName(options.match_index));
+              oracle.backend_name());
   EventSim sim(graph, xar.options(), ScenarioConfig{});
   EventSimResult result = RunEventSim(xar, sim, trips);
 

@@ -53,7 +53,7 @@ int main() {
   }
   std::printf("ride #%u created: %.1f km, %zu pass-through clusters\n",
               ride->value(), xar.GetRide(*ride)->route.length_m / 1000.0,
-              xar.ride_index().RegistrationOf(*ride)->pass_throughs.size());
+              xar.match_index().RegistrationOf(*ride)->pass_throughs.size());
 
   // 5. A commuter along the way searches for a shared ride. The search is
   //    pure index probing — no shortest paths are computed.
@@ -88,6 +88,6 @@ int main() {
   // 7. Time passes; tracking retires the clusters the ride has crossed.
   xar.AdvanceTime(booking->pickup_eta_s + 60);
   std::printf("after pickup: %zu pass-through clusters still ahead\n",
-              xar.ride_index().RegistrationOf(*ride)->pass_throughs.size());
+              xar.match_index().RegistrationOf(*ride)->pass_throughs.size());
   return 0;
 }

@@ -26,9 +26,9 @@ int main() {
   dopt.landmarks.num_candidates = 400;
   RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
 
-  // XAR_ROUTING_BACKEND / XAR_MATCH_INDEX / XAR_ORACLE_CACHE /
-  // XAR_PREPROCESS_THREADS override the defaults; a typo in any of them is
-  // a hard error, not a silent fall-through to the default.
+  // XAR_ROUTING_BACKEND / XAR_ORACLE_CACHE / XAR_PREPROCESS_THREADS
+  // override the defaults; a typo in any of them is a hard error, not a
+  // silent fall-through to the default.
   XarOptions options;
   if (Status status = ApplyEnvOverrides(&options); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -43,10 +43,10 @@ int main() {
   const BoundingBox& b = graph.bounds();
   std::printf("XAR shell — city bounds lat [%.4f, %.4f], lng [%.4f, %.4f]\n",
               b.min_lat, b.max_lat, b.min_lng, b.max_lng);
-  std::printf("%zu clusters, epsilon %.0f m, %s routing, %s cache, "
-              "%s match index. Type HELP for commands.\n",
+  std::printf("%zu clusters, epsilon %.0f m, %s routing, %s cache. "
+              "Type HELP for commands.\n",
               region.NumClusters(), region.epsilon(), oracle.backend_name(),
-              oracle.cache_policy_name(), MatchIndexName(options.match_index));
+              oracle.cache_policy_name());
 
   char line[512];
   while (true) {

@@ -17,10 +17,9 @@ struct EnumOption {
 };
 
 /// Uniform parser behind every *FromString helper (RoutingBackendFromString,
-/// MatchIndexFromString, OracleCachePolicyFromString, ...): matches `value`
-/// against the accepted spellings and, on an unknown name, returns one
-/// InvalidArgument shape that names the option, echoes the typo and lists
-/// the valid spellings:
+/// OracleCachePolicyFromString, ...): matches `value` against the accepted
+/// spellings and, on an unknown name, returns one InvalidArgument shape that
+/// names the option, echoes the typo and lists the valid spellings:
 ///
 ///   unknown <option> "<value>" (valid: a, b, c)
 ///

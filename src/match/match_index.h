@@ -5,70 +5,48 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
-#include "common/result.h"
 #include "common/stats_registry.h"
+#include "discretize/region_index.h"
 #include "discretize/region_snapshot.h"
 #include "graph/road_graph.h"
+#include "match/cluster_ride_list.h"
 #include "xar/ride.h"
 
 namespace xar {
 
-/// Which candidate-generation index a system runs behind the MatchIndex
-/// interface (ROADMAP "pluggable match-index backends"). The systems layer —
-/// booking, pricing, tracking, refresh — is backend-agnostic; only the way
-/// Search turns a request into ranked candidate rides changes.
-enum class MatchIndexKind {
-  /// The paper's cluster-centric index (Sections VI/VII): per-cluster
-  /// potential-ride lists over pass-through/reachable clusters. The default.
-  kCluster,
-  /// Spatio-temporal hash buckets over ride trajectories (Dutta, "When
-  /// Hashing Met Matching", arXiv 1809.02680): rides hash their route into
-  /// (grid-cell × time-bucket) keys; a request unions the entries of its
-  /// reachable buckets. Booking-time exact pricing downstream is unchanged,
-  /// so the 4ε detour bound is preserved by construction.
-  kSpatioTemporalHash,
+/// A ride's association with one pass-through cluster (paper Section VI):
+/// the cluster a route segment drives through, its ETA, and the clusters
+/// reachable from it within the ride's remaining detour budget.
+struct PassThroughCluster {
+  ClusterId cluster;
+  LandmarkId landmark;      ///< landmark of the grid where the route entered
+  double eta_s = 0.0;
+  std::size_t segment = 0;  ///< which via-point segment produced it
+  bool crossed = false;     ///< tracking: the ride has already passed it
+  /// Reachable clusters (paper's detour test d_CC' + d_C'v - d_Cv <= d)
+  /// and their cluster-level detour estimates, parallel arrays.
+  std::vector<ClusterId> reachable;
+  std::vector<double> reachable_detour_m;
 };
 
-/// Stable lowercase name ("cluster", "st_hash") for logs, stats and env vars.
-const char* MatchIndexName(MatchIndexKind kind);
-
-/// Parses a MatchIndexName; nullopt on unknown names.
-std::optional<MatchIndexKind> ParseMatchIndex(std::string_view name);
-
-/// Parses a MatchIndexName. Unknown names are a hard InvalidArgument error —
-/// never a silent fall-through to the default backend (same contract as
-/// RoutingBackendFromString).
-Result<MatchIndexKind> MatchIndexFromString(std::string_view name);
-
-/// Tuning knobs of the spatio-temporal hash backend (ignored by kCluster).
-struct MatchIndexOptions {
-  /// Side length of the spatial hash cells (meters). Coarser than the
-  /// region's 100 m grids: a request probes all cells within its walking
-  /// radius, so the cell size trades probe fan-out against bucket density.
-  double st_hash_cell_m = 500.0;
-
-  /// Width of the temporal buckets (seconds). A ride's route point at ETA t
-  /// lands in bucket floor(t / width); a request probes every bucket
-  /// overlapping its (slack-widened) time window.
-  double st_hash_bucket_s = 300.0;
-
-  /// Safety cap on spatial cells probed per request side (wide walk limits
-  /// on tiny cells would otherwise probe quadratically many cells).
-  std::size_t st_hash_max_probe_cells = 4096;
+/// Everything the index knows about one registered ride.
+struct RideRegistration {
+  std::vector<PassThroughCluster> pass_throughs;
+  /// Every cluster this ride currently appears under (sorted, unique).
+  std::vector<ClusterId> registered_clusters;
 };
 
-/// Point-in-time copy of a backend's counters (the "match" stats section).
+/// Point-in-time copy of the index counters (the "match" stats section).
 struct MatchCounters {
   std::uint64_t inserts = 0;         ///< rides registered
   std::uint64_t removes = 0;         ///< rides fully unregistered
   std::uint64_t updates = 0;         ///< re-registrations after bookings
-  std::uint64_t evictions = 0;       ///< tracking evictions (cluster lists /
-                                     ///< hash-bucket entries crossed)
+  std::uint64_t evictions = 0;       ///< cluster lists left by tracking
   std::uint64_t searches = 0;        ///< Candidates() calls
   std::uint64_t empty_searches = 0;  ///< Candidates() calls returning none
   std::uint64_t candidates = 0;      ///< matches returned, total
@@ -85,10 +63,9 @@ struct MatchCounters {
   }
 };
 
-/// Aggregated view of one or more backends (a sharded system sums its
+/// Aggregated view of one or more indexes (a sharded system sums its
 /// shards) for the stats surface.
 struct MatchIndexStats {
-  const char* backend = "";
   std::size_t registered_rides = 0;
   std::size_t bytes = 0;
   MatchCounters counters;
@@ -98,7 +75,7 @@ struct MatchIndexStats {
 StatsSection MatchStatsSection(const MatchIndexStats& stats);
 
 /// Resolves a candidate ride id to the live ride state. Implemented by the
-/// owning XarSystem; backends never store ride state themselves, so a
+/// owning XarSystem; the index never stores ride state itself, so a
 /// candidate probe always checks seats/activity against the current truth.
 class RideLookup {
  public:
@@ -117,9 +94,11 @@ struct MatchTuning {
   std::size_t max_results = 0;      ///< top-k (0 = all)
 };
 
-/// The pluggable candidate-generation layer (mirrors the routing-backend
-/// extraction one level up): everything XarSystem needs from a search index,
-/// with the booking/pricing path downstream kept backend-independent.
+/// The XAR match index: per-cluster potential-ride lists (paper Section VI)
+/// plus the per-ride cluster associations that keep them valid as rides
+/// move (tracking) and change shape (booking), probed by the paper's
+/// shortest-path-free two-step search (Section VII). This is the structure
+/// whose size Fig. 3c reports.
 ///
 /// Contract:
 ///  - Insert/Remove/Update track ride lifecycle; Update re-derives all
@@ -134,7 +113,7 @@ struct MatchTuning {
 ///    insertion points with a precomputed-metric detour estimate — no
 ///    shortest paths. Book then splices with <= 4 exact shortest paths and
 ///    charges the *actual* detour, which is what keeps the paper's 4ε
-///    guarantee backend-independent (DESIGN.md §12).
+///    guarantee (DESIGN.md §12).
 ///  - OnEpochSwap rebinds the index to a fresh discretization snapshot,
 ///    dropping every registration; the caller re-Inserts live rides (the
 ///    refresh path's re-homing).
@@ -144,63 +123,104 @@ struct MatchTuning {
 /// atomics only because Candidates() is called under shared (reader) locks.
 class MatchIndex {
  public:
-  virtual ~MatchIndex() = default;
+  /// Binds the index to `snapshot`'s discretization over `graph`. The
+  /// snapshot is pinned (kept alive) until the next OnEpochSwap.
+  MatchIndex(std::shared_ptr<const RegionSnapshot> snapshot,
+             const RoadGraph& graph);
 
-  virtual MatchIndexKind kind() const = 0;
+  MatchIndex(const MatchIndex&) = delete;
+  MatchIndex& operator=(const MatchIndex&) = delete;
 
-  virtual void Insert(const Ride& ride) = 0;
-  virtual void Remove(RideId ride) = 0;
-  virtual void Update(const Ride& ride) = 0;
+  /// Computes `ride`'s pass-through clusters (from its current route and
+  /// via-points) and their reachable clusters (within the remaining detour
+  /// budget), then registers the ride under all of them. The ride must not
+  /// already be registered.
+  void Insert(const Ride& ride);
 
-  virtual std::vector<RideMatch> Candidates(const RideRequest& request,
-                                            const MatchTuning& tuning,
-                                            const RideLookup& rides) const = 0;
+  /// Removes the ride from every cluster list. No-op if absent.
+  void Remove(RideId ride);
 
-  /// Returns the number of index entries evicted.
-  virtual std::size_t Advance(const Ride& ride, double now_s) = 0;
-  virtual double NextEventTime(RideId ride) const = 0;
+  /// Re-derives all associations after a booking changed the ride's route,
+  /// via-points or detour budget.
+  void Update(const Ride& ride);
 
-  virtual bool ChooseInsertionSegments(const Ride& ride,
-                                       ClusterId source_cluster,
-                                       LandmarkId pickup_landmark,
-                                       ClusterId dest_cluster,
-                                       LandmarkId dropoff_landmark,
-                                       std::size_t* seg_src,
-                                       std::size_t* seg_dst,
-                                       double* joint_estimate_m) const = 0;
+  /// Tracking (paper Section VIII-A): marks pass-through clusters with
+  /// eta < now as crossed, and evicts the ride from clusters no longer
+  /// supported by any valid pass-through. Returns the number of clusters the
+  /// ride was evicted from.
+  std::size_t Advance(const Ride& ride, double now_s);
 
-  virtual void OnEpochSwap(std::shared_ptr<const RegionSnapshot> snapshot,
-                           const RoadGraph& graph) = 0;
+  /// Ranked feasible matches for `request`, resolved against the snapshot
+  /// pinned at entry; candidate ids are checked against `rides`.
+  std::vector<RideMatch> Candidates(const RideRequest& request,
+                                    const MatchTuning& tuning,
+                                    const RideLookup& rides) const;
 
-  virtual std::size_t NumRegisteredRides() const = 0;
-  virtual std::size_t MemoryFootprint() const = 0;
+  /// Picks the pickup/drop-off insertion segments for a booking *jointly*,
+  /// minimizing the estimate of the composed detour (the two independent
+  /// per-side estimates are not additive when both points land on the same
+  /// segment). Candidate supports are found at cluster level; the estimate
+  /// itself is computed on the precomputed *landmark* metric (the paper's
+  /// in-memory landmark distances) using the concrete pickup/drop-off
+  /// landmarks, which is what keeps the Fig. 3a approximation tight.
+  /// Requires seg_src <= seg_dst. Returns false when no valid support pair
+  /// exists (stale match). No shortest paths are computed.
+  bool ChooseInsertionSegments(const Ride& ride, ClusterId source_cluster,
+                               LandmarkId pickup_landmark,
+                               ClusterId dest_cluster,
+                               LandmarkId dropoff_landmark,
+                               std::size_t* seg_src, std::size_t* seg_dst,
+                               double* joint_estimate_m) const;
+
+  /// Rebinds to `snapshot` over `graph` and drops every registration.
+  void OnEpochSwap(std::shared_ptr<const RegionSnapshot> snapshot,
+                   const RoadGraph& graph);
+
+  /// The potential-ride list of a cluster.
+  const ClusterRideList& ListOf(ClusterId c) const {
+    return lists_[c.value()];
+  }
+
+  const RideRegistration* RegistrationOf(RideId ride) const;
+
+  /// Earliest ETA among the ride's uncrossed pass-through clusters — the
+  /// next moment tracking has work to do for this ride. +inf if none.
+  double NextEventTime(RideId ride) const;
+
+  /// The uncrossed pass-through of `ride` that supports `cluster` (as
+  /// itself or as a reachable cluster) at the lowest detour estimate.
+  /// Returns nullptr if unsupported.
+  const PassThroughCluster* BestSupport(RideId ride, ClusterId cluster) const;
+
+  std::size_t NumRegisteredRides() const { return registrations_.size(); }
+
+  /// Bytes held by the index: all cluster lists and registrations (Fig. 3c).
+  std::size_t MemoryFootprint() const;
 
   /// Snapshot of this instance's counters.
-  MatchCounters counters() const {
-    MatchCounters c;
-    c.inserts = counters_.inserts.load(std::memory_order_relaxed);
-    c.removes = counters_.removes.load(std::memory_order_relaxed);
-    c.updates = counters_.updates.load(std::memory_order_relaxed);
-    c.evictions = counters_.evictions.load(std::memory_order_relaxed);
-    c.searches = counters_.searches.load(std::memory_order_relaxed);
-    c.empty_searches =
-        counters_.empty_searches.load(std::memory_order_relaxed);
-    c.candidates = counters_.candidates.load(std::memory_order_relaxed);
-    return c;
-  }
+  MatchCounters counters() const;
 
   /// This instance's stats row (single-system surface; sharded systems
   /// aggregate counters() across shards instead).
   MatchIndexStats stats() const {
-    MatchIndexStats s;
-    s.backend = MatchIndexName(kind());
-    s.registered_rides = NumRegisteredRides();
-    s.bytes = MemoryFootprint();
-    s.counters = counters();
-    return s;
+    return MatchIndexStats{NumRegisteredRides(), MemoryFootprint(),
+                           counters()};
   }
 
- protected:
+ private:
+  struct Support {
+    double eta_s;
+    double detour_m;
+  };
+
+  struct SideCandidate {
+    double walk_m;
+    double eta_s;
+    double detour_m;
+    ClusterId cluster;
+    LandmarkId landmark;
+  };
+
   struct AtomicCounters {
     std::atomic<std::uint64_t> inserts{0};
     std::atomic<std::uint64_t> removes{0};
@@ -211,24 +231,35 @@ class MatchIndex {
     mutable std::atomic<std::uint64_t> candidates{0};
   };
 
-  void CountSearch(std::size_t returned) const {
-    counters_.searches.fetch_add(1, std::memory_order_relaxed);
-    if (returned == 0) {
-      counters_.empty_searches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      counters_.candidates.fetch_add(returned, std::memory_order_relaxed);
-    }
-  }
+  void Register(const Ride& ride);
+  void Unregister(RideId ride);
 
+  /// Min-aggregated (eta, detour) of `ride` for each cluster it touches,
+  /// over uncrossed pass-throughs.
+  std::unordered_map<ClusterId, Support> AggregateSupports(
+      const RideRegistration& reg) const;
+
+  std::vector<PassThroughCluster> ComputePassThroughs(const Ride& ride) const;
+
+  /// Step 1/2 of Search: per-ride candidates from one endpoint, resolved
+  /// against the pinned `region`. Keeps up to `per_ride` distinct-landmark
+  /// candidates per ride in least-walk order.
+  void CollectSideCandidates(
+      const RegionIndex& region, const LatLng& location, double walk_limit_m,
+      double eta_begin, double eta_end, std::size_t per_ride,
+      std::vector<std::pair<RideId, SideCandidate>>* out) const;
+
+  void CountSearch(std::size_t returned) const;
+
+  /// Pinned per search (acquire), swapped by OnEpochSwap (release).
+  std::atomic<std::shared_ptr<const RegionSnapshot>> snapshot_;
+  /// The region of snapshot_, read by the lock-guarded ride-state paths.
+  const RegionIndex* region_;
+  const RoadGraph* graph_;
+  std::vector<ClusterRideList> lists_;  // one per cluster
+  std::unordered_map<RideId, RideRegistration> registrations_;
   AtomicCounters counters_;
 };
-
-/// Builds a backend of `kind` bound to `snapshot`'s discretization over
-/// `graph`. The snapshot is pinned by the index (kept alive across
-/// refreshes of the owning system until OnEpochSwap).
-std::unique_ptr<MatchIndex> MakeMatchIndex(
-    MatchIndexKind kind, std::shared_ptr<const RegionSnapshot> snapshot,
-    const RoadGraph& graph, const MatchIndexOptions& options = {});
 
 }  // namespace xar
 

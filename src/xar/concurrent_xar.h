@@ -317,14 +317,12 @@ class ConcurrentXarSystem {
   }
 
   /// Aggregated match-index view across all shards (the "match" stats
-  /// section): per-backend counters summed, registered rides and bytes
-  /// totaled. Shards always run the same backend, so one name suffices.
+  /// section): counters summed, registered rides and bytes totaled.
   MatchIndexStats match_stats() const {
     MatchIndexStats stats;
     for (const auto& shard : shards_) {
       std::shared_lock lock(shard->mutex);
       const MatchIndex& index = shard->system.match_index();
-      stats.backend = MatchIndexName(index.kind());
       stats.registered_rides += index.NumRegisteredRides();
       stats.bytes += index.MemoryFootprint();
       stats.counters += index.counters();

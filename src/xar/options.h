@@ -6,7 +6,6 @@
 
 #include "graph/oracle_cache.h"
 #include "graph/routing_backend.h"
-#include "match/match_index.h"
 
 namespace xar {
 
@@ -64,17 +63,6 @@ struct XarOptions {
   /// at most how many combined matches it emits per ride) when
   /// meeting_points is on.
   std::size_t meeting_point_candidates = 4;
-
-  /// Which candidate-generation index Search runs on (src/match/, mirrors
-  /// routing_backend one level up): kCluster is the paper's cluster-centric
-  /// index and the default; kSpatioTemporalHash probes grid×time hash
-  /// buckets over ride trajectories instead. Booking always re-checks
-  /// feasibility and prices exact shortest paths downstream, so the 4ε
-  /// detour guarantee does not depend on this choice.
-  MatchIndexKind match_index = MatchIndexKind::kCluster;
-
-  /// Tuning knobs of the spatio-temporal hash backend (ignored by kCluster).
-  MatchIndexOptions match_index_options;
 
   /// Which shortest-path backend the GraphOracle serving this system runs
   /// on cache misses. The system takes the oracle by reference, so this is

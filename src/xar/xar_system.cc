@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "match/cluster_match_index.h"
 #include "schedule/ride_schedule.h"
 #include "xar/route_utils.h"
 
@@ -31,15 +30,9 @@ XarSystem::XarSystem(const RoadGraph& graph, const SpatialNodeIndex& spatial,
       snapshot_(snapshot),
       oracle_(&oracle),
       options_(options),
-      index_(MakeMatchIndex(options.match_index, snapshot, graph,
-                            options.match_index_options)) {
+      index_(snapshot, graph) {
   if (options_.ride_id_stride == 0) options_.ride_id_stride = 1;
   refresh_stats_.epoch = snapshot->epoch;
-}
-
-const RideIndex& XarSystem::ride_index() const {
-  assert(index_->kind() == MatchIndexKind::kCluster);
-  return static_cast<const ClusterMatchIndex&>(*index_).impl();
 }
 
 RefreshStats XarSystem::RefreshDiscretization(const GraphDelta& delta) {
@@ -87,7 +80,7 @@ std::size_t XarSystem::AdoptSnapshot(
   // resurrected: registration recomputes them from the route, then
   // Advance(now) retires the already-passed ones — the same end state
   // incremental tracking maintains.
-  index_->OnEpochSwap(next, *graph_);
+  index_.OnEpochSwap(next, *graph_);
   const double now = clock_.Now();
   std::size_t rehomed = 0;
   for (Ride& ride : rides_) {
@@ -118,8 +111,8 @@ std::size_t XarSystem::AdoptSnapshot(
             ride.route_cum_time_s[ride.via_route_index[v]];
       }
     }
-    index_->Insert(ride);
-    index_->Advance(ride, now);
+    index_.Insert(ride);
+    index_.Advance(ride, now);
     ++rehomed;
   }
 
@@ -176,7 +169,10 @@ Result<RideId> XarSystem::CreateRide(const RideOffer& offer) {
   schedules_.push_back(nullptr);  // materialized on first kinetic booking
   ++active_rides_;
   const Ride& stored = rides_.back();
-  index_->Insert(stored);
+  index_.Insert(stored);
+  // An offer departing before the clock has already passed its early
+  // clusters: retire them now, not at its first tracking event.
+  index_.Advance(stored, clock_.Now());
   ScheduleNextEvent(stored);
   return stored.id;
 }
@@ -187,9 +183,9 @@ std::vector<RideMatch> XarSystem::Search(const RideRequest& request) const {
 
 std::vector<RideMatch> XarSystem::SearchTopK(const RideRequest& request,
                                              std::size_t k) const {
-  // Resolve every option the backend needs, then delegate: the two-step
-  // cluster search (paper Section VII) or the spatio-temporal hash probe
-  // both run entirely inside the MatchIndex (src/match/).
+  // Resolve every option the index needs, then delegate: the two-step
+  // cluster search (paper Section VII) runs entirely inside the MatchIndex
+  // (src/match/).
   MatchTuning tuning;
   tuning.walk_limit_m = request.walk_limit_m >= 0
                             ? request.walk_limit_m
@@ -204,7 +200,7 @@ std::vector<RideMatch> XarSystem::SearchTopK(const RideRequest& request,
           ? std::max<std::size_t>(1, options_.meeting_point_candidates)
           : 1;
   tuning.max_results = k;
-  return index_->Candidates(request, tuning, RideTable(this));
+  return index_.Candidates(request, tuning, RideTable(this));
 }
 
 Result<BookingRecord> XarSystem::Book(RideId ride_id,
@@ -234,11 +230,11 @@ Result<BookingRecord> XarSystem::Book(RideId ride_id,
   std::size_t s = 0;
   std::size_t d = 0;
   double joint_estimate = 0.0;
-  if (!index_->ChooseInsertionSegments(ride, match.source_cluster,
-                                       match.pickup_landmark,
-                                       match.dest_cluster,
-                                       match.dropoff_landmark, &s, &d,
-                                       &joint_estimate)) {
+  if (!index_.ChooseInsertionSegments(ride, match.source_cluster,
+                                      match.pickup_landmark,
+                                      match.dest_cluster,
+                                      match.dropoff_landmark, &s, &d,
+                                      &joint_estimate)) {
     return Status::FailedPrecondition("match is stale: cluster support gone");
   }
   // Re-check the budget under the current ride state. The search-time check
@@ -374,8 +370,8 @@ Result<BookingRecord> XarSystem::Book(RideId ride_id,
   ride.detour_used_m += std::max(0.0, actual_detour);
   ride.seats_available -= request.seats;
 
-  index_->Update(ride);
-  index_->Advance(ride, clock_.Now());  // do not resurrect passed clusters
+  index_.Update(ride);
+  index_.Advance(ride, clock_.Now());  // do not resurrect passed clusters
   ScheduleNextEvent(ride);
 
   BookingRecord record;
@@ -565,8 +561,8 @@ Result<BookingRecord> XarSystem::BookKinetic(Ride& ride,
       std::max(pooling_counters_.max_pooled_riders, sched->ActiveRiders());
   ride.seats_available -= request.seats;
 
-  index_->Update(ride);
-  index_->Advance(ride, clock_.Now());
+  index_.Update(ride);
+  index_.Advance(ride, clock_.Now());
   ScheduleNextEvent(ride);
 
   BookingRecord record;
@@ -707,8 +703,8 @@ Status XarSystem::RemoveRider(RideId ride_id, RequestId request,
   ride.seats_available =
       std::min(ride.seats_total, ride.seats_available + seats);
 
-  index_->Update(ride);
-  index_->Advance(ride, clock_.Now());  // do not resurrect passed clusters
+  index_.Update(ride);
+  index_.Advance(ride, clock_.Now());  // do not resurrect passed clusters
   ScheduleNextEvent(ride);
   return Status::OK();
 }
@@ -740,7 +736,7 @@ void XarSystem::AdvanceTime(double now_s) {
       FinishRide(ride);
       continue;
     }
-    index_->Advance(ride, now_s);
+    index_.Advance(ride, now_s);
     ScheduleNextEvent(ride);
   }
 }
@@ -749,12 +745,12 @@ void XarSystem::FinishRide(Ride& ride) {
   if (!ride.active) return;
   ride.active = false;
   --active_rides_;
-  index_->Remove(ride.id);
+  index_.Remove(ride.id);
   schedules_[LocalIndex(ride.id)].reset();
 }
 
 void XarSystem::ScheduleNextEvent(const Ride& ride) {
-  double next = std::min(index_->NextEventTime(ride.id), ride.ArrivalTimeS());
+  double next = std::min(index_.NextEventTime(ride.id), ride.ArrivalTimeS());
   // A live schedule wakes up at its next stop too, so the tree is pruned as
   // each stop is passed, not only at cluster-exit events.
   const std::unique_ptr<RideSchedule>& sched = schedules_[LocalIndex(ride.id)];
@@ -789,7 +785,9 @@ PoolingStats XarSystem::pooling_stats() const {
 }
 
 std::size_t XarSystem::MemoryFootprint() const {
-  std::size_t bytes = sizeof(*this) + index_->MemoryFootprint();
+  // index_ is a member: count its inline bytes once, inside its footprint.
+  std::size_t bytes =
+      sizeof(*this) - sizeof(index_) + index_.MemoryFootprint();
   for (const Ride& r : rides_) {
     bytes += sizeof(r);
     bytes += r.route.nodes.capacity() * sizeof(NodeId);

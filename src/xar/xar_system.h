@@ -21,7 +21,6 @@
 #include "xar/options.h"
 #include "xar/ride.h"
 #include "match/match_index.h"
-#include "match/ride_index.h"
 
 namespace xar {
 
@@ -171,8 +170,8 @@ class XarSystem {
   // --- Refresh (live map updates) ----------------------------------------
 
   /// Rebuilds the discretization over the (possibly updated) graph, re-homes
-  /// every live ride into a fresh RideIndex, and swaps the snapshot with an
-  /// epoch bump. Serial: callers that share this system across threads must
+  /// every live ride into the rebound MatchIndex, and swaps the snapshot with
+  /// an epoch bump. Serial: callers that share this system across threads must
   /// hold the writer lock (ConcurrentXarSystem does this per shard, building
   /// the snapshot once outside all locks). An empty delta is a "no-op"
   /// refresh: same tables, new epoch.
@@ -202,12 +201,9 @@ class XarSystem {
   }
   std::size_t NumRides() const { return rides_.size(); }
   std::size_t NumActiveRides() const { return active_rides_; }
-  /// The candidate-generation index behind Search (XarOptions::match_index).
-  const MatchIndex& match_index() const { return *index_; }
-  /// The wrapped cluster structure, for introspection of pass-throughs and
-  /// registrations. Only meaningful on the default kCluster backend;
-  /// asserts on others.
-  const RideIndex& ride_index() const;
+  /// The cluster index behind Search, Book and tracking: potential-ride
+  /// lists, pass-throughs and registrations.
+  const MatchIndex& match_index() const { return index_; }
   /// The current region. The reference stays valid until the next
   /// RefreshDiscretization/AdoptSnapshot; pin the snapshot() instead when
   /// holding it across a possible refresh.
@@ -241,8 +237,8 @@ class XarSystem {
   std::size_t MemoryFootprint() const;
 
  private:
-  /// RideLookup the match index resolves candidate ids against: backends
-  /// never store ride state, this system's table is the truth.
+  /// RideLookup the match index resolves candidate ids against: the index
+  /// never stores ride state, this system's table is the truth.
   class RideTable final : public RideLookup {
    public:
     explicit RideTable(const XarSystem* system) : system_(system) {}
@@ -304,10 +300,9 @@ class XarSystem {
   /// Kept out of Ride so GetRide copies (ConcurrentXarSystem hands rides
   /// across its lock boundary by value) stay cheap and tree-free.
   std::vector<std::unique_ptr<RideSchedule>> schedules_;
-  /// The pluggable candidate-generation index (XarOptions::match_index).
-  /// Rebound to the new snapshot on refresh (OnEpochSwap) — a backend
+  /// Rebound to the new snapshot on refresh (OnEpochSwap) — the index
   /// resolves against exactly one region epoch.
-  std::unique_ptr<MatchIndex> index_;
+  MatchIndex index_;
   std::vector<BookingRecord> bookings_;
   VirtualClock clock_;
   std::size_t active_rides_ = 0;

@@ -153,7 +153,7 @@ TEST_F(CancellationTest, ReregistrationDoesNotResurrectPassedClusters) {
   const Ride* r = xar_.GetRide(ride);
   double partway = r->departure_time_s + r->route.time_s * 0.4;
   xar_.AdvanceTime(partway);
-  const RideRegistration* reg = xar_.ride_index().RegistrationOf(ride);
+  const RideRegistration* reg = xar_.match_index().RegistrationOf(ride);
   for (const PassThroughCluster& pt : reg->pass_throughs) {
     EXPECT_GE(pt.eta_s, partway);
   }

@@ -5,14 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "discretize/region_index.h"
 #include "graph/generator.h"
 #include "graph/oracle.h"
 #include "graph/spatial_index.h"
 #include "sim/event_sim.h"
+#include "tests/index_checkers.h"
 #include "workload/trip_generator.h"
 #include "xar/xar_system.h"
 
@@ -42,7 +43,14 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
     wopt.seed = GetParam() + 2;
     trips_ = GenerateTrips(graph_.bounds(), wopt);
     EventSim sim(graph_, xar_->options(), ScenarioConfig{});
-    result_ = RunEventSim(*xar_, sim, trips_);
+    // Check the index against a rebuild once per sim-hour: the day ends
+    // with every vehicle arrived and the index empty.
+    testing::RebuildCheckingTarget target(*xar_, graph_,
+                                          /*check_every_s=*/3600.0);
+    result_ = sim.Run(target, trips_);
+    index_checks_ = target.checks;
+    index_max_registered_ = target.max_registered;
+    index_failure_ = target.first_failure;
   }
 
   RoadGraph graph_;
@@ -52,6 +60,9 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
   std::unique_ptr<XarSystem> xar_;
   std::vector<TaxiTrip> trips_;
   EventSimResult result_;
+  std::size_t index_checks_ = 0;
+  std::size_t index_max_registered_ = 0;
+  std::string index_failure_;
 };
 
 TEST_P(PipelineTest, SimulationServesTraffic) {
@@ -113,19 +124,13 @@ TEST_P(PipelineTest, RideStateConsistentAfterFullDay) {
 }
 
 TEST_P(PipelineTest, IndexListsConsistentWithRegistrations) {
-  const RideIndex& index = xar_->ride_index();
-  for (std::size_t c = 0; c < region_->NumClusters(); ++c) {
-    ClusterId cluster(static_cast<ClusterId::underlying_type>(c));
-    for (const PotentialRide& pr : index.ListOf(cluster).by_ride()) {
-      const Ride* ride = xar_->GetRide(pr.ride);
-      ASSERT_NE(ride, nullptr);
-      EXPECT_TRUE(ride->active) << "finished ride still listed";
-      const RideRegistration* reg = index.RegistrationOf(pr.ride);
-      ASSERT_NE(reg, nullptr);
-      EXPECT_TRUE(std::binary_search(reg->registered_clusters.begin(),
-                                     reg->registered_clusters.end(), cluster));
-    }
-  }
+  // Through the day the index held exactly what a rebuild of the live fleet
+  // holds: no finished ride listed, no active one missing, every entry and
+  // registration bit-equal.
+  EXPECT_GT(index_checks_, 12u);
+  EXPECT_GT(index_max_registered_, 0u);
+  EXPECT_TRUE(index_failure_.empty()) << index_failure_;
+  EXPECT_TRUE(testing::IndexMatchesRebuild(*xar_, graph_));
 }
 
 TEST_P(PipelineTest, SearchResultsAreBookableRightAway) {

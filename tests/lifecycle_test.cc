@@ -146,11 +146,11 @@ TEST_F(LifecycleTest, FullDayLifecycleEndsClean) {
   }
   xar_.AdvanceTime(arrival + 121);
   EXPECT_FALSE(xar_.GetRide(ride)->active);
-  EXPECT_EQ(xar_.ride_index().RegistrationOf(ride), nullptr);
+  EXPECT_EQ(xar_.match_index().RegistrationOf(ride), nullptr);
   // No cluster still lists the ride.
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
     EXPECT_FALSE(
-        xar_.ride_index()
+        xar_.match_index()
             .ListOf(ClusterId(static_cast<ClusterId::underlying_type>(c)))
             .Contains(ride));
   }
@@ -160,7 +160,7 @@ TEST_F(LifecycleTest, CancelRideWithPassengersDropsListings) {
   RideId ride = CreateDiagonal(8 * 3600);
   (void)BookBetween(RequestId(1), 0.2, 0.2, 0.6, 0.6, 8 * 3600);
   ASSERT_TRUE(xar_.CancelRide(ride).ok());
-  EXPECT_EQ(xar_.ride_index().RegistrationOf(ride), nullptr);
+  EXPECT_EQ(xar_.match_index().RegistrationOf(ride), nullptr);
   EXPECT_EQ(xar_.NumActiveRides(), 0u);
 }
 

@@ -1,9 +1,8 @@
-// Differential suite for the pluggable MatchIndex layer (ISSUE 8): both
-// backends replay the same TripGenerator workloads, every booking respects
-// the paper's 4-epsilon detour guarantee regardless of backend, and the
-// default kCluster backend is bit-equal to a reference reimplementation of
-// the pre-refactor two-step search (paper Section VII) — including across a
-// mid-replay RefreshDiscretization epoch swap.
+// Differential suite for the MatchIndex: the index replays TripGenerator
+// workloads, every booking respects the paper's 4-epsilon detour guarantee,
+// and Search is bit-equal to a reference reimplementation of the seed
+// two-step search (paper Section VII) — including across a mid-replay
+// RefreshDiscretization epoch swap.
 
 #include "match/match_index.h"
 
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "graph/oracle.h"
-#include "match/ride_index.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/xar_system.h"
@@ -60,7 +58,7 @@ Workload MakeWorkload(std::uint64_t seed, std::size_t num_trips = 260) {
 /// public introspection surface: walkable-cluster prefix scan, per-cluster
 /// ETA range probes, merge-join intersection on sorted ride ids, then the
 /// walking/detour threshold checks. Any divergence between this and
-/// Search() is a behavior change in the extracted kCluster backend.
+/// Search() is a behavior change in the MatchIndex.
 struct RefSide {
   double walk_m;
   double eta_s;
@@ -75,7 +73,7 @@ void RefCollectSide(const XarSystem& xar, const RegionIndex& region,
   GridId grid = region.GridOfPoint(location);
   for (const WalkableCluster& wc : region.WalkableClustersOf(grid)) {
     if (wc.walk_m > walk_limit_m) break;
-    const ClusterRideList& list = xar.ride_index().ListOf(wc.cluster);
+    const ClusterRideList& list = xar.match_index().ListOf(wc.cluster);
     for (const PotentialRide& pr : list.EtaRange(eta_begin, eta_end)) {
       out->emplace_back(pr.ride, RefSide{wc.walk_m, pr.eta_s, wc.cluster,
                                          wc.nearest_landmark});
@@ -140,10 +138,9 @@ std::vector<RideMatch> RefSearch(const XarSystem& xar,
     std::size_t seg_s = 0;
     std::size_t seg_d = 0;
     double joint_detour = 0.0;
-    if (!xar.ride_index().ChooseInsertionSegments(*ride, s.cluster, s.landmark,
-                                                  d.cluster, d.landmark,
-                                                  &seg_s, &seg_d,
-                                                  &joint_detour)) {
+    if (!xar.match_index().ChooseInsertionSegments(
+            *ride, s.cluster, s.landmark, d.cluster, d.landmark, &seg_s,
+            &seg_d, &joint_detour)) {
       continue;
     }
     if (joint_detour > ride->RemainingDetourBudget()) continue;
@@ -190,44 +187,12 @@ void ExpectBitEqual(const std::vector<RideMatch>& ref,
   }
 }
 
-// --- FromString (satellite: kInvalidArgument on unknown names) ------------
-
-TEST(MatchIndexFromStringTest, ParsesKnownNames) {
-  Result<MatchIndexKind> cluster = MatchIndexFromString("cluster");
-  ASSERT_TRUE(cluster.ok());
-  EXPECT_EQ(cluster.value(), MatchIndexKind::kCluster);
-  Result<MatchIndexKind> hash = MatchIndexFromString("st_hash");
-  ASSERT_TRUE(hash.ok());
-  EXPECT_EQ(hash.value(), MatchIndexKind::kSpatioTemporalHash);
-  EXPECT_EQ(ParseMatchIndex("cluster"), MatchIndexKind::kCluster);
-  EXPECT_EQ(ParseMatchIndex("st_hash"), MatchIndexKind::kSpatioTemporalHash);
-  EXPECT_EQ(ParseMatchIndex("bogus"), std::nullopt);
-}
-
-TEST(MatchIndexFromStringTest, UnknownNameIsInvalidArgument) {
-  Result<MatchIndexKind> r = MatchIndexFromString("quadtree");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  // The message names the offender and the valid set, like
-  // RoutingBackendFromString.
-  EXPECT_NE(r.status().ToString().find("quadtree"), std::string::npos);
-  EXPECT_NE(r.status().ToString().find("cluster"), std::string::npos);
-}
-
-TEST(MatchIndexFromStringTest, NameRoundTrips) {
-  for (MatchIndexKind kind :
-       {MatchIndexKind::kCluster, MatchIndexKind::kSpatioTemporalHash}) {
-    EXPECT_EQ(ParseMatchIndex(MatchIndexName(kind)), kind);
-  }
-}
-
-// --- kCluster bit-equality against the seed search path -------------------
+// --- Bit-equality against the seed search path -----------------------------
 
 TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
   testing::TestCity& city = testing::SharedCity();
   GraphOracle oracle(city.graph);
   XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
-  ASSERT_EQ(xar.match_index().kind(), MatchIndexKind::kCluster);
 
   Workload w = MakeWorkload(11);
   ASSERT_FALSE(w.offers.empty());
@@ -239,8 +204,8 @@ TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
   std::size_t booked = 0;
   for (std::size_t r = 0; r < w.requests.size(); ++r) {
     // Epoch swap mid-replay: the refreshed discretization re-homes every
-    // live ride, and the extracted backend must keep tracking the seed
-    // search bit for bit on the new epoch too.
+    // live ride, and the index must keep tracking the seed search bit for
+    // bit on the new epoch too.
     if (r == w.requests.size() / 2) {
       RefreshStats stats = xar.RefreshDiscretization();
       EXPECT_EQ(stats.epoch, 1u);
@@ -262,18 +227,12 @@ TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
   EXPECT_GT(booked, 0u) << "workload produced no bookings";
 }
 
-// --- Both backends: same workload, 4-epsilon per backend ------------------
+// --- Workload replay under the 4-epsilon bound ----------------------------
 
-class MatchIndexBackendTest
-    : public ::testing::TestWithParam<MatchIndexKind> {};
-
-TEST_P(MatchIndexBackendTest, WorkloadReplayRespectsDetourGuarantee) {
+TEST(MatchIndexTest, WorkloadReplayRespectsDetourGuarantee) {
   testing::TestCity& city = testing::SharedCity();
   GraphOracle oracle(city.graph);
-  XarOptions options;
-  options.match_index = GetParam();
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle, options);
-  EXPECT_EQ(xar.match_index().kind(), GetParam());
+  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
 
   Workload w = MakeWorkload(23);
   for (const RideOffer& offer : w.offers) {
@@ -292,16 +251,15 @@ TEST_P(MatchIndexBackendTest, WorkloadReplayRespectsDetourGuarantee) {
     if (!booking.ok()) continue;
     ++booked;
     // Theorem 6: booking-time exact pricing bounds the actual detour by the
-    // cluster-level estimate plus the 4-epsilon discretization slack —
-    // backend-independent, because Book recomputes the splice exactly.
+    // cluster-level estimate plus the 4-epsilon discretization slack,
+    // because Book recomputes the splice exactly.
     EXPECT_LE(booking->actual_detour_m,
               booking->estimated_detour_m + slack + 1e-6);
   }
   EXPECT_GT(booked, 0u) << "workload produced no bookings";
 
-  // The backend's stats surface ticked along the way.
+  // The index's stats surface ticked along the way.
   MatchIndexStats stats = xar.match_index().stats();
-  EXPECT_STREQ(stats.backend, MatchIndexName(GetParam()));
   EXPECT_EQ(stats.counters.inserts, w.offers.size());
   EXPECT_EQ(stats.counters.searches, w.requests.size());
   EXPECT_GT(stats.counters.candidates, 0u);
@@ -312,15 +270,13 @@ TEST_P(MatchIndexBackendTest, WorkloadReplayRespectsDetourGuarantee) {
   StatsSection section = MatchStatsSection(stats);
   EXPECT_EQ(section.name, "match");
   ASSERT_EQ(section.rows.size(), 1u);
-  EXPECT_EQ(section.rows[0].front().name, "backend");
+  EXPECT_EQ(section.rows[0].front().name, "registered_rides");
 }
 
-TEST_P(MatchIndexBackendTest, SurvivesEpochSwapAndAdvance) {
+TEST(MatchIndexTest, SurvivesEpochSwapAndAdvance) {
   testing::TestCity& city = testing::SharedCity();
   GraphOracle oracle(city.graph);
-  XarOptions options;
-  options.match_index = GetParam();
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle, options);
+  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
 
   Workload w = MakeWorkload(5, /*num_trips=*/120);
   for (const RideOffer& offer : w.offers) {
@@ -330,7 +286,7 @@ TEST_P(MatchIndexBackendTest, SurvivesEpochSwapAndAdvance) {
   for (const RideRequest& req : w.requests) before += xar.Search(req).size();
   EXPECT_GT(before, 0u);
 
-  // Refresh rebinds the backend to the new snapshot and re-homes rides; the
+  // Refresh rebinds the index to the new snapshot and re-homes rides; the
   // same requests must still match (same graph, same discretization input).
   xar.RefreshDiscretization();
   std::size_t after = 0;
@@ -347,52 +303,6 @@ TEST_P(MatchIndexBackendTest, SurvivesEpochSwapAndAdvance) {
   }
   MatchIndexStats stats = xar.match_index().stats();
   EXPECT_GT(stats.counters.empty_searches, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, MatchIndexBackendTest,
-    ::testing::Values(MatchIndexKind::kCluster,
-                      MatchIndexKind::kSpatioTemporalHash),
-    [](const ::testing::TestParamInfo<MatchIndexKind>& info) {
-      return std::string(MatchIndexName(info.param)) == "st_hash"
-                 ? "StHash"
-                 : "Cluster";
-    });
-
-// --- St-hash candidate soundness ------------------------------------------
-
-// The hash backend generates a conservative subset: every candidate it
-// emits must also pass the exact feasibility gates (walk limit, ETA order,
-// budget), so Book accepts or rejects them for the same reasons as cluster
-// candidates. Subset-ness itself isn't required rank-for-rank — but every
-// st_hash match must be bookable-or-rejectable under the same rules.
-TEST(StHashMatchIndexTest, CandidatesPassFeasibilityGates) {
-  testing::TestCity& city = testing::SharedCity();
-  GraphOracle oracle(city.graph);
-  XarOptions options;
-  options.match_index = MatchIndexKind::kSpatioTemporalHash;
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle, options);
-
-  Workload w = MakeWorkload(31, /*num_trips=*/200);
-  for (const RideOffer& offer : w.offers) {
-    ASSERT_TRUE(xar.CreateRide(offer).ok());
-  }
-  std::size_t total = 0;
-  for (const RideRequest& req : w.requests) {
-    const double walk_limit = xar.options().default_walk_limit_m;
-    for (const RideMatch& m : xar.Search(req)) {
-      ++total;
-      EXPECT_LE(m.TotalWalkM(), walk_limit + 1e-9);
-      EXPECT_LE(m.eta_source_s, m.eta_dest_s);
-      EXPECT_NE(m.source_cluster, m.dest_cluster);
-      const Ride* ride = xar.GetRide(m.ride);
-      ASSERT_NE(ride, nullptr);
-      EXPECT_TRUE(ride->active);
-      EXPECT_LE(m.detour_estimate_m,
-                ride->RemainingDetourBudget() + 1e-9);
-    }
-  }
-  EXPECT_GT(total, 0u) << "st_hash produced no candidates at all";
 }
 
 }  // namespace

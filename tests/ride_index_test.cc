@@ -1,4 +1,4 @@
-#include "match/ride_index.h"
+#include "match/match_index.h"
 
 #include <gtest/gtest.h>
 
@@ -45,15 +45,17 @@ Ride MakeDiagonalRide(TestCity& city, double departure_s,
 
 class RideIndexTest : public ::testing::Test {
  protected:
-  RideIndexTest() : city_(SharedCity()), index_(*city_.region, city_.graph) {}
+  RideIndexTest()
+      : city_(SharedCity()),
+        index_(BorrowRegionSnapshot(*city_.region), city_.graph) {}
 
   TestCity& city_;
-  RideIndex index_;
+  MatchIndex index_;
 };
 
 TEST_F(RideIndexTest, RegistrationBasics) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
   ASSERT_NE(reg, nullptr);
   EXPECT_FALSE(reg->pass_throughs.empty());
@@ -65,7 +67,7 @@ TEST_F(RideIndexTest, RegistrationBasics) {
 
 TEST_F(RideIndexTest, PassThroughEtasWithinRideSpan) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   double arrival = ride.ArrivalTimeS();
   for (const PassThroughCluster& pt :
        index_.RegistrationOf(ride.id)->pass_throughs) {
@@ -78,7 +80,7 @@ TEST_F(RideIndexTest, PassThroughEtasWithinRideSpan) {
 
 TEST_F(RideIndexTest, ReachableClustersRespectDetourBudget) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600, /*detour_limit_m=*/2000);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   const RegionIndex& region = *city_.region;
   for (const PassThroughCluster& pt :
        index_.RegistrationOf(ride.id)->pass_throughs) {
@@ -98,15 +100,15 @@ TEST_F(RideIndexTest, SmallerBudgetNeverReachesMore) {
   Ride wide = MakeDiagonalRide(city_, 8 * 3600, 4000);
   Ride narrow = MakeDiagonalRide(city_, 8 * 3600, 500);
   narrow.id = RideId(1);
-  index_.RegisterRide(wide);
-  index_.RegisterRide(narrow);
+  index_.Insert(wide);
+  index_.Insert(narrow);
   EXPECT_GE(index_.RegistrationOf(wide.id)->registered_clusters.size(),
             index_.RegistrationOf(narrow.id)->registered_clusters.size());
 }
 
 TEST_F(RideIndexTest, ListsMatchRegisteredClusters) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
   // The ride appears in exactly the clusters it claims, nowhere else.
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
@@ -121,8 +123,8 @@ TEST_F(RideIndexTest, ListsMatchRegisteredClusters) {
 
 TEST_F(RideIndexTest, UnregisterRemovesEverywhere) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
-  index_.UnregisterRide(ride.id);
+  index_.Insert(ride);
+  index_.Remove(ride.id);
   EXPECT_EQ(index_.RegistrationOf(ride.id), nullptr);
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
     EXPECT_FALSE(
@@ -130,14 +132,14 @@ TEST_F(RideIndexTest, UnregisterRemovesEverywhere) {
             .Contains(ride.id));
   }
   // Idempotent.
-  index_.UnregisterRide(ride.id);
+  index_.Remove(ride.id);
 }
 
 TEST_F(RideIndexTest, AdvanceCrossesOnlyPastClusters) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   double mid = ride.departure_time_s + ride.route.time_s / 2;
-  index_.AdvanceRide(ride, mid);
+  index_.Advance(ride, mid);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
   for (const PassThroughCluster& pt : reg->pass_throughs) {
     EXPECT_GE(pt.eta_s, mid);
@@ -157,30 +159,30 @@ TEST_F(RideIndexTest, AdvanceCrossesOnlyPastClusters) {
 
 TEST_F(RideIndexTest, AdvancePastArrivalEvictsAll) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   std::size_t listed_before =
       index_.RegistrationOf(ride.id)->registered_clusters.size();
-  std::size_t evicted = index_.AdvanceRide(ride, ride.ArrivalTimeS() + 10);
+  std::size_t evicted = index_.Advance(ride, ride.ArrivalTimeS() + 10);
   EXPECT_EQ(evicted, listed_before);
   EXPECT_TRUE(index_.RegistrationOf(ride.id)->pass_throughs.empty());
 }
 
 TEST_F(RideIndexTest, AdvanceIsIncremental) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   double t1 = ride.departure_time_s + ride.route.time_s * 0.3;
   double t2 = ride.departure_time_s + ride.route.time_s * 0.6;
-  index_.AdvanceRide(ride, t1);
+  index_.Advance(ride, t1);
   std::size_t after_t1 =
       index_.RegistrationOf(ride.id)->pass_throughs.size();
-  EXPECT_EQ(index_.AdvanceRide(ride, t1), 0u);  // idempotent at same time
-  index_.AdvanceRide(ride, t2);
+  EXPECT_EQ(index_.Advance(ride, t1), 0u);  // idempotent at same time
+  index_.Advance(ride, t2);
   EXPECT_LE(index_.RegistrationOf(ride.id)->pass_throughs.size(), after_t1);
 }
 
 TEST_F(RideIndexTest, NextEventTimeIsEarliestUncrossed) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   double next = index_.NextEventTime(ride.id);
   EXPECT_GE(next, ride.departure_time_s);
   double min_eta = std::numeric_limits<double>::infinity();
@@ -195,7 +197,7 @@ TEST_F(RideIndexTest, NextEventTimeIsEarliestUncrossed) {
 
 TEST_F(RideIndexTest, BestSupportAndJointChooserAgreeOnOrdering) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
   ASSERT_GE(reg->pass_throughs.size(), 2u);
   ClusterId c_early = reg->pass_throughs.front().cluster;
@@ -220,10 +222,10 @@ TEST_F(RideIndexTest, BestSupportAndJointChooserAgreeOnOrdering) {
 
 TEST_F(RideIndexTest, ReregisterReflectsNewBudget) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600, 4000);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   std::size_t wide = index_.RegistrationOf(ride.id)->registered_clusters.size();
   ride.detour_used_m = 3600;  // only 400 m of budget left
-  index_.ReregisterRide(ride);
+  index_.Update(ride);
   std::size_t narrow =
       index_.RegistrationOf(ride.id)->registered_clusters.size();
   EXPECT_LT(narrow, wide);
@@ -232,10 +234,10 @@ TEST_F(RideIndexTest, ReregisterReflectsNewBudget) {
 TEST_F(RideIndexTest, MemoryFootprintTracksRegistrations) {
   std::size_t empty = index_.MemoryFootprint();
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.RegisterRide(ride);
+  index_.Insert(ride);
   std::size_t loaded = index_.MemoryFootprint();
   EXPECT_GT(loaded, empty);
-  index_.UnregisterRide(ride.id);
+  index_.Remove(ride.id);
   EXPECT_LT(index_.MemoryFootprint(), loaded);
 }
 

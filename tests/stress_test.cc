@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 
 #include "common/clock.h"
 #include "common/stats.h"
@@ -13,17 +12,20 @@
 #include "graph/oracle.h"
 #include "graph/spatial_index.h"
 #include "sim/event_sim.h"
+#include "tests/index_checkers.h"
 #include "workload/trip_generator.h"
 #include "xar/xar_system.h"
 
 namespace xar {
 namespace {
 
-/// Forwards every call to the system and times each SearchAndBook: the
-/// search plus the booking of the first bookable match.
+using testing::RebuildCheckingTarget;
+
+/// Forwards every call to `inner` and times each SearchAndBook: the search
+/// plus the booking of the first bookable match.
 class TimedSearchTarget final : public SimTarget {
  public:
-  explicit TimedSearchTarget(XarSystem& xar) : inner_(MakeSimTarget(xar)) {}
+  explicit TimedSearchTarget(SimTarget& inner) : inner_(&inner) {}
 
   std::vector<RideMatch> Search(const RideRequest& request) const override {
     return inner_->Search(request);
@@ -55,7 +57,7 @@ class TimedSearchTarget final : public SimTarget {
   PercentileTracker search_and_book_ms;
 
  private:
-  std::unique_ptr<SimTarget> inner_;
+  SimTarget* inner_;
 };
 
 TEST(StressTest, ThirtyThousandRequestsThroughTheFullStack) {
@@ -77,7 +79,10 @@ TEST(StressTest, ThirtyThousandRequestsThroughTheFullStack) {
   std::vector<TaxiTrip> trips = GenerateTrips(graph.bounds(), wopt);
 
   EventSim sim(graph, xar.options(), ScenarioConfig{});
-  TimedSearchTarget target(xar);
+  // Checks the index against a rebuild once per sim-hour: the day ends with
+  // every vehicle arrived and the index empty.
+  RebuildCheckingTarget checked(xar, graph, /*check_every_s=*/3600.0);
+  TimedSearchTarget target(checked);
   EventSimResult result = sim.Run(target, trips);
 
   // Conservation and sane volumes.
@@ -102,18 +107,13 @@ TEST(StressTest, ThirtyThousandRequestsThroughTheFullStack) {
   // rides finished hours earlier.
   EXPECT_LT(xar.NumActiveRides(), xar.NumRides() / 4);
 
-  // Every cluster list entry still maps to an active, registered ride.
-  const RideIndex& index = xar.ride_index();
-  for (std::size_t c = 0; c < region.NumClusters(); ++c) {
-    for (const PotentialRide& pr :
-         index.ListOf(ClusterId(static_cast<ClusterId::underlying_type>(c)))
-             .by_ride()) {
-      const Ride* ride = xar.GetRide(pr.ride);
-      ASSERT_NE(ride, nullptr);
-      ASSERT_TRUE(ride->active);
-      ASSERT_NE(index.RegistrationOf(pr.ride), nullptr);
-    }
-  }
+  // Through the day the index held exactly what a rebuild of the live fleet
+  // holds: every list entry an active, registered ride, no active ride
+  // missing, every entry and registration bit-equal.
+  EXPECT_GT(checked.checks, 12u);
+  EXPECT_GT(checked.max_registered, 0u);
+  EXPECT_TRUE(checked.first_failure.empty()) << checked.first_failure;
+  EXPECT_TRUE(testing::IndexMatchesRebuild(xar, graph));
 
   // Search latency stays in the sub-millisecond regime at full load; every
   // request books on its turn, so each SearchAndBook includes one search.

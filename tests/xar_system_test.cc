@@ -55,10 +55,33 @@ TEST_F(XarSystemTest, CreateRideRegistersClusters) {
   EXPECT_TRUE(r->active);
   EXPECT_EQ(r->via_points.size(), 2u);
   EXPECT_GT(r->route.nodes.size(), 2u);
-  const RideRegistration* reg = xar_.ride_index().RegistrationOf(*ride);
+  const RideRegistration* reg = xar_.match_index().RegistrationOf(*ride);
   ASSERT_NE(reg, nullptr);
   EXPECT_FALSE(reg->pass_throughs.empty());
   EXPECT_FALSE(reg->registered_clusters.empty());
+}
+
+TEST_F(XarSystemTest, CreateRideDepartedBeforeClockSkipsPassedClusters) {
+  const double now = 8 * 3600.0;
+  xar_.AdvanceTime(now);
+  // Departed 600 s ago, the diagonal ride (a few minutes long) has driven
+  // past every cluster; departed 120 s ago, it is mid-route.
+  for (double ago : {600.0, 120.0}) {
+    SCOPED_TRACE(::testing::Message() << "departed " << ago << " s ago");
+    Result<RideId> ride = xar_.CreateRide(DiagonalOffer(now - ago));
+    ASSERT_TRUE(ride.ok()) << ride.status().ToString();
+    const RideRegistration* reg = xar_.match_index().RegistrationOf(*ride);
+    ASSERT_NE(reg, nullptr);
+    for (const PassThroughCluster& pt : reg->pass_throughs) {
+      EXPECT_GE(pt.eta_s, now) << "cluster " << pt.cluster.value();
+    }
+    if (xar_.GetRide(*ride)->ArrivalTimeS() > now) {
+      // The clusters still ahead stay searchable.
+      EXPECT_FALSE(reg->pass_throughs.empty());
+    } else {
+      EXPECT_TRUE(reg->registered_clusters.empty());
+    }
+  }
 }
 
 TEST_F(XarSystemTest, SearchFindsCompatibleRide) {
@@ -156,9 +179,9 @@ TEST_F(XarSystemTest, TrackingEvictsPassedClusters) {
   double halfway = r->departure_time_s + r->route.time_s * 0.5;
 
   std::size_t before =
-      xar_.ride_index().RegistrationOf(*ride)->pass_throughs.size();
+      xar_.match_index().RegistrationOf(*ride)->pass_throughs.size();
   xar_.AdvanceTime(halfway);
-  const RideRegistration* reg = xar_.ride_index().RegistrationOf(*ride);
+  const RideRegistration* reg = xar_.match_index().RegistrationOf(*ride);
   ASSERT_NE(reg, nullptr);
   EXPECT_LT(reg->pass_throughs.size(), before);
   // All remaining pass-throughs lie in the future.
@@ -173,7 +196,7 @@ TEST_F(XarSystemTest, RideFinishesAfterArrival) {
   double arrival = xar_.GetRide(*ride)->ArrivalTimeS();
   xar_.AdvanceTime(arrival + 1.0);
   EXPECT_FALSE(xar_.GetRide(*ride)->active);
-  EXPECT_EQ(xar_.ride_index().RegistrationOf(*ride), nullptr);
+  EXPECT_EQ(xar_.match_index().RegistrationOf(*ride), nullptr);
   EXPECT_EQ(xar_.NumActiveRides(), 0u);
 }
 
