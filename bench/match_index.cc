@@ -28,6 +28,10 @@ class HostRideTable final : public RideLookup {
  public:
   explicit HostRideTable(const XarSystem* host) : host_(host) {}
   const Ride* Find(RideId id) const override { return host_->GetRide(id); }
+  RideSlots Slots() const override {
+    return RideSlots{host_->options().ride_id_offset,
+                     host_->options().ride_id_stride, host_->NumRides()};
+  }
 
  private:
   const XarSystem* host_;

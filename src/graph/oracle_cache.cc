@@ -52,13 +52,14 @@ std::optional<double> OracleClockCache::Lookup(const OracleCacheKey& key) {
     Slot& slot = slots_[(base + i) & mask_];
     const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
     if (seq & 1) continue;  // writer mid-flight: treat as a miss
-    const std::uint64_t nodes = slot.nodes.load(std::memory_order_relaxed);
+    // Acquire payload loads keep the seq re-check below them, and one that
+    // reads a racing writer's release store sees that writer's odd seq.
+    const std::uint64_t nodes = slot.nodes.load(std::memory_order_acquire);
     const std::uint32_t metric =
-        slot.metric_plus1.load(std::memory_order_relaxed);
-    const std::uint64_t bits = slot.value_bits.load(std::memory_order_relaxed);
+        slot.metric_plus1.load(std::memory_order_acquire);
+    const std::uint64_t bits = slot.value_bits.load(std::memory_order_acquire);
     // Seqlock validation: if the sequence moved, the payload reads above may
     // be torn — treat the slot as a miss (the backend recomputes).
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
     if (metric == 0) return std::nullopt;  // never-written slot ends the probe
     if (nodes == key.nodes && metric == key.metric + 1) {
@@ -78,12 +79,14 @@ bool OracleClockCache::TryWrite(Slot& slot, std::uint64_t seq_even,
     return false;
   }
   // Slot claimed (seq is odd): we are the only writer and the sequence is
-  // monotone, so the fields are ours until the release below.
+  // monotone, so the fields are ours until the release below. The payload
+  // stores release too, so a reader whose acquire load sees one of them
+  // also sees the odd seq and discards the slot.
   *was_empty = slot.metric_plus1.load(std::memory_order_relaxed) == 0;
-  slot.nodes.store(key.nodes, std::memory_order_relaxed);
-  slot.metric_plus1.store(key.metric + 1, std::memory_order_relaxed);
+  slot.nodes.store(key.nodes, std::memory_order_release);
+  slot.metric_plus1.store(key.metric + 1, std::memory_order_release);
   slot.value_bits.store(std::bit_cast<std::uint64_t>(value),
-                        std::memory_order_relaxed);
+                        std::memory_order_release);
   slot.ref.store(1, std::memory_order_relaxed);
   slot.seq.store(seq_even + 2, std::memory_order_release);
   return true;
@@ -97,10 +100,9 @@ OracleClockCache::InsertOutcome OracleClockCache::Insert(
     Slot& slot = slots_[(base + i) & mask_];
     const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
     if (seq & 1) continue;
-    const std::uint64_t nodes = slot.nodes.load(std::memory_order_relaxed);
+    const std::uint64_t nodes = slot.nodes.load(std::memory_order_acquire);
     const std::uint32_t metric =
-        slot.metric_plus1.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+        slot.metric_plus1.load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
     if (metric == 0) {
       // The claim CAS only succeeds if seq is unchanged since the reads

@@ -104,8 +104,9 @@ struct OracleCacheCounters {
 ///
 /// No mutex anywhere; no operation ever blocks another. TSan-clean: every
 /// shared field is a std::atomic and the per-slot publication protocol is
-/// the standard seqlock (acquire fence between the payload reads and the
-/// sequence re-check, release store publishing the new sequence).
+/// the standard seqlock in the form TSan models (release payload stores,
+/// acquire payload loads before the sequence re-check, release store
+/// publishing the new sequence) — no standalone fences.
 class OracleClockCache {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8). The probe

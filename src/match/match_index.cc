@@ -3,8 +3,106 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <span>
 
 namespace xar {
+
+namespace {
+
+/// One walkable-cluster hit of a candidate ride on one side of a request.
+struct SideEntry {
+  double walk_m;
+  double eta_s;
+  ClusterId cluster;
+  LandmarkId landmark;
+};
+
+/// The order of one ride's side entries: least walk, then earliest ETA,
+/// then cluster id (a ride has at most one entry per cluster).
+bool SideLess(const SideEntry& a, const SideEntry& b) {
+  if (a.walk_m != b.walk_m) return a.walk_m < b.walk_m;
+  if (a.eta_s != b.eta_s) return a.eta_s < b.eta_s;
+  return a.cluster < b.cluster;
+}
+
+/// Offers `e` to a ride's kept run `run[0, *count)` of capacity `cap`: the
+/// ride's least entries so far in SideLess order. The run's landmarks are
+/// distinct because its clusters are: a walkable cluster is reached through
+/// one of its own landmarks.
+void Offer(const SideEntry& e, std::size_t cap, SideEntry* run,
+           std::uint32_t* count) {
+  std::size_t n = *count;
+  std::size_t at = n;
+  while (at > 0 && SideLess(e, run[at - 1])) --at;
+  if (at == cap) return;
+  if (n == cap) --n;  // the last entry makes room
+  std::copy_backward(run + at, run + n, run + n + 1);
+  run[at] = e;
+  *count = static_cast<std::uint32_t>(n + 1);
+}
+
+/// A ride the source side gathered, with its kept entries on both sides.
+struct GatheredRide {
+  RideId ride;
+  std::uint32_t source_count = 0;
+  std::uint32_t dest_count = 0;
+  std::size_t dest_begin = 0;  ///< its run in SearchScratch::dest
+};
+
+/// The detour terms of one uncrossed pass-through in a joint estimate.
+struct PassTerms {
+  std::size_t segment;
+  bool pickup;   ///< supports the pickup cluster
+  bool dropoff;  ///< supports the drop-off cluster
+  double src;    ///< pickup inserted in this segment
+  double same;   ///< pickup then drop-off inserted in this segment
+  double dst;    ///< drop-off inserted in this segment
+};
+
+/// Per-thread search scratch, reused across calls. Candidates runs under
+/// shared shard locks, so concurrent searches of one index each get their
+/// own. `marks` grows to the largest ride table searched on the thread;
+/// the other vectors to the largest request.
+struct SearchScratch {
+  /// Per ride slot: the search that last gathered the ride, and the ride's
+  /// position in `rides`.
+  struct Mark {
+    std::uint32_t stamp = 0;
+    std::uint32_t ride = 0;
+  };
+  std::vector<Mark> marks;
+  std::uint32_t stamp = 0;
+  std::vector<GatheredRide> rides;
+  std::vector<SideEntry> source;  ///< rides[p]'s run at p * source cap
+  std::vector<SideEntry> dest;
+  std::vector<std::uint32_t> joined;  ///< rides on both sides
+  std::vector<PassTerms> terms;       ///< ChooseInsertionSegments
+};
+
+SearchScratch& ThreadScratch() {
+  thread_local SearchScratch scratch;
+  return scratch;
+}
+
+/// Whether `pt` supports `c`, as itself or as a reachable cluster.
+bool Supports(const PassThroughCluster& pt, ClusterId c) {
+  return pt.cluster == c ||
+         std::binary_search(pt.reachable.begin(), pt.reachable.end(), c);
+}
+
+/// The walkable clusters of `location`'s grid (sorted by walk) within
+/// `walk_limit_m`: the paper's linear traversal of the sorted list.
+std::span<const WalkableCluster> WalkablePrefix(const RegionIndex& region,
+                                                const LatLng& location,
+                                                double walk_limit_m) {
+  std::span<const WalkableCluster> all =
+      region.WalkableClustersOf(region.GridOfPoint(location));
+  std::size_t n = 0;
+  while (n < all.size() && all[n].walk_m <= walk_limit_m) ++n;
+  return all.first(n);
+}
+
+}  // namespace
 
 MatchIndex::MatchIndex(std::shared_ptr<const RegionSnapshot> snapshot,
                        const RoadGraph& graph)
@@ -290,18 +388,8 @@ bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
   const RideRegistration* reg = RegistrationOf(ride.id);
   if (reg == nullptr) return false;
   const DistanceMatrix& lm = region_->landmark_metric();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  auto supports = [](const PassThroughCluster& pt, ClusterId c) {
-    return pt.cluster == c ||
-           std::find(pt.reachable.begin(), pt.reachable.end(), c) !=
-               pt.reachable.end();
-  };
-  // Landmark of the via-point ending segment `seg` (invalid when the
-  // via-point's grid carries no landmark).
-  auto via_landmark = [&](std::size_t seg) {
-    return region_->LandmarkOfGrid(region_->GridOfPoint(
-        graph_->PositionOf(ride.via_points[seg + 1].node)));
-  };
   // Landmark-metric distance with a cluster-level fallback when either
   // landmark is unknown.
   auto dist = [&](LandmarkId a, LandmarkId b, ClusterId ca, ClusterId cb) {
@@ -309,61 +397,115 @@ bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
     if (ca.valid() && cb.valid()) return region_->ClusterDistance(ca, cb);
     return 0.0;
   };
-  auto cluster_of = [&](LandmarkId l) {
-    return l.valid() ? region_->ClusterOfLandmark(l) : ClusterId::Invalid();
-  };
+  const double pickup_to_dropoff = dist(pickup_landmark, dropoff_landmark,
+                                        source_cluster, dest_cluster);
 
-  double best = std::numeric_limits<double>::infinity();
-  for (const PassThroughCluster& ps : reg->pass_throughs) {
-    if (ps.crossed || !supports(ps, source_cluster)) continue;
-    LandmarkId next_s = via_landmark(ps.segment);
-    for (const PassThroughCluster& pd : reg->pass_throughs) {
-      if (pd.crossed || pd.segment < ps.segment) continue;
-      if (!supports(pd, dest_cluster)) continue;
-      double est;
-      if (ps.segment == pd.segment) {
-        // Sequential same-segment insertion: at -> pickup -> dropoff -> next.
-        est = dist(ps.landmark, pickup_landmark, ps.cluster, source_cluster) +
-              dist(pickup_landmark, dropoff_landmark, source_cluster,
-                   dest_cluster);
-        if (next_s.valid() || cluster_of(next_s).valid()) {
-          est += dist(dropoff_landmark, next_s, dest_cluster,
-                      cluster_of(next_s)) -
-                 dist(ps.landmark, next_s, ps.cluster, cluster_of(next_s));
-        }
-        est = std::max(0.0, est);
-      } else {
-        LandmarkId next_d = via_landmark(pd.segment);
-        double est_src =
-            dist(ps.landmark, pickup_landmark, ps.cluster, source_cluster);
-        if (next_s.valid()) {
-          est_src = std::max(
-              0.0, est_src +
-                       dist(pickup_landmark, next_s, source_cluster,
-                            cluster_of(next_s)) -
-                       dist(ps.landmark, next_s, ps.cluster,
-                            cluster_of(next_s)));
-        }
-        double est_dst =
-            dist(pd.landmark, dropoff_landmark, pd.cluster, dest_cluster);
-        if (next_d.valid()) {
-          est_dst = std::max(
-              0.0, est_dst +
-                       dist(dropoff_landmark, next_d, dest_cluster,
-                            cluster_of(next_d)) -
-                       dist(pd.landmark, next_d, pd.cluster,
-                            cluster_of(next_d)));
-        }
-        est = est_src + est_dst;
+  // Pass 1, forward: each uncrossed pass-through's own terms. Inserting the
+  // pickup in its segment costs `src` (at -> pickup -> next via-point),
+  // the drop-off costs `dst`, and both in sequence cost `same`
+  // (at -> pickup -> dropoff -> next).
+  std::vector<PassTerms>& terms = ThreadScratch().terms;
+  terms.clear();
+  std::size_t segment = std::numeric_limits<std::size_t>::max();
+  LandmarkId next;
+  ClusterId next_cluster;
+  double pickup_to_next = 0.0;
+  double dropoff_to_next = 0.0;
+  for (const PassThroughCluster& pt : reg->pass_throughs) {
+    if (pt.crossed) continue;
+    const bool pickup = Supports(pt, source_cluster);
+    const bool dropoff = Supports(pt, dest_cluster);
+    if (!pickup && !dropoff) continue;
+    assert(segment == std::numeric_limits<std::size_t>::max() ||
+           pt.segment >= segment);
+    if (pt.segment != segment) {
+      // Landmark of the via-point ending this segment (invalid when its
+      // grid carries no landmark).
+      segment = pt.segment;
+      next = region_->LandmarkOfGrid(region_->GridOfPoint(
+          graph_->PositionOf(ride.via_points[segment + 1].node)));
+      next_cluster = next.valid() ? region_->ClusterOfLandmark(next)
+                                  : ClusterId::Invalid();
+      pickup_to_next =
+          dist(pickup_landmark, next, source_cluster, next_cluster);
+      dropoff_to_next =
+          dist(dropoff_landmark, next, dest_cluster, next_cluster);
+    }
+    const double here_to_next =
+        dist(pt.landmark, next, pt.cluster, next_cluster);
+    PassTerms t{pt.segment, pickup, dropoff, kInf, kInf, kInf};
+    if (pickup) {
+      const double to_pickup =
+          dist(pt.landmark, pickup_landmark, pt.cluster, source_cluster);
+      t.same = to_pickup + pickup_to_dropoff;
+      if (next.valid()) t.same += dropoff_to_next - here_to_next;
+      t.same = std::max(0.0, t.same);
+      t.src = to_pickup;
+      if (next.valid()) {
+        t.src = std::max(0.0, t.src + pickup_to_next - here_to_next);
       }
-      if (est < best) {
+    }
+    if (dropoff) {
+      t.dst = dist(pt.landmark, dropoff_landmark, pt.cluster, dest_cluster);
+      if (next.valid()) {
+        t.dst = std::max(0.0, t.dst + dropoff_to_next - here_to_next);
+      }
+    }
+    terms.push_back(t);
+  }
+
+  // Pass 2, backward over segments: a pickup pass-through's least estimate
+  // is `same` if a drop-off pass-through shares its segment, else `src`
+  // plus the least `dst` of a later segment. Rounding is monotone, so
+  // src + min(dst) is the least of the pairwise sums. Ties resolve as a
+  // scan over every segment-ordered (pickup, drop-off) pair would resolve
+  // them, to its first strict minimum: the earliest pickup (hence `<=`
+  // going backward), then `same`, whose pairs come first.
+  double best = kInf;
+  std::size_t chosen = 0;
+  bool chosen_same = false;
+  double later_dst = kInf;  // least dst over segments after the current one
+  for (std::size_t end = terms.size(); end > 0;) {
+    std::size_t begin = end - 1;
+    while (begin > 0 && terms[begin - 1].segment == terms[end - 1].segment) {
+      --begin;
+    }
+    bool dropoff_here = false;
+    double segment_dst = kInf;
+    for (std::size_t t = begin; t < end; ++t) {
+      if (!terms[t].dropoff) continue;
+      dropoff_here = true;
+      segment_dst = std::min(segment_dst, terms[t].dst);
+    }
+    for (std::size_t t = end; t-- > begin;) {
+      if (!terms[t].pickup) continue;
+      const double split = terms[t].src + later_dst;
+      const bool same = dropoff_here && terms[t].same <= split;
+      const double est = same ? terms[t].same : split;
+      if (est <= best) {
         best = est;
-        *seg_src = ps.segment;
-        *seg_dst = pd.segment;
+        chosen = t;
+        chosen_same = same;
+      }
+    }
+    later_dst = std::min(later_dst, segment_dst);
+    end = begin;
+  }
+  if (best == kInf) return false;
+
+  const PassTerms& ps = terms[chosen];
+  *seg_src = ps.segment;
+  *seg_dst = ps.segment;
+  if (!chosen_same) {
+    // The first later drop-off pass-through whose sum attains the minimum.
+    for (std::size_t t = chosen + 1; t < terms.size(); ++t) {
+      if (terms[t].dropoff && terms[t].segment > ps.segment &&
+          ps.src + terms[t].dst == best) {
+        *seg_dst = terms[t].segment;
+        break;
       }
     }
   }
-  if (best == std::numeric_limits<double>::infinity()) return false;
   *joint_estimate_m = best;
   return true;
 }
@@ -382,67 +524,6 @@ std::size_t MatchIndex::MemoryFootprint() const {
   return bytes;
 }
 
-void MatchIndex::CollectSideCandidates(
-    const RegionIndex& region, const LatLng& location, double walk_limit_m,
-    double eta_begin, double eta_end, std::size_t per_ride,
-    std::vector<std::pair<RideId, SideCandidate>>* out) const {
-  GridId grid = region.GridOfPoint(location);
-  // Walkable clusters are sorted by walking distance: scan the prefix within
-  // the request's threshold (paper: linear traversal of the sorted list).
-  for (const WalkableCluster& wc : region.WalkableClustersOf(grid)) {
-    if (wc.walk_m > walk_limit_m) break;
-    const ClusterRideList& list = ListOf(wc.cluster);
-    for (const PotentialRide& pr : list.EtaRange(eta_begin, eta_end)) {
-      out->emplace_back(pr.ride, SideCandidate{wc.walk_m, pr.eta_s,
-                                               pr.detour_m, wc.cluster,
-                                               wc.nearest_landmark});
-    }
-  }
-  // Keep, per ride, the `per_ride` least-walk candidates (ties: earlier ETA)
-  // with distinct landmarks — the list is small; sort + compact keeps it
-  // allocation-light.
-  std::sort(out->begin(), out->end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    if (a.second.walk_m != b.second.walk_m)
-      return a.second.walk_m < b.second.walk_m;
-    return a.second.eta_s < b.second.eta_s;
-  });
-  if (per_ride <= 1) {
-    out->erase(std::unique(out->begin(), out->end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first == b.first;
-                           }),
-               out->end());
-    return;
-  }
-  // Meeting points: in-place compaction keeping up to per_ride entries per
-  // ride. Kept entries of the current ride live in [run_begin, w), so the
-  // distinct-landmark scan is O(per_ride) per entry.
-  std::size_t w = 0;
-  std::size_t run_begin = 0;
-  std::size_t kept_in_run = 0;
-  RideId current = RideId::Invalid();
-  for (std::size_t r = 0; r < out->size(); ++r) {
-    if (w == 0 || (*out)[r].first != current) {
-      current = (*out)[r].first;
-      run_begin = w;
-      kept_in_run = 0;
-    }
-    if (kept_in_run >= per_ride) continue;
-    bool duplicate_landmark = false;
-    for (std::size_t p = run_begin; p < w; ++p) {
-      if ((*out)[p].second.landmark == (*out)[r].second.landmark) {
-        duplicate_landmark = true;
-        break;
-      }
-    }
-    if (duplicate_landmark) continue;
-    (*out)[w++] = (*out)[r];
-    ++kept_in_run;
-  }
-  out->resize(w);
-}
-
 std::vector<RideMatch> MatchIndex::Candidates(
     const RideRequest& request, const MatchTuning& tuning,
     const RideLookup& rides) const {
@@ -455,100 +536,138 @@ std::vector<RideMatch> MatchIndex::Candidates(
       snapshot_.load(std::memory_order_acquire);
   const RegionIndex& region = *pinned->index;
 
-  // Step 1: candidate rides around the source, keyed by pickup-cluster ETA
-  // inside the departure window.
-  std::vector<std::pair<RideId, SideCandidate>> source_side;
-  CollectSideCandidates(region, request.source, walk_limit,
-                        request.earliest_departure_s -
-                            tuning.eta_window_slack_s,
-                        request.latest_departure_s + tuning.eta_window_slack_s,
-                        per_ride, &source_side);
+  SearchScratch& scratch = ThreadScratch();
+  const RideSlots slots = rides.Slots();
+  if (scratch.marks.size() < slots.size) scratch.marks.resize(slots.size);
+  if (++scratch.stamp == 0) {
+    std::fill(scratch.marks.begin(), scratch.marks.end(),
+              SearchScratch::Mark{});
+    scratch.stamp = 1;
+  }
+  scratch.rides.clear();
+  scratch.source.clear();
+  scratch.dest.clear();
+  scratch.joined.clear();
 
-  // Step 2: candidate rides around the destination; the drop-off may happen
-  // any time between the window start and the onboard bound.
-  std::vector<std::pair<RideId, SideCandidate>> dest_side;
-  CollectSideCandidates(region, request.destination, walk_limit,
-                        request.earliest_departure_s,
-                        request.latest_departure_s + tuning.max_onboard_s,
-                        per_ride, &dest_side);
+  // A ride keeps at most one entry per walkable cluster, so a run never
+  // needs more room than the side has clusters.
+  const std::span<const WalkableCluster> source_clusters =
+      WalkablePrefix(region, request.source, walk_limit);
+  const std::span<const WalkableCluster> dest_clusters =
+      WalkablePrefix(region, request.destination, walk_limit);
+  const std::size_t cap = std::max<std::size_t>(per_ride, 1);
+  const std::size_t source_cap = std::min(cap, source_clusters.size());
+  const std::size_t dest_cap = std::min(cap, dest_clusters.size());
 
-  // Intersection R' = R1 ∩ R2 on sorted ride ids, then the final walking &
-  // detour threshold checks (paper Section VII). Both sides hold runs of up
-  // to per_ride entries per ride (least-walk first); each feasible
-  // cross-combination of a run pair is a distinct meeting-point match, at
-  // most per_ride of them per ride.
-  std::vector<RideMatch> matches;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < source_side.size() && j < dest_side.size()) {
-    if (source_side[i].first < dest_side[j].first) {
-      ++i;
-      continue;
-    }
-    if (dest_side[j].first < source_side[i].first) {
-      ++j;
-      continue;
-    }
-    const RideId ride_id = source_side[i].first;
-    std::size_t i_end = i;
-    while (i_end < source_side.size() && source_side[i_end].first == ride_id)
-      ++i_end;
-    std::size_t j_end = j;
-    while (j_end < dest_side.size() && dest_side[j_end].first == ride_id)
-      ++j_end;
-    const Ride* ride = rides.Find(ride_id);
-    std::size_t emitted = 0;
-    if (ride != nullptr && ride->active &&
-        ride->seats_available >= request.seats) {
-      for (std::size_t ii = i; ii < i_end && emitted < per_ride; ++ii) {
-        const SideCandidate& s = source_side[ii].second;
-        for (std::size_t jj = j; jj < j_end && emitted < per_ride; ++jj) {
-          const SideCandidate& d = dest_side[jj].second;
-          // The ride must reach the pickup cluster before the drop-off
-          // cluster, and they must differ (same-cluster trips are below
-          // system resolution).
-          if (s.cluster == d.cluster || s.eta_s > d.eta_s) continue;
-          if (s.walk_m + d.walk_m > walk_limit) continue;
-          // Combined detour check (paper Section VII, final step) with the
-          // joint cluster-level estimate — pure index lookups, no shortest
-          // paths.
-          std::size_t seg_s = 0;
-          std::size_t seg_d = 0;
-          double joint_detour = 0.0;
-          if (!ChooseInsertionSegments(*ride, s.cluster, s.landmark,
-                                       d.cluster, d.landmark, &seg_s, &seg_d,
-                                       &joint_detour)) {
-            continue;
-          }
-          if (joint_detour > ride->RemainingDetourBudget()) continue;
-
-          RideMatch m;
-          m.ride = ride_id;
-          m.walk_source_m = s.walk_m;
-          m.walk_dest_m = d.walk_m;
-          m.eta_source_s = s.eta_s;
-          m.eta_dest_s = d.eta_s;
-          m.detour_estimate_m = joint_detour;
-          m.source_cluster = s.cluster;
-          m.dest_cluster = d.cluster;
-          m.pickup_landmark = s.landmark;
-          m.dropoff_landmark = d.landmark;
-          m.epoch = pinned->epoch;
-          matches.push_back(m);
-          ++emitted;
-        }
+  // Step 1: rides around the source, keyed by pickup-cluster ETA inside the
+  // departure window. Clusters arrive in walk order and each ride keeps its
+  // `per_ride` least entries as they stream in.
+  const double source_begin =
+      request.earliest_departure_s - tuning.eta_window_slack_s;
+  const double source_end =
+      request.latest_departure_s + tuning.eta_window_slack_s;
+  for (const WalkableCluster& wc : source_clusters) {
+    for (const PotentialRide& pr :
+         ListOf(wc.cluster).EtaRange(source_begin, source_end)) {
+      const std::size_t slot = slots.Of(pr.ride);
+      if (slot == slots.size) continue;
+      SearchScratch::Mark& mark = scratch.marks[slot];
+      if (mark.stamp != scratch.stamp) {
+        mark = {scratch.stamp,
+                static_cast<std::uint32_t>(scratch.rides.size())};
+        scratch.rides.push_back(GatheredRide{pr.ride});
+        scratch.source.resize(scratch.source.size() + source_cap);
       }
+      Offer({wc.walk_m, pr.eta_s, wc.cluster, wc.nearest_landmark},
+            source_cap, scratch.source.data() + mark.ride * source_cap,
+            &scratch.rides[mark.ride].source_count);
     }
-    i = i_end;
-    j = j_end;
   }
 
-  std::sort(matches.begin(), matches.end(),
-            [](const RideMatch& a, const RideMatch& b) {
-              if (a.TotalWalkM() != b.TotalWalkM())
-                return a.TotalWalkM() < b.TotalWalkM();
-              return a.ride < b.ride;
+  // Step 2: the same around the destination, where the drop-off may happen
+  // any time between the window start and the onboard bound — a semi-join:
+  // only rides step 1 gathered are kept.
+  const double dest_begin = request.earliest_departure_s;
+  const double dest_end = request.latest_departure_s + tuning.max_onboard_s;
+  for (const WalkableCluster& wc : dest_clusters) {
+    for (const PotentialRide& pr :
+         ListOf(wc.cluster).EtaRange(dest_begin, dest_end)) {
+      const std::size_t slot = slots.Of(pr.ride);
+      if (slot == slots.size || scratch.marks[slot].stamp != scratch.stamp) {
+        continue;
+      }
+      const std::uint32_t p = scratch.marks[slot].ride;
+      GatheredRide& g = scratch.rides[p];
+      if (g.dest_count == 0) {
+        scratch.joined.push_back(p);
+        g.dest_begin = scratch.dest.size();
+        scratch.dest.resize(scratch.dest.size() + dest_cap);
+      }
+      Offer({wc.walk_m, pr.eta_s, wc.cluster, wc.nearest_landmark}, dest_cap,
+            scratch.dest.data() + g.dest_begin, &g.dest_count);
+    }
+  }
+
+  // R' = R1 ∩ R2 in ride-id order, then the final walking & detour
+  // threshold checks (paper Section VII). Each feasible cross-combination
+  // of a ride's two runs is a distinct meeting-point match, at most
+  // per_ride of them per ride.
+  std::sort(scratch.joined.begin(), scratch.joined.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return scratch.rides[a].ride < scratch.rides[b].ride;
             });
+  std::vector<RideMatch> matches;
+  for (std::uint32_t p : scratch.joined) {
+    const GatheredRide& g = scratch.rides[p];
+    const Ride* ride = rides.Find(g.ride);
+    if (ride == nullptr || !ride->active ||
+        ride->seats_available < request.seats) {
+      continue;
+    }
+    const SideEntry* source_run = scratch.source.data() + p * source_cap;
+    const SideEntry* dest_run = scratch.dest.data() + g.dest_begin;
+    std::size_t emitted = 0;
+    for (std::size_t ii = 0; ii < g.source_count && emitted < per_ride; ++ii) {
+      const SideEntry& s = source_run[ii];
+      for (std::size_t jj = 0; jj < g.dest_count && emitted < per_ride; ++jj) {
+        const SideEntry& d = dest_run[jj];
+        // The ride must reach the pickup cluster before the drop-off
+        // cluster, and they must differ (same-cluster trips are below
+        // system resolution).
+        if (s.cluster == d.cluster || s.eta_s > d.eta_s) continue;
+        if (s.walk_m + d.walk_m > walk_limit) continue;
+        // Combined detour check (paper Section VII, final step) with the
+        // joint landmark-level estimate — pure index lookups, no shortest
+        // paths.
+        std::size_t seg_s = 0;
+        std::size_t seg_d = 0;
+        double joint_detour = 0.0;
+        if (!ChooseInsertionSegments(*ride, s.cluster, s.landmark, d.cluster,
+                                     d.landmark, &seg_s, &seg_d,
+                                     &joint_detour)) {
+          continue;
+        }
+        if (joint_detour > ride->RemainingDetourBudget()) continue;
+
+        RideMatch m;
+        m.ride = g.ride;
+        m.walk_source_m = s.walk_m;
+        m.walk_dest_m = d.walk_m;
+        m.eta_source_s = s.eta_s;
+        m.eta_dest_s = d.eta_s;
+        m.detour_estimate_m = joint_detour;
+        m.source_cluster = s.cluster;
+        m.dest_cluster = d.cluster;
+        m.pickup_landmark = s.landmark;
+        m.dropoff_landmark = d.landmark;
+        m.epoch = pinned->epoch;
+        matches.push_back(m);
+        ++emitted;
+      }
+    }
+  }
+
+  std::sort(matches.begin(), matches.end(), MatchRankLess);
   if (tuning.max_results > 0 && matches.size() > tuning.max_results)
     matches.resize(tuning.max_results);
   CountSearch(matches.size());

@@ -28,15 +28,16 @@ struct PassThroughCluster {
   double eta_s = 0.0;
   std::size_t segment = 0;  ///< which via-point segment produced it
   bool crossed = false;     ///< tracking: the ride has already passed it
-  /// Reachable clusters (paper's detour test d_CC' + d_C'v - d_Cv <= d)
-  /// and their cluster-level detour estimates, parallel arrays.
+  /// Reachable clusters (paper's detour test d_CC' + d_C'v - d_Cv <= d),
+  /// in increasing id order, and their cluster-level detour estimates,
+  /// parallel arrays.
   std::vector<ClusterId> reachable;
   std::vector<double> reachable_detour_m;
 };
 
 /// Everything the index knows about one registered ride.
 struct RideRegistration {
-  std::vector<PassThroughCluster> pass_throughs;
+  std::vector<PassThroughCluster> pass_throughs;  ///< in segment order
   /// Every cluster this ride currently appears under (sorted, unique).
   std::vector<ClusterId> registered_clusters;
 };
@@ -74,6 +75,22 @@ struct MatchIndexStats {
 /// "match" stats section for the unified StatsRegistry surface.
 StatsSection MatchStatsSection(const MatchIndexStats& stats);
 
+/// How a ride table lays out its ids: ride `offset + k * stride` sits in
+/// slot k < size (XarOptions::ride_id_offset and ride_id_stride). Search
+/// keys its per-ride scratch by slot.
+struct RideSlots {
+  std::uint32_t offset = 0;
+  std::uint32_t stride = 1;
+  std::size_t size = 0;
+
+  /// The slot of `id`, or `size` when the table has no such slot.
+  std::size_t Of(RideId id) const {
+    const std::uint32_t rel = id.value() - offset;  // wraps below offset
+    const std::size_t slot = rel / stride;
+    return slot < size && rel % stride == 0 ? slot : size;
+  }
+};
+
 /// Resolves a candidate ride id to the live ride state. Implemented by the
 /// owning XarSystem; the index never stores ride state itself, so a
 /// candidate probe always checks seats/activity against the current truth.
@@ -81,6 +98,8 @@ class RideLookup {
  public:
   virtual ~RideLookup() = default;
   virtual const Ride* Find(RideId id) const = 0;
+  /// The id layout of the table Find reads; ids outside it are not found.
+  virtual RideSlots Slots() const = 0;
 };
 
 /// The per-search knobs the systems layer resolved for one Candidates()
@@ -103,9 +122,11 @@ struct MatchTuning {
 /// Contract:
 ///  - Insert/Remove/Update track ride lifecycle; Update re-derives all
 ///    associations after a booking/cancellation changed the ride's shape.
-///  - Candidates returns ranked feasible matches (least total walking,
-///    ties by ride id), each carrying the landmarks/clusters Book needs and
-///    stamped with the epoch of the snapshot it was computed on.
+///  - Candidates returns feasible matches ranked by MatchRankLess, each
+///    carrying the landmarks/clusters Book needs and stamped with the epoch
+///    of the snapshot it was computed on. Each candidate ride costs one
+///    gather visit per side and one joint estimate per kept entry pair
+///    (DESIGN.md §12).
 ///  - Advance implements tracking (paper Section VIII-A): retire index
 ///    entries the ride has driven past; NextEventTime is the next moment
 ///    tracking has work to do for the ride.
@@ -120,7 +141,8 @@ struct MatchTuning {
 ///
 /// Thread safety: none — instances are owned by one XarSystem and guarded
 /// by its shard lock, exactly like the ride state they index. Counters are
-/// atomics only because Candidates() is called under shared (reader) locks.
+/// atomics only because Candidates() is called under shared (reader) locks;
+/// its scratch (and ChooseInsertionSegments') is per thread.
 class MatchIndex {
  public:
   /// Binds the index to `snapshot`'s discretization over `graph`. The
@@ -151,7 +173,8 @@ class MatchIndex {
   std::size_t Advance(const Ride& ride, double now_s);
 
   /// Ranked feasible matches for `request`, resolved against the snapshot
-  /// pinned at entry; candidate ids are checked against `rides`.
+  /// pinned at entry; candidate ids are checked against `rides`, which must
+  /// be the table the indexed rides came from.
   std::vector<RideMatch> Candidates(const RideRequest& request,
                                     const MatchTuning& tuning,
                                     const RideLookup& rides) const;
@@ -164,7 +187,10 @@ class MatchIndex {
   /// in-memory landmark distances) using the concrete pickup/drop-off
   /// landmarks, which is what keeps the Fig. 3a approximation tight.
   /// Requires seg_src <= seg_dst. Returns false when no valid support pair
-  /// exists (stale match). No shortest paths are computed.
+  /// exists (stale match). No shortest paths are computed, and the cost is
+  /// linear in the ride's pass-throughs: each contributes its pickup,
+  /// drop-off and same-segment terms once, and the first strict minimum over
+  /// segment-ordered (pickup, drop-off) pass-through pairs wins.
   bool ChooseInsertionSegments(const Ride& ride, ClusterId source_cluster,
                                LandmarkId pickup_landmark,
                                ClusterId dest_cluster,
@@ -213,14 +239,6 @@ class MatchIndex {
     double detour_m;
   };
 
-  struct SideCandidate {
-    double walk_m;
-    double eta_s;
-    double detour_m;
-    ClusterId cluster;
-    LandmarkId landmark;
-  };
-
   struct AtomicCounters {
     std::atomic<std::uint64_t> inserts{0};
     std::atomic<std::uint64_t> removes{0};
@@ -240,14 +258,6 @@ class MatchIndex {
       const RideRegistration& reg) const;
 
   std::vector<PassThroughCluster> ComputePassThroughs(const Ride& ride) const;
-
-  /// Step 1/2 of Search: per-ride candidates from one endpoint, resolved
-  /// against the pinned `region`. Keeps up to `per_ride` distinct-landmark
-  /// candidates per ride in least-walk order.
-  void CollectSideCandidates(
-      const RegionIndex& region, const LatLng& location, double walk_limit_m,
-      double eta_begin, double eta_end, std::size_t per_ride,
-      std::vector<std::pair<RideId, SideCandidate>>* out) const;
 
   void CountSearch(std::size_t returned) const;
 

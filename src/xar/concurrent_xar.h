@@ -121,9 +121,9 @@ class ConcurrentXarSystem {
   }
 
   /// As Search, with an explicit top-k override (0 = all). Per-shard results
-  /// are merged and re-sorted with XarSystem's comparator (total walking,
-  /// ties by ride id), so the output is byte-identical to a single-shard
-  /// system over the same rides.
+  /// are merged and re-sorted with XarSystem's total order (MatchRankLess),
+  /// so the output is byte-identical to a single-shard system over the same
+  /// rides.
   std::vector<RideMatch> SearchTopK(const RideRequest& request,
                                     std::size_t k) const {
     std::vector<RideMatch> merged;
@@ -132,12 +132,7 @@ class ConcurrentXarSystem {
       std::vector<RideMatch> part = shard->system.SearchTopK(request, k);
       merged.insert(merged.end(), part.begin(), part.end());
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const RideMatch& a, const RideMatch& b) {
-                if (a.TotalWalkM() != b.TotalWalkM())
-                  return a.TotalWalkM() < b.TotalWalkM();
-                return a.ride < b.ride;
-              });
+    std::sort(merged.begin(), merged.end(), MatchRankLess);
     if (k > 0 && merged.size() > k) merged.resize(k);
     return merged;
   }

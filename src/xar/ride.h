@@ -100,6 +100,22 @@ struct RideMatch {
   double TotalWalkM() const { return walk_source_m + walk_dest_m; }
 };
 
+/// The ranking of Search results: least total walking, ties by ride id,
+/// then one ride's meeting-point matches by pickup walk, pickup ETA and the
+/// two clusters. A strict total order on one search's matches (a ride
+/// yields at most one match per cluster pair), so every sort of them —
+/// per shard or merged across shards — agrees.
+inline bool MatchRankLess(const RideMatch& a, const RideMatch& b) {
+  if (a.TotalWalkM() != b.TotalWalkM()) return a.TotalWalkM() < b.TotalWalkM();
+  if (a.ride != b.ride) return a.ride < b.ride;
+  if (a.walk_source_m != b.walk_source_m)
+    return a.walk_source_m < b.walk_source_m;
+  if (a.eta_source_s != b.eta_source_s) return a.eta_source_s < b.eta_source_s;
+  if (a.source_cluster != b.source_cluster)
+    return a.source_cluster < b.source_cluster;
+  return a.dest_cluster < b.dest_cluster;
+}
+
 /// Outcome of a confirmed booking.
 struct BookingRecord {
   RequestId request;

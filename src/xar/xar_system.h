@@ -245,6 +245,11 @@ class XarSystem {
     const Ride* Find(RideId id) const override {
       return system_->GetRide(id);
     }
+    RideSlots Slots() const override {
+      return RideSlots{system_->options_.ride_id_offset,
+                       system_->options_.ride_id_stride,
+                       system_->rides_.size()};
+    }
 
    private:
     const XarSystem* system_;
