@@ -54,9 +54,6 @@ struct BenchWorldOptions {
   /// Worker threads for backend preprocessing (0 = hardware concurrency);
   /// forwarded like XarOptions::preprocess_threads.
   std::size_t preprocess_threads = 0;
-  /// Distance-cache policy of the world's oracle (XarOptions::oracle_cache
-  /// is honored by forwarding it here).
-  OracleCachePolicy oracle_cache = XarOptions{}.oracle_cache;
 };
 
 inline BenchWorld MakeBenchWorld(const BenchWorldOptions& opt = {}) {
@@ -78,11 +75,9 @@ inline BenchWorld MakeBenchWorld(const BenchWorldOptions& opt = {}) {
   XarOptions xar_options;
   xar_options.routing_backend = opt.routing_backend;
   xar_options.preprocess_threads = opt.preprocess_threads;
-  xar_options.oracle_cache = opt.oracle_cache;
   world.oracle = std::make_unique<GraphOracle>(
       world.graph, /*cache_capacity=*/std::size_t{1} << 16,
-      opt.routing_backend, xar_options.BackendOptions(),
-      xar_options.oracle_cache);
+      opt.routing_backend, xar_options.BackendOptions());
 
   WorkloadOptions wopt;
   wopt.num_trips = opt.num_trips;

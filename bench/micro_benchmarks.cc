@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the core operations and the design
 // ablations called out in DESIGN.md §4: routing engines, grid mapping,
 // cluster-list maintenance, ETA-range probes vs linear scan, candidate
-// intersection strategies, and the oracle LRU cache.
+// intersection strategies, and the oracle CLOCK cache.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "discretize/kcenter.h"
 #include "graph/alt.h"
-#include "graph/astar.h"
 #include "graph/contraction_hierarchy.h"
 #include "graph/dijkstra.h"
 #include "tshare/tshare_system.h"
@@ -51,16 +50,6 @@ void BM_DijkstraPointToPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraPointToPoint);
 
-void BM_AStarPointToPoint(benchmark::State& state) {
-  AStarEngine engine(World().graph);
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Distance(RandomNode(rng), RandomNode(rng),
-                                             Metric::kDriveDistance));
-  }
-}
-BENCHMARK(BM_AStarPointToPoint);
-
 void BM_ChPointToPoint(benchmark::State& state) {
   static ContractionHierarchy* engine =
       new ContractionHierarchy(World().graph);
@@ -82,17 +71,7 @@ void BM_AltPointToPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_AltPointToPoint);
 
-void BM_BidirectionalDijkstra(benchmark::State& state) {
-  BidirectionalDijkstra engine(World().graph);
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Distance(RandomNode(rng), RandomNode(rng),
-                                             Metric::kDriveDistance));
-  }
-}
-BENCHMARK(BM_BidirectionalDijkstra);
-
-// Ablation: oracle LRU cache on/off (booking-path workload repeats pairs).
+// Ablation: oracle CLOCK cache on/off (booking-path workload repeats pairs).
 void BM_OracleCached(benchmark::State& state) {
   GraphOracle oracle(World().graph, /*cache_capacity=*/1 << 16);
   Rng rng(1);

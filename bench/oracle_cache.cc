@@ -1,13 +1,11 @@
-// Multi-threaded throughput of the two oracle distance-cache policies
-// (ISSUE 5 tentpole): the lock-free CLOCK approximation vs the striped LRU,
-// measured on the cache itself by pairing each GraphOracle with an instant
+// Multi-threaded throughput of the oracle's lock-free CLOCK distance cache,
+// measured on the cache itself by pairing a GraphOracle with an instant
 // stub backend — so every measured cycle is cache lookup/insert/eviction
 // work, not shortest-path search.
 //
-// Two phases per (policy, threads) point:
+// Two phases per thread count:
 //   - insert-heavy: every query is a distinct key, far more keys than
-//     capacity, so each op is a miss + insert (+ eviction once warm) — the
-//     path where the striped LRU serializes same-stripe writers;
+//     capacity, so each op is a miss + insert (+ eviction once warm);
 //   - mixed 90% hot: 90% of queries draw from a warmed hot set, 10% are
 //     cold distinct keys — the steady-state booking-path shape.
 //
@@ -23,7 +21,6 @@
 #include "bench/bench_common.h"
 #include "common/clock.h"
 #include "graph/oracle.h"
-#include "graph/oracle_cache.h"
 #include "graph/routing_backend.h"
 
 namespace xar {
@@ -95,7 +92,6 @@ double RunWorkers(std::size_t threads, std::size_t ops, const Body& body) {
 }
 
 struct SeriesPoint {
-  OracleCachePolicy policy;
   std::size_t threads = 0;
   double insert_mops = 0.0;  ///< insert-heavy phase, million ops/s
   double mixed_mops = 0.0;   ///< mixed 90%-hot phase, million ops/s
@@ -103,15 +99,13 @@ struct SeriesPoint {
   OracleCacheCounters counters;  ///< after both phases
 };
 
-SeriesPoint MeasurePoint(const RoadGraph& graph, OracleCachePolicy policy,
-                         std::size_t threads, std::size_t insert_ops,
-                         std::size_t mixed_ops) {
+SeriesPoint MeasurePoint(const RoadGraph& graph, std::size_t threads,
+                         std::size_t insert_ops, std::size_t mixed_ops) {
   SeriesPoint point;
-  point.policy = policy;
   point.threads = threads;
 
   GraphOracle oracle(graph, std::make_unique<InstantBackend>(),
-                     kCacheCapacity, policy);
+                     kCacheCapacity);
 
   // Insert-heavy: key == op index, all distinct, working set >> capacity.
   double elapsed = RunWorkers(threads, insert_ops, [&](std::size_t i) {
@@ -150,8 +144,7 @@ SeriesPoint MeasurePoint(const RoadGraph& graph, OracleCachePolicy policy,
 }  // namespace
 
 int Run() {
-  PrintHeader("ORACLE CACHE",
-              "distance-cache throughput: lock-free CLOCK vs striped LRU");
+  PrintHeader("ORACLE CACHE", "distance-cache throughput: lock-free CLOCK");
   const double scale = BenchScale();
   const std::size_t insert_ops = static_cast<std::size_t>(400000 * scale);
   const std::size_t mixed_ops = static_cast<std::size_t>(600000 * scale);
@@ -172,36 +165,24 @@ int Run() {
                 "muted, so read multi-thread deltas as a lower bound.\n",
                 host_cores);
   }
-  std::printf("\n%12s %8s %14s %14s %10s %12s %8s\n", "policy", "threads",
-              "insert Mops/s", "mixed Mops/s", "hit rate", "evictions",
-              "drops");
+  std::printf("\n%8s %14s %14s %10s %12s %8s\n", "threads", "insert Mops/s",
+              "mixed Mops/s", "hit rate", "evictions", "drops");
 
   std::vector<SeriesPoint> series;
-  for (OracleCachePolicy policy :
-       {OracleCachePolicy::kClock, OracleCachePolicy::kStripedLru}) {
-    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SeriesPoint p =
-          MeasurePoint(graph, policy, threads, insert_ops, mixed_ops);
-      std::printf("%12s %8zu %14.2f %14.2f %9.1f%% %12zu %8zu\n",
-                  OracleCachePolicyName(p.policy), p.threads, p.insert_mops,
-                  p.mixed_mops, 100.0 * p.mixed_hit_rate,
-                  static_cast<std::size_t>(p.counters.evictions),
-                  static_cast<std::size_t>(p.counters.drops));
-      series.push_back(p);
-    }
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SeriesPoint p = MeasurePoint(graph, threads, insert_ops, mixed_ops);
+    std::printf("%8zu %14.2f %14.2f %9.1f%% %12zu %8zu\n", p.threads,
+                p.insert_mops, p.mixed_mops, 100.0 * p.mixed_hit_rate,
+                static_cast<std::size_t>(p.counters.evictions),
+                static_cast<std::size_t>(p.counters.drops));
+    series.push_back(p);
   }
-
-  // Speedup at the highest measured thread count (first/last of each
-  // policy's block; layout above is clock block then striped_lru block).
-  const SeriesPoint& clock_top = series[3];
-  const SeriesPoint& lru_top = series[7];
-  const double insert_speedup = clock_top.insert_mops / lru_top.insert_mops;
-  const double mixed_speedup = clock_top.mixed_mops / lru_top.mixed_mops;
 
   const char* json_path = "BENCH_oracle_cache.json";
   std::FILE* f = std::fopen(json_path, "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"oracle_cache\",\n");
+    std::fprintf(f, "  \"policy\": \"clock\",\n");
     std::fprintf(f, "  \"scale\": %.2f,\n", scale);
     std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
     std::fprintf(f, "  \"cache_capacity\": %zu,\n", kCacheCapacity);
@@ -213,27 +194,19 @@ int Run() {
       const SeriesPoint& p = series[i];
       std::fprintf(
           f,
-          "    {\"policy\": \"%s\", \"threads\": %zu, "
+          "    {\"threads\": %zu, "
           "\"insert_mops\": %.3f, \"mixed_mops\": %.3f, "
           "\"mixed_hit_rate\": %.4f, \"evictions\": %zu, \"drops\": %zu, "
           "\"races\": %zu}%s\n",
-          OracleCachePolicyName(p.policy), p.threads, p.insert_mops,
-          p.mixed_mops, p.mixed_hit_rate,
+          p.threads, p.insert_mops, p.mixed_mops, p.mixed_hit_rate,
           static_cast<std::size_t>(p.counters.evictions),
           static_cast<std::size_t>(p.counters.drops),
           static_cast<std::size_t>(p.counters.races),
           i + 1 < series.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"clock_vs_lru_insert_speedup_8t\": %.3f,\n",
-                 insert_speedup);
-    std::fprintf(f, "  \"clock_vs_lru_mixed_speedup_8t\": %.3f\n",
-                 mixed_speedup);
-    std::fprintf(f, "}\n");
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
-    std::printf("\nwrote %s (clock vs striped_lru at 8 threads: %.2fx "
-                "insert, %.2fx mixed)\n",
-                json_path, insert_speedup, mixed_speedup);
+    std::printf("\nwrote %s\n", json_path);
   }
   return 0;
 }

@@ -29,15 +29,14 @@ int main() {
   std::vector<TaxiTrip> trips = GenerateTrips(graph.bounds(), workload);
 
   XarOptions options;
-  // The XAR_* overrides swap the routing backend and cache under the whole
-  // simulated day; a typo is a hard error (xar_shell rules).
+  // The XAR_* overrides swap the routing backend under the whole simulated
+  // day; a typo is a hard error (xar_shell rules).
   if (Status status = ApplyEnvOverrides(&options); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions(),
-                     options.oracle_cache);
+                     options.routing_backend, options.BackendOptions());
   XarSystem xar(graph, spatial, region, oracle, options);
 
   std::printf("simulating %zu trips over a day "

@@ -38,8 +38,7 @@ int main() {
     return 1;
   }
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions(),
-                     options.oracle_cache);
+                     options.routing_backend, options.BackendOptions());
   XarSystem xar(graph, spatial, region, oracle, options);
 
   ScenarioConfig config;

@@ -31,7 +31,8 @@ int main() {
   // 3. The runtime: a routing oracle (used only at create/book time) and
   //    the XAR system itself. XarOptions::routing_backend picks the
   //    shortest-path backend — contraction hierarchies by default; try
-  //    RoutingBackendKind::kAStar for zero preprocessing.
+  //    RoutingBackendKind::kDijkstra for zero preprocessing or kAlt for a
+  //    few landmark searches' worth.
   XarOptions options;
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
                      options.routing_backend, options.BackendOptions());

@@ -26,17 +26,16 @@ int main() {
   dopt.landmarks.num_candidates = 400;
   RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
 
-  // XAR_ROUTING_BACKEND / XAR_ORACLE_CACHE / XAR_PREPROCESS_THREADS
-  // override the defaults; a typo in any of them is a hard error, not a
-  // silent fall-through to the default.
+  // XAR_ROUTING_BACKEND / XAR_PREPROCESS_THREADS override the defaults; a
+  // typo in either is a hard error, not a silent fall-through to the
+  // default.
   XarOptions options;
   if (Status status = ApplyEnvOverrides(&options); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions(),
-                     options.oracle_cache);
+                     options.routing_backend, options.BackendOptions());
   XarSystem xar(graph, spatial, region, oracle, options);
   CommandServer server(xar);
 

@@ -16,10 +16,10 @@ struct EnumOption {
   T value;
 };
 
-/// Uniform parser behind every *FromString helper (RoutingBackendFromString,
-/// OracleCachePolicyFromString, ...): matches `value` against the accepted
-/// spellings and, on an unknown name, returns one InvalidArgument shape that
-/// names the option, echoes the typo and lists the valid spellings:
+/// Uniform parser behind the *FromString helpers (RoutingBackendFromString):
+/// matches `value` against the accepted spellings and, on an unknown name,
+/// returns one InvalidArgument shape that names the option, echoes the typo
+/// and lists the valid spellings:
 ///
 ///   unknown <option> "<value>" (valid: a, b, c)
 ///

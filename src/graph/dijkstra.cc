@@ -111,100 +111,4 @@ std::vector<std::pair<NodeId, double>> DijkstraEngine::NodesWithin(
   return settled;
 }
 
-BidirectionalDijkstra::BidirectionalDijkstra(const RoadGraph& graph)
-    : graph_(graph),
-      fwd_heap_(graph.NumNodes()),
-      bwd_heap_(graph.NumNodes()),
-      fwd_dist_(graph.NumNodes(), kInf),
-      bwd_dist_(graph.NumNodes(), kInf),
-      fwd_mark_(graph.NumNodes(), 0),
-      bwd_mark_(graph.NumNodes(), 0) {
-  // Build reverse CSR once.
-  std::size_t n = graph.NumNodes();
-  rev_offsets_.assign(n + 1, 0);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const RoadEdge& e :
-         graph.OutEdges(NodeId(static_cast<NodeId::underlying_type>(u)))) {
-      ++rev_offsets_[e.to.value() + 1];
-    }
-  }
-  for (std::size_t i = 1; i <= n; ++i) rev_offsets_[i] += rev_offsets_[i - 1];
-  rev_edges_.resize(graph.NumEdges());
-  std::vector<std::size_t> cursor(rev_offsets_.begin(), rev_offsets_.end() - 1);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const RoadEdge& e :
-         graph.OutEdges(NodeId(static_cast<NodeId::underlying_type>(u)))) {
-      RoadEdge rev = e;
-      rev.to = NodeId(static_cast<NodeId::underlying_type>(u));
-      rev_edges_[cursor[e.to.value()]++] = rev;
-    }
-  }
-}
-
-double BidirectionalDijkstra::Distance(NodeId src, NodeId dst, Metric metric) {
-  if (src == dst) return 0.0;
-  ++generation_;
-  fwd_heap_.Clear();
-  bwd_heap_.Clear();
-
-  auto fdist = [&](std::size_t v) {
-    return fwd_mark_[v] == generation_ ? fwd_dist_[v] : kInf;
-  };
-  auto bdist = [&](std::size_t v) {
-    return bwd_mark_[v] == generation_ ? bwd_dist_[v] : kInf;
-  };
-
-  fwd_dist_[src.value()] = 0.0;
-  fwd_mark_[src.value()] = generation_;
-  bwd_dist_[dst.value()] = 0.0;
-  bwd_mark_[dst.value()] = generation_;
-  fwd_heap_.Push(src.value(), 0.0);
-  bwd_heap_.Push(dst.value(), 0.0);
-
-  double best = kInf;
-  while (!fwd_heap_.empty() || !bwd_heap_.empty()) {
-    double fmin = fwd_heap_.empty() ? kInf : fwd_heap_.MinKey();
-    double bmin = bwd_heap_.empty() ? kInf : bwd_heap_.MinKey();
-    if (fmin + bmin >= best) break;  // Standard stopping criterion.
-
-    bool forward = fmin <= bmin;
-    IndexedMinHeap& heap = forward ? fwd_heap_ : bwd_heap_;
-    std::size_t u = heap.PopMin();
-    double du = forward ? fdist(u) : bdist(u);
-    double other = forward ? bdist(u) : fdist(u);
-    if (other != kInf) best = std::min(best, du + other);
-
-    if (forward) {
-      for (const RoadEdge& e :
-           graph_.OutEdges(NodeId(static_cast<NodeId::underlying_type>(u)))) {
-        double w = RoadGraph::EdgeWeight(e, metric);
-        if (w == kInf) continue;
-        std::size_t v = e.to.value();
-        double nd = du + w;
-        if (nd < fdist(v)) {
-          fwd_dist_[v] = nd;
-          fwd_mark_[v] = generation_;
-          fwd_heap_.PushOrDecrease(v, nd);
-          if (bdist(v) != kInf) best = std::min(best, nd + bdist(v));
-        }
-      }
-    } else {
-      for (std::size_t i = rev_offsets_[u]; i < rev_offsets_[u + 1]; ++i) {
-        const RoadEdge& e = rev_edges_[i];
-        double w = RoadGraph::EdgeWeight(e, metric);
-        if (w == kInf) continue;
-        std::size_t v = e.to.value();
-        double nd = du + w;
-        if (nd < bdist(v)) {
-          bwd_dist_[v] = nd;
-          bwd_mark_[v] = generation_;
-          bwd_heap_.PushOrDecrease(v, nd);
-          if (fdist(v) != kInf) best = std::min(best, nd + fdist(v));
-        }
-      }
-    }
-  }
-  return best;
-}
-
 }  // namespace xar

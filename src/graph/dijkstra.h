@@ -70,36 +70,6 @@ class DijkstraEngine {
   std::size_t last_settled_count_ = 0;
 };
 
-/// Bidirectional Dijkstra point-to-point query. Roughly halves the search
-/// space of unidirectional Dijkstra on city-scale graphs; used by the
-/// distance oracle on the booking/creation path.
-class BidirectionalDijkstra {
- public:
-  explicit BidirectionalDijkstra(const RoadGraph& graph);
-
-  /// One-to-one distance under `metric`; +inf if unreachable.
-  ///
-  /// Note: requires a metric whose reverse graph is available; this class
-  /// builds the reverse adjacency on construction.
-  double Distance(NodeId src, NodeId dst, Metric metric);
-
- private:
-  static constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  const RoadGraph& graph_;
-  // Reverse CSR (weights mirrored from the forward graph).
-  std::vector<std::size_t> rev_offsets_;
-  std::vector<RoadEdge> rev_edges_;
-
-  IndexedMinHeap fwd_heap_;
-  IndexedMinHeap bwd_heap_;
-  std::vector<double> fwd_dist_;
-  std::vector<double> bwd_dist_;
-  std::vector<std::uint32_t> fwd_mark_;
-  std::vector<std::uint32_t> bwd_mark_;
-  std::uint32_t generation_ = 0;
-};
-
 }  // namespace xar
 
 #endif  // XAR_GRAPH_DIJKSTRA_H_

@@ -8,7 +8,7 @@
 namespace xar {
 
 /// All-pairs shortest distances by Floyd-Warshall. O(V^3): reference
-/// implementation used as a test oracle against the Dijkstra/A* engines on
+/// implementation used as a test oracle against the routing engines on
 /// small graphs. Result is row-major: d[u * n + v].
 std::vector<double> FloydWarshallDistances(const RoadGraph& graph,
                                            Metric metric);

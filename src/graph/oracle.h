@@ -4,11 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats_registry.h"
@@ -98,31 +95,26 @@ class DistanceOracle {
 /// Exact oracle backed by a pluggable RoutingBackend over a RoadGraph, with
 /// a distance result cache in front of it (distance queries only; routes are
 /// always computed). The default backend is contraction hierarchies — the
-/// fastest per query once its lazy per-metric build has run; pass
-/// RoutingBackendKind::kAStar for the preprocessing-free behaviour this
-/// class had before backends were pluggable.
+/// fastest per query once its lazy per-metric build has run; Dijkstra needs
+/// no preprocessing and ALT only a few landmark searches.
 ///
-/// The cache is policy-pluggable (OracleCachePolicy):
-///  - kClock (default): lossy lock-free CLOCK approximation — no locks on
-///    the read or insert path, so same-bucket insertions never serialize.
-///    Losing an insert race drops the entry and the backend recomputes;
-///    returned distances are bit-identical either way because the backend
-///    is a pure function of (from, to, metric).
-///  - kStripedLru: the previous exact striped LRU (per-stripe mutex and LRU
-///    list; hot-path locks are per-stripe and never held during a
-///    shortest-path computation). Kept behind the policy enum so
-///    differential tests can compare both.
+/// The cache is the lossy lock-free CLOCK approximation (OracleClockCache):
+/// no locks on the read or insert path, so same-bucket insertions never
+/// serialize. Losing an insert race drops the entry and the backend
+/// recomputes; returned distances are bit-identical either way because the
+/// backend is a pure function of (from, to, metric). Capacity 0 means no
+/// cache at all, which makes the uncached oracle the differential reference
+/// for the cached one.
 ///
-/// Thread-safe under either policy: the backend leases per-thread
-/// workspaces internally, so any number of threads can query concurrently.
-/// Two threads racing on the same cold key may both compute it;
-/// computation_count() reports real computations, so single-threaded
-/// counts are exactly as before.
+/// Thread-safe: the backend leases per-thread workspaces internally, so any
+/// number of threads can query concurrently. Two threads racing on the same
+/// cold key may both compute it; computation_count() reports real
+/// computations, so single-threaded counts are exact.
 class GraphOracle : public DistanceOracle {
  public:
   /// `cache_capacity` = max cached (src,dst,metric) distance entries;
-  /// 0 disables caching. For kStripedLru, small capacities use a single
-  /// stripe so eviction order stays strict LRU.
+  /// 0 disables caching. `cache_policy` names the cache kind; CLOCK is the
+  /// only one.
   explicit GraphOracle(const RoadGraph& graph,
                        std::size_t cache_capacity = 1 << 16,
                        RoutingBackendKind backend = RoutingBackendKind::kCh,
@@ -132,8 +124,7 @@ class GraphOracle : public DistanceOracle {
 
   /// Takes ownership of a caller-built backend (tests, unusual configs).
   GraphOracle(const RoadGraph& graph, std::unique_ptr<RoutingBackend> backend,
-              std::size_t cache_capacity = 1 << 16,
-              OracleCachePolicy cache_policy = OracleCachePolicy::kClock);
+              std::size_t cache_capacity = 1 << 16);
 
   double DriveDistance(NodeId from, NodeId to) override;
   double DriveTime(NodeId from, NodeId to) override;
@@ -157,12 +148,14 @@ class GraphOracle : public DistanceOracle {
   }
   const char* backend_name() const override { return backend_->name(); }
   const char* cache_policy_name() const override {
-    return cache_capacity_ == 0 ? "none" : OracleCachePolicyName(policy_);
+    return cache_ == nullptr ? "none"
+                             : OracleCachePolicyName(OracleCachePolicy::kClock);
   }
-  OracleCacheCounters cache_counters() const override;
+  OracleCacheCounters cache_counters() const override {
+    return cache_ == nullptr ? OracleCacheCounters{} : cache_->counters();
+  }
   void Prewarm() override;
 
-  OracleCachePolicy cache_policy() const { return policy_; }
   RoutingBackend& backend() { return *backend_; }
   const RoutingBackend& backend() const { return *backend_; }
   const RoutingBackend* routing_backend() const override {
@@ -171,42 +164,12 @@ class GraphOracle : public DistanceOracle {
   RoutingBackend* mutable_routing_backend() override { return backend_.get(); }
 
  private:
-  struct CacheEntry {
-    double distance;
-    std::list<OracleCacheKey>::iterator lru_it;
-  };
-  struct Stripe {
-    std::mutex mutex;
-    std::list<OracleCacheKey> lru;
-    std::unordered_map<OracleCacheKey, CacheEntry, OracleCacheKeyHash> map;
-  };
-
   double CachedDistance(NodeId from, NodeId to, Metric metric);
-  double StripedLruDistance(const OracleCacheKey& key, NodeId from, NodeId to,
-                            Metric metric);
-  /// Probe-only cache read (either policy); no counters, no computation.
-  std::optional<double> CacheProbe(const OracleCacheKey& key);
-  /// Insert-only cache write (either policy); keeps the insert-path
-  /// counters of the active policy.
-  void CacheInsert(const OracleCacheKey& key, double distance);
-  Stripe& StripeOf(const OracleCacheKey& key) {
-    return *stripes_[OracleCacheKeyHash{}(key) % stripes_.size()];
-  }
 
   const RoadGraph& graph_;
   std::unique_ptr<RoutingBackend> backend_;
-  std::size_t cache_capacity_;
-  OracleCachePolicy policy_;
-
-  // kClock state.
-  std::unique_ptr<OracleClockCache> clock_cache_;
-
-  // kStripedLru state.
-  std::size_t stripe_capacity_ = 0;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<std::uint64_t> lru_insertions_{0};
-  std::atomic<std::uint64_t> lru_evictions_{0};
-  std::atomic<std::uint64_t> lru_races_{0};
+  /// Null when the capacity is 0.
+  std::unique_ptr<OracleClockCache> cache_;
 
   std::atomic<std::size_t> computations_{0};
   std::atomic<std::size_t> cache_hits_{0};
@@ -242,8 +205,7 @@ void PrewarmFrom(DistanceOracle& incoming, const DistanceOracle& outgoing);
 
 /// "oracle" stats section (backend, cache policy, computations, cache hits,
 /// hit rate, settled nodes, insert-path counters, and how each prepared
-/// metric's preprocessing was obtained, e.g. `drive_m=inherited`) — the
-/// observability the ROADMAP's striped-cache question asked for. Register
+/// metric's preprocessing was obtained, e.g. `drive_m=inherited`). Register
 /// on a StatsRegistry:
 ///   registry.Register("oracle", [&] { return OracleStatsSection(oracle); });
 StatsSection OracleStatsSection(const DistanceOracle& oracle);

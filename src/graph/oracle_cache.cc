@@ -1,9 +1,6 @@
 #include "graph/oracle_cache.h"
 
 #include <atomic>
-#include <string>
-
-#include "common/enum_option.h"
 
 namespace xar {
 namespace {
@@ -18,26 +15,10 @@ std::size_t RoundUpPow2(std::size_t n) {
 
 const char* OracleCachePolicyName(OracleCachePolicy policy) {
   switch (policy) {
-    case OracleCachePolicy::kStripedLru:
-      return "striped_lru";
     case OracleCachePolicy::kClock:
       return "clock";
   }
   return "unknown";
-}
-
-std::optional<OracleCachePolicy> ParseOracleCachePolicy(
-    std::string_view name) {
-  Result<OracleCachePolicy> policy = OracleCachePolicyFromString(name);
-  if (!policy.ok()) return std::nullopt;
-  return policy.value();
-}
-
-Result<OracleCachePolicy> OracleCachePolicyFromString(std::string_view name) {
-  return ParseEnumOption<OracleCachePolicy>(
-      "oracle cache policy", name,
-      {{"striped_lru", OracleCachePolicy::kStripedLru},
-       {"clock", OracleCachePolicy::kClock}});
 }
 
 OracleClockCache::OracleClockCache(std::size_t capacity)

@@ -7,35 +7,24 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string_view>
 
 #include "common/ids.h"
-#include "common/result.h"
 #include "graph/road_graph.h"
 
 namespace xar {
 
-/// Which distance-cache implementation a GraphOracle runs in front of its
-/// routing backend (XarOptions::oracle_cache picks one per system).
+/// The distance cache a GraphOracle runs in front of its routing backend.
+/// CLOCK is the only policy; the enum stays because XarOptions::oracle_cache
+/// and the GraphOracle constructor still name it.
 enum class OracleCachePolicy {
-  /// Striped LRU: exact LRU order per stripe, per-stripe mutex. Insertions
-  /// on the same stripe serialize — the scaling hazard the ROADMAP flags.
-  kStripedLru,
   /// Lossy lock-free CLOCK approximation (OracleClockCache): no locks on
   /// the read or insert path; losing a race simply drops the entry and the
-  /// backend recomputes. The production default.
+  /// backend recomputes.
   kClock,
 };
 
-/// Stable lowercase name ("striped_lru", "clock") for logs/stats/JSON.
+/// Stable lowercase name ("clock") for logs/stats/JSON.
 const char* OracleCachePolicyName(OracleCachePolicy policy);
-
-/// Inverse of OracleCachePolicyName; nullopt on unknown names.
-std::optional<OracleCachePolicy> ParseOracleCachePolicy(std::string_view name);
-
-/// Like ParseOracleCachePolicy, but unknown names yield an InvalidArgument
-/// status listing the valid names — use for user input (env vars, CLI).
-Result<OracleCachePolicy> OracleCachePolicyFromString(std::string_view name);
 
 /// Cache key of one (from, to, metric) distance query. `from` and `to` use
 /// the full 32 bits each: the old single-uint64 packing (`from << 34 |
@@ -72,7 +61,7 @@ struct OracleCacheKeyHash {
   }
 };
 
-/// Structural counters shared by both cache policies. Hits and misses are
+/// Insert-path counters of the distance cache. Hits and misses are
 /// counted by the owning GraphOracle (cache_hit_count / computation_count);
 /// these count what happened on the insert path.
 struct OracleCacheCounters {

@@ -49,8 +49,8 @@ class RoadGraph {
   /// Geographic bounding box of all nodes.
   const BoundingBox& bounds() const { return bounds_; }
 
-  /// Straight-line lower bound on driving time between two nodes, using the
-  /// network's maximum speed. Admissible A* heuristic.
+  /// The network's maximum drivable speed: straight-line distance over it
+  /// is a lower bound on driving time.
   double MaxSpeedMps() const { return max_speed_mps_; }
 
   /// The weight of `e` under `metric`, or +inf if the edge does not

@@ -8,7 +8,6 @@
 
 #include "common/enum_option.h"
 #include "graph/alt.h"
-#include "graph/astar.h"
 #include "graph/dijkstra.h"
 #include "graph/path_profile.h"
 
@@ -211,71 +210,6 @@ class DijkstraBackend final : public RoutingBackend {
   std::atomic<std::size_t> queries_{0};
 };
 
-class AStarBackend final : public RoutingBackend {
- public:
-  explicit AStarBackend(const RoadGraph& graph) : graph_(graph) {}
-
-  double Distance(NodeId from, NodeId to, Metric metric) override {
-    auto engine = AcquireEngine();
-    double d = engine->Distance(from, to, metric);
-    Account(engine->last_settled_count());
-    return d;
-  }
-
-  Path Route(NodeId from, NodeId to, Metric metric) override {
-    auto engine = AcquireEngine();
-    Path p = engine->ShortestPath(from, to, metric);
-    Account(engine->last_settled_count());
-    return p;
-  }
-
-  std::vector<double> DistancesToMany(NodeId src,
-                                      const std::vector<NodeId>& targets,
-                                      Metric metric) override {
-    // Per-pair A* (no one-to-many structure), but through ONE leased engine
-    // so the loop does not pay a pool round-trip per target.
-    CountFallbackQuery();
-    auto engine = AcquireEngine();
-    std::vector<double> out;
-    out.reserve(targets.size());
-    std::size_t settled = 0;
-    for (NodeId t : targets) {
-      out.push_back(engine->Distance(src, t, metric));
-      settled += engine->last_settled_count();
-    }
-    Account(settled);
-    return out;
-  }
-
-  RoutingBackendKind kind() const override { return RoutingBackendKind::kAStar; }
-  std::size_t settled_count() const override {
-    return settled_.load(std::memory_order_relaxed);
-  }
-  std::size_t query_count() const override {
-    return queries_.load(std::memory_order_relaxed);
-  }
-  std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + pool_.IdleFootprint([](const AStarEngine& e) {
-      return e.MemoryFootprint();
-    });
-  }
-
- private:
-  EnginePool<AStarEngine>::Lease AcquireEngine() {
-    return pool_.Acquire(
-        [this] { return std::make_unique<AStarEngine>(graph_); });
-  }
-  void Account(std::size_t settled) {
-    settled_.fetch_add(settled, std::memory_order_relaxed);
-    queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  const RoadGraph& graph_;
-  EnginePool<AStarEngine> pool_;
-  std::atomic<std::size_t> settled_{0};
-  std::atomic<std::size_t> queries_{0};
-};
-
 /// Shared scaffolding for the preprocessing backends (ALT, CH): one lazily
 /// built immutable product per metric (std::call_once so racing first
 /// queries — and TSan — see exactly one build), plus a workspace pool.
@@ -305,7 +239,8 @@ class AltBackend final : public RoutingBackend {
   std::vector<double> DistancesToMany(NodeId src,
                                       const std::vector<NodeId>& targets,
                                       Metric metric) override {
-    // Per-pair ALT through one leased engine (see AStarBackend).
+    // Per-pair ALT (no one-to-many structure), but through ONE leased
+    // engine so the loop does not pay a pool round-trip per target.
     CountFallbackQuery();
     PerMetric& pm = Ensure(metric);
     auto engine = pm.pool.Acquire(
@@ -562,8 +497,6 @@ const char* RoutingBackendName(RoutingBackendKind kind) {
   switch (kind) {
     case RoutingBackendKind::kDijkstra:
       return "dijkstra";
-    case RoutingBackendKind::kAStar:
-      return "astar";
     case RoutingBackendKind::kAlt:
       return "alt";
     case RoutingBackendKind::kCh:
@@ -582,7 +515,6 @@ Result<RoutingBackendKind> RoutingBackendFromString(std::string_view name) {
   return ParseEnumOption<RoutingBackendKind>(
       "routing backend", name,
       {{"dijkstra", RoutingBackendKind::kDijkstra},
-       {"astar", RoutingBackendKind::kAStar},
        {"alt", RoutingBackendKind::kAlt},
        {"ch", RoutingBackendKind::kCh}});
 }
@@ -617,8 +549,6 @@ std::unique_ptr<RoutingBackend> MakeRoutingBackend(
   switch (kind) {
     case RoutingBackendKind::kDijkstra:
       return std::make_unique<DijkstraBackend>(graph);
-    case RoutingBackendKind::kAStar:
-      return std::make_unique<AStarBackend>(graph);
     case RoutingBackendKind::kAlt:
       return std::make_unique<AltBackend>(graph, options.alt_anchors);
     case RoutingBackendKind::kCh:

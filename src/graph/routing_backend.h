@@ -23,12 +23,11 @@ const char* MetricName(Metric metric);
 /// The shortest-path algorithm the oracle runs on a cache miss.
 enum class RoutingBackendKind {
   kDijkstra,  ///< plain unidirectional Dijkstra (baseline; best one-to-many)
-  kAStar,     ///< A* with the geometric heuristic (no preprocessing)
   kAlt,       ///< A* with landmark (anchor) lower bounds (light preprocessing)
   kCh,        ///< contraction hierarchies (heavy preprocessing, fastest)
 };
 
-/// Stable lowercase name ("dijkstra", "astar", "alt", "ch") for logs/JSON.
+/// Stable lowercase name ("dijkstra", "alt", "ch") for logs/JSON.
 const char* RoutingBackendName(RoutingBackendKind kind);
 
 /// Inverse of RoutingBackendName; nullopt on unknown names.

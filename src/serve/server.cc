@@ -70,18 +70,8 @@ struct XarServeServer::Connection {
 
   std::mutex write_mutex;
 
-  struct PendingSearch {
-    RideRequest request;
-    std::vector<RideMatch> matches;
-    std::uint64_t seq = 0;  ///< the SEARCH's position on this connection
-  };
   std::mutex pending_mutex;
-  std::unordered_map<std::uint32_t, PendingSearch> pending;
-  /// (seq, rider id) of the last kMaxPendingSearches SEARCHes, oldest
-  /// first. A slot whose seq no longer matches its map entry was booked or
-  /// re-SEARCHed and evicts nothing when it expires.
-  std::deque<std::pair<std::uint64_t, std::uint32_t>> pending_order;
-  std::uint64_t next_seq = 0;
+  PendingSearches pending;  ///< guarded by pending_mutex
 };
 
 struct XarServeServer::Task {
@@ -485,18 +475,8 @@ RespStatus XarServeServer::HandleSearch(Connection& conn,
   }
   {
     std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    const std::uint64_t seq = conn.next_seq++;
-    conn.pending[p.rider_id] =
-        Connection::PendingSearch{ride_request, std::move(matches), seq};
-    conn.pending_order.emplace_back(seq, p.rider_id);
-    if (conn.pending_order.size() > kMaxPendingSearches) {
-      const auto [old_seq, old_rider] = conn.pending_order.front();
-      conn.pending_order.pop_front();
-      auto it = conn.pending.find(old_rider);
-      if (it != conn.pending.end() && it->second.seq == old_seq) {
-        conn.pending.erase(it);
-        pending_evicted_.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (conn.pending.Put(ride_request, std::move(matches))) {
+      pending_evicted_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   EncodeSearchResult(result, payload);
@@ -511,16 +491,17 @@ RespStatus XarServeServer::HandleBook(Connection& conn, const Frame& request,
     *message = "bad BOOK payload";
     return RespStatus::kMalformed;
   }
-  Connection::PendingSearch pending;
+  PendingSearches::Entry pending;
   {
     std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    auto it = conn.pending.find(p.rider_id);
-    if (it == conn.pending.end()) {
+    const PendingSearches::Entry* found =
+        conn.pending.Find(RequestId(p.rider_id));
+    if (found == nullptr) {
       *message =
           "no prior SEARCH for request " + std::to_string(p.rider_id);
       return RespStatus::kFailed;
     }
-    pending = it->second;
+    pending = *found;
   }
   const RideMatch* match = nullptr;
   for (const RideMatch& m : pending.matches) {
@@ -544,7 +525,7 @@ RespStatus XarServeServer::HandleBook(Connection& conn, const Frame& request,
     // The booking consumed the pending search (same contract as the
     // line-oriented command server).
     std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    conn.pending.erase(p.rider_id);
+    conn.pending.Erase(RequestId(p.rider_id));
   }
   EncodeBookingResult({p.ride_id, booked->pickup_eta_s, booked->dropoff_eta_s,
                        booked->actual_detour_m, booked->walk_m},

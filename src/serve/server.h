@@ -18,6 +18,7 @@
 #include "serve/frame.h"
 #include "serve/latency_histogram.h"
 #include "xar/concurrent_xar.h"
+#include "xar/pending_searches.h"
 
 namespace xar {
 namespace serve {
@@ -41,12 +42,6 @@ struct ServeOptions {
   /// (overload/shutdown suites). Set before Start() only.
   std::function<void(Verb)> worker_hook_for_test;
 };
-
-/// Per connection, a SEARCH stays bookable until this many newer SEARCHes
-/// have arrived on the same connection; then it is evicted and a BOOK of it
-/// fails like one that had no prior SEARCH. Bounds the look-then-book state
-/// of a client that searches with fresh rider ids and rarely books.
-constexpr std::size_t kMaxPendingSearches = 1024;
 
 /// Point-in-time serving counters (all cumulative since Start).
 struct ServeCounters {

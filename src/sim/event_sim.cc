@@ -344,7 +344,7 @@ void EventSim::HandleRefresh(SimTarget& target, const Event& event,
       }));
   auto oracle = std::make_unique<GraphOracle>(
       *graph, /*cache_capacity=*/1 << 16, system_options_.routing_backend,
-      system_options_.BackendOptions(), system_options_.oracle_cache);
+      system_options_.BackendOptions());
   GraphDelta delta;
   delta.graph = graph.get();
   delta.oracle = oracle.get();

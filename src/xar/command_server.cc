@@ -1,6 +1,8 @@
 #include "xar/command_server.h"
 
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -24,16 +26,31 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
+// A finite double: the binary front end rejects NaN and infinities too.
 bool ParseDouble(const std::string& s, double* out) {
   char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0';
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+// A plain decimal no larger than `max`: digits only, no sign, no suffix.
+bool ParseDecimal(const std::string& s, std::uint64_t max, std::uint64_t* out) {
+  if (s.empty()) return false;
+  std::uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    if (v > max) return false;
+  }
+  *out = v;
+  return true;
 }
 
 bool ParseU32(const std::string& s, std::uint32_t* out) {
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
+  std::uint64_t v = 0;
+  if (!ParseDecimal(s, UINT32_MAX, &v)) return false;
   *out = static_cast<std::uint32_t>(v);
   return true;
 }
@@ -64,7 +81,8 @@ CommandServer::CommandServer(XarSystem& system) : system_(system) {
          StatsMetric::Counter("active", system_.NumActiveRides()),
          StatsMetric::Counter("bookings", system_.bookings().size()),
          StatsMetric::Gauge("now", system_.Now(), 0),
-         StatsMetric::Counter("index_bytes", system_.MemoryFootprint())});
+         StatsMetric::Counter("index_bytes", system_.MemoryFootprint()),
+         StatsMetric::Counter("pending_evicted", pending_.evicted())});
     return section;
   });
   stats_registry_.Register(
@@ -119,8 +137,8 @@ std::string CommandServer::HandleCreate(
   offer.destination = {v[2], v[3]};
   offer.departure_time_s = v[4];
   if (args.size() >= 6) {
-    double seats;
-    if (!ParseDouble(args[5], &seats)) return Err("bad seats");
+    std::uint64_t seats = 0;
+    if (!ParseDecimal(args[5], INT_MAX, &seats)) return Err("bad seats");
     offer.seats = static_cast<int>(seats);
   }
   if (args.size() == 7) {
@@ -165,7 +183,6 @@ std::string CommandServer::HandleSearch(
   }
 
   std::vector<RideMatch> matches = system_.SearchTopK(request, k);
-  pending_[request.id] = PendingSearch{request, matches};
 
   char head[64];
   std::snprintf(head, sizeof(head), "OK MATCHES %zu", matches.size());
@@ -178,6 +195,7 @@ std::string CommandServer::HandleSearch(
                   m.detour_estimate_m);
     out += row;
   }
+  pending_.Put(request, std::move(matches));
   return out;
 }
 
@@ -187,12 +205,12 @@ std::string CommandServer::HandleBook(const std::vector<std::string>& args) {
   if (!ParseU32(args[0], &req_id) || !ParseU32(args[1], &ride_id)) {
     return Err("bad id");
   }
-  auto it = pending_.find(RequestId(req_id));
-  if (it == pending_.end()) {
+  const PendingSearches::Entry* pending = pending_.Find(RequestId(req_id));
+  if (pending == nullptr) {
     return Err("no prior SEARCH for request " + args[0]);
   }
   const RideMatch* match = nullptr;
-  for (const RideMatch& m : it->second.matches) {
+  for (const RideMatch& m : pending->matches) {
     if (m.ride == RideId(ride_id)) {
       match = &m;
       break;
@@ -202,7 +220,7 @@ std::string CommandServer::HandleBook(const std::vector<std::string>& args) {
     return Err("ride " + args[1] + " was not in the search results");
   }
   Result<BookingRecord> booking =
-      system_.Book(RideId(ride_id), it->second.request, *match);
+      system_.Book(RideId(ride_id), pending->request, *match);
   if (!booking.ok()) return Err(booking.status().ToString());
   char buf[160];
   std::snprintf(buf, sizeof(buf),
@@ -210,7 +228,7 @@ std::string CommandServer::HandleBook(const std::vector<std::string>& args) {
                 "detour_m=%.0f walk_m=%.0f",
                 ride_id, booking->pickup_eta_s, booking->dropoff_eta_s,
                 booking->actual_detour_m, booking->walk_m);
-  pending_.erase(it);
+  pending_.Erase(RequestId(req_id));
   return buf;
 }
 

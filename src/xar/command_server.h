@@ -2,10 +2,10 @@
 #define XAR_XAR_COMMAND_SERVER_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats_registry.h"
+#include "xar/pending_searches.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -28,7 +28,13 @@ namespace xar {
 ///   HELP
 ///
 /// BOOK resolves the match from the most recent SEARCH for that request id
-/// (the look-then-book flow), so searches must precede bookings.
+/// (the look-then-book flow), so searches must precede bookings. A SEARCH
+/// stays bookable until kMaxPendingSearches newer ones have arrived (the
+/// binary server's per-connection policy); `pending_evicted` in the system
+/// stats counts those that expired unbooked.
+///
+/// Numbers must be finite; ids and k are plain decimals that fit in 32 bits
+/// and seats a plain non-negative int. Anything else is an `ERR`.
 ///
 /// REFRESH rebuilds the region discretization in place (epoch bump); BOOKs
 /// against searches issued before the refresh fail as stale — re-SEARCH.
@@ -50,11 +56,6 @@ class CommandServer {
   std::string Execute(const std::string& line);
 
  private:
-  struct PendingSearch {
-    RideRequest request;
-    std::vector<RideMatch> matches;
-  };
-
   std::string HandleCreate(const std::vector<std::string>& args);
   std::string HandleSearch(const std::vector<std::string>& args);
   std::string HandleBook(const std::vector<std::string>& args);
@@ -67,7 +68,7 @@ class CommandServer {
 
   XarSystem& system_;
   StatsRegistry stats_registry_;
-  std::unordered_map<RequestId, PendingSearch> pending_;
+  PendingSearches pending_;
 };
 
 }  // namespace xar

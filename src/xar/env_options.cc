@@ -10,7 +10,7 @@ namespace xar {
 namespace {
 
 // Annotates a parse failure with the environment variable it came from, so
-// `XAR_ORACLE_CACHE=clokc` reports the variable to fix, not just the typo.
+// `XAR_ROUTING_BACKEND=cj` reports the variable to fix, not just the typo.
 template <typename T, typename Field>
 Status ApplyParsed(const char* variable, Result<T> (*parse)(std::string_view),
                    Field* field) {
@@ -51,9 +51,6 @@ Result<std::size_t> SizeFromString(std::string_view text) {
 Status ApplyEnvOverrides(XarOptions* options) {
   Status status = ApplyParsed("XAR_ROUTING_BACKEND", RoutingBackendFromString,
                               &options->routing_backend);
-  if (!status.ok()) return status;
-  status = ApplyParsed("XAR_ORACLE_CACHE", OracleCachePolicyFromString,
-                       &options->oracle_cache);
   if (!status.ok()) return status;
   return ApplyParsed("XAR_PREPROCESS_THREADS", SizeFromString,
                      &options->preprocess_threads);

@@ -8,8 +8,7 @@ namespace xar {
 
 /// Applies the standard XAR_* environment overrides to `options`:
 ///
-///   XAR_ROUTING_BACKEND=dijkstra|astar|alt|ch
-///   XAR_ORACLE_CACHE=clock|striped_lru
+///   XAR_ROUTING_BACKEND=dijkstra|alt|ch
 ///   XAR_PREPROCESS_THREADS=N   (a plain decimal; 0 = all cores)
 ///
 /// Unset variables leave the corresponding field untouched. A typo in any

@@ -199,6 +199,81 @@ TEST_F(CommandServerTest, MalformedInputsAreErrors) {
   EXPECT_EQ(server_.Execute("RIDE 12345").rfind("ERR", 0), 0u);
   EXPECT_EQ(server_.Execute("ADVANCE soon").rfind("ERR", 0), 0u);
   EXPECT_EQ(server_.Execute("HELP").rfind("OK COMMANDS", 0), 0u);
+
+  // Numbers must be finite, as on the binary front end.
+  const std::string trip = At(0.1, 0.1) + " " + At(0.9, 0.9);
+  const std::string query = At(0.35, 0.35) + " " + At(0.7, 0.7);
+  const double now = xar_.Now();
+  for (const std::string bad : {"nan", "inf", "-inf", "1e999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(server_.Execute("ADVANCE " + bad).rfind("ERR", 0), 0u);
+    EXPECT_EQ(server_.Execute("CREATE " + trip + " " + bad).rfind("ERR", 0),
+              0u);
+    EXPECT_EQ(
+        server_.Execute("CREATE " + trip + " 28800 3 " + bad).rfind("ERR", 0),
+        0u);
+    EXPECT_EQ(
+        server_.Execute("SEARCH 1 " + query + " 28800 " + bad).rfind("ERR", 0),
+        0u);
+    EXPECT_EQ(server_.Execute("SEARCH 1 " + query + " 28800 30600 " + bad)
+                  .rfind("ERR", 0),
+              0u);
+  }
+  EXPECT_EQ(xar_.Now(), now);
+  // Seats are a plain non-negative int.
+  for (const std::string bad : {"nan", "2.5", "-1", "+3", "2147483648"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(
+        server_.Execute("CREATE " + trip + " 28800 " + bad).rfind("ERR", 0),
+        0u);
+  }
+  EXPECT_EQ(xar_.NumRides(), 0u);
+
+  // Ids and k are plain decimals that fit in 32 bits: nothing wraps onto
+  // ride 0.
+  ASSERT_EQ(server_.Execute("CREATE " + trip + " 28800"), "OK RIDE 0");
+  for (const std::string bad :
+       {"4294967296", "18446744073709551616", "-1", "+0"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(server_.Execute("RIDE " + bad).rfind("ERR", 0), 0u);
+    EXPECT_EQ(server_.Execute("CANCELRIDE " + bad).rfind("ERR", 0), 0u);
+    EXPECT_EQ(server_.Execute("SEARCH " + bad + " " + query + " 28800 30600")
+                  .rfind("ERR", 0),
+              0u);
+    EXPECT_EQ(server_.Execute("SEARCH 1 " + query + " 28800 30600 500 " + bad)
+                  .rfind("ERR", 0),
+              0u);
+  }
+  EXPECT_NE(server_.Execute("RIDE 0").find("active=1"), std::string::npos);
+}
+
+// The look-then-book ledger is bounded with the binary server's policy:
+// after kMaxPendingSearches + N SEARCHes with fresh request ids, the first
+// N are evicted and a BOOK of them fails as one with no prior SEARCH.
+TEST_F(CommandServerTest, PendingSearchesAreCapped) {
+  ASSERT_EQ(
+      server_.Execute("CREATE " + At(0.1, 0.1) + " " + At(0.9, 0.9) + " 28800"),
+      "OK RIDE 0");
+  constexpr std::size_t kExtra = 3;
+  const std::string query =
+      " " + At(0.35, 0.35) + " " + At(0.7, 0.7) + " 28800 30600";
+  for (std::size_t id = 1; id <= kMaxPendingSearches + kExtra; ++id) {
+    const std::string found =
+        server_.Execute("SEARCH " + std::to_string(id) + query);
+    ASSERT_EQ(found.rfind("OK MATCHES 1", 0), 0u) << found;
+  }
+  for (std::size_t id = 1; id <= kExtra; ++id) {
+    EXPECT_NE(server_.Execute("BOOK " + std::to_string(id) + " 0")
+                  .find("no prior SEARCH"),
+              std::string::npos)
+        << "request " << id;
+  }
+  EXPECT_NE(server_.Execute("STATS system")
+                .find("pending_evicted=" + std::to_string(kExtra)),
+            std::string::npos);
+  EXPECT_EQ(server_.Execute("BOOK " + std::to_string(kExtra + 1) + " 0")
+                .rfind("OK BOOKED ride=0", 0),
+            0u);
 }
 
 // --- Network server lifecycle (ISSUE 7 satellite 4) ------------------------

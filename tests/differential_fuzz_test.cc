@@ -1,6 +1,6 @@
-// Randomized differential fuzz harness (ISSUE 5): seed-parameterized
-// TripGenerator workloads replayed through every (system, cache-policy)
-// combination — XarSystem vs ConcurrentXarSystem, kClock vs kStripedLru.
+// Randomized differential fuzz harness: seed-parameterized TripGenerator
+// workloads replayed through every (system, oracle cache) combination —
+// XarSystem vs ConcurrentXarSystem, CLOCK-cached vs uncached oracle.
 // The configurations must be observationally identical: same ride ids, same
 // match lists, same booking outcomes, bit-identical detours — and every
 // booking must respect the paper's 4-epsilon detour guarantee.
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "graph/oracle.h"
-#include "graph/oracle_cache.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/concurrent_xar.h"
@@ -48,6 +47,10 @@ std::vector<std::uint64_t> FuzzSeeds() {
 /// machine-dependent (ride ids are dense across shards for any fixed count,
 /// but the count must not float).
 constexpr std::size_t kShards = 4;
+
+/// CLOCK capacity of the cached configurations: small enough that the
+/// workload evicts.
+constexpr std::size_t kCacheCapacity = 1 << 10;
 
 struct Workload {
   std::vector<RideOffer> offers;
@@ -80,15 +83,16 @@ Workload MakeWorkload(std::uint64_t seed) {
   return w;
 }
 
-/// One system-under-test: its own oracle (policy under test) over the shared
-/// city, wrapped in either a plain XarSystem or a sharded concurrent one.
+/// One system-under-test: its own oracle (CLOCK-cached, or uncached when
+/// `cache_capacity` is 0) over the shared city, wrapped in either a plain
+/// XarSystem or a sharded concurrent one.
 /// Both are driven through the same serial Search/Book interface here; the
 /// threaded phase exercises ConcurrentXarSystem::SearchAndBook separately.
 class Config {
  public:
-  Config(OracleCachePolicy policy, bool concurrent)
-      : oracle_(testing::SharedCity().graph, /*cache_capacity=*/1 << 10,
-                RoutingBackendKind::kAStar, {}, policy) {
+  Config(std::size_t cache_capacity, bool concurrent)
+      : oracle_(testing::SharedCity().graph, cache_capacity,
+                RoutingBackendKind::kAlt) {
     testing::TestCity& city = testing::SharedCity();
     if (concurrent) {
       concurrent_ = std::make_unique<ConcurrentXarSystem>(
@@ -129,14 +133,11 @@ TEST_P(DifferentialFuzzTest, AllConfigurationsAgree) {
 
   // Reference config first; every other config must match it exactly.
   std::vector<std::unique_ptr<Config>> configs;
-  configs.push_back(
-      std::make_unique<Config>(OracleCachePolicy::kClock, /*concurrent=*/false));
-  configs.push_back(std::make_unique<Config>(OracleCachePolicy::kStripedLru,
-                                             /*concurrent=*/false));
-  configs.push_back(
-      std::make_unique<Config>(OracleCachePolicy::kClock, /*concurrent=*/true));
-  configs.push_back(std::make_unique<Config>(OracleCachePolicy::kStripedLru,
-                                             /*concurrent=*/true));
+  for (bool concurrent : {false, true}) {
+    configs.push_back(std::make_unique<Config>(kCacheCapacity, concurrent));
+    configs.push_back(std::make_unique<Config>(/*cache_capacity=*/0,
+                                               concurrent));
+  }
 
   for (const RideOffer& offer : w.offers) {
     Result<RideId> ref = configs[0]->CreateRide(offer);
@@ -202,7 +203,7 @@ TEST_P(DifferentialFuzzTest, AllConfigurationsAgree) {
 }
 
 // Threaded phase: the same workload pushed through the optimistic
-// SearchAndBook path from many threads, under both cache policies. Exact
+// SearchAndBook path from many threads on the CLOCK-cached oracle. Exact
 // equality is meaningless under concurrent interleaving, so this phase
 // checks invariants instead: every success respects the detour bound, the
 // books+unmatched+failed accounting covers every request, and (under TSan)
@@ -215,54 +216,49 @@ TEST_P(DifferentialFuzzTest, ThreadedSearchAndBookInvariants) {
   const double slack = 4 * city.region->epsilon() +
                        2 * city.region->options().max_drive_to_landmark_m;
 
-  for (OracleCachePolicy policy :
-       {OracleCachePolicy::kClock, OracleCachePolicy::kStripedLru}) {
-    SCOPED_TRACE(OracleCachePolicyName(policy));
-    GraphOracle oracle(city.graph, /*cache_capacity=*/1 << 10,
-                       RoutingBackendKind::kAStar, {}, policy);
-    ConcurrentXarSystem sys(city.graph, *city.spatial, *city.region, oracle,
-                            XarOptions{}, kShards);
-    for (const RideOffer& offer : w.offers) {
-      ASSERT_TRUE(sys.CreateRide(offer).ok());
-    }
-
-    constexpr std::size_t kThreads = 4;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> booked{0};
-    std::atomic<std::size_t> bound_violations{0};
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        for (;;) {
-          std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= w.requests.size()) return;
-          Result<BookingRecord> booking = sys.SearchAndBook(w.requests[i]);
-          if (!booking.ok()) continue;
-          booked.fetch_add(1, std::memory_order_relaxed);
-          if (booking->actual_detour_m >
-              booking->estimated_detour_m + slack + 1e-6) {
-            bound_violations.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-
-    EXPECT_EQ(bound_violations.load(), 0u);
-    EXPECT_GT(booked.load(), 0u);
-    RetryStats stats = sys.retry_stats();
-    // Every request is accounted for exactly once: booked in some round, or
-    // unmatched after the final one.
-    const std::size_t total_booked =
-        stats.booked_first_try + stats.booked_after_research;
-    EXPECT_EQ(total_booked + stats.unmatched, w.requests.size());
-    EXPECT_EQ(total_booked, booked.load());
-    // Cache-counter sanity: every eviction replaced an earlier successful
-    // insertion, and the lossy path may drop but never fabricate entries.
-    OracleCacheCounters cc = oracle.cache_counters();
-    EXPECT_LE(cc.evictions, cc.insertions);
-    EXPECT_LE(cc.insertions, oracle.computation_count());
+  GraphOracle oracle(city.graph, kCacheCapacity, RoutingBackendKind::kAlt);
+  ConcurrentXarSystem sys(city.graph, *city.spatial, *city.region, oracle,
+                          XarOptions{}, kShards);
+  for (const RideOffer& offer : w.offers) {
+    ASSERT_TRUE(sys.CreateRide(offer).ok());
   }
+
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> booked{0};
+  std::atomic<std::size_t> bound_violations{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (;;) {
+        std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= w.requests.size()) return;
+        Result<BookingRecord> booking = sys.SearchAndBook(w.requests[i]);
+        if (!booking.ok()) continue;
+        booked.fetch_add(1, std::memory_order_relaxed);
+        if (booking->actual_detour_m >
+            booking->estimated_detour_m + slack + 1e-6) {
+          bound_violations.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(bound_violations.load(), 0u);
+  EXPECT_GT(booked.load(), 0u);
+  RetryStats stats = sys.retry_stats();
+  // Every request is accounted for exactly once: booked in some round, or
+  // unmatched after the final one.
+  const std::size_t total_booked =
+      stats.booked_first_try + stats.booked_after_research;
+  EXPECT_EQ(total_booked + stats.unmatched, w.requests.size());
+  EXPECT_EQ(total_booked, booked.load());
+  // Cache-counter sanity: every eviction replaced an earlier successful
+  // insertion, and the lossy path may drop but never fabricate entries.
+  OracleCacheCounters cc = oracle.cache_counters();
+  EXPECT_LE(cc.evictions, cc.insertions);
+  EXPECT_LE(cc.insertions, oracle.computation_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,7 +13,7 @@
 namespace xar {
 namespace {
 
-constexpr const char* kVariables[] = {"XAR_ROUTING_BACKEND", "XAR_ORACLE_CACHE",
+constexpr const char* kVariables[] = {"XAR_ROUTING_BACKEND",
                                       "XAR_PREPROCESS_THREADS"};
 
 /// Saves every variable the parser reads, clears them for the test, and
@@ -58,22 +58,18 @@ class EnvOptionsTest : public ::testing::Test {
 TEST_F(EnvOptionsTest, UnsetVariablesLeaveOptionsUntouched) {
   XarOptions options;
   options.routing_backend = RoutingBackendKind::kAlt;
-  options.oracle_cache = OracleCachePolicy::kStripedLru;
   options.preprocess_threads = 3;
   ASSERT_TRUE(ApplyEnvOverrides(&options).ok());
   EXPECT_EQ(options.routing_backend, RoutingBackendKind::kAlt);
-  EXPECT_EQ(options.oracle_cache, OracleCachePolicy::kStripedLru);
   EXPECT_EQ(options.preprocess_threads, 3u);
 }
 
 TEST_F(EnvOptionsTest, ValidValuesAreApplied) {
   setenv("XAR_ROUTING_BACKEND", "dijkstra", 1);
-  setenv("XAR_ORACLE_CACHE", "striped_lru", 1);
   setenv("XAR_PREPROCESS_THREADS", "2", 1);
   XarOptions options;
   ASSERT_TRUE(ApplyEnvOverrides(&options).ok());
   EXPECT_EQ(options.routing_backend, RoutingBackendKind::kDijkstra);
-  EXPECT_EQ(options.oracle_cache, OracleCachePolicy::kStripedLru);
   EXPECT_EQ(options.preprocess_threads, 2u);
 
   // 0 is a valid count: all cores.
@@ -86,8 +82,7 @@ TEST_F(EnvOptionsTest, ValidValuesAreApplied) {
 TEST_F(EnvOptionsTest, TyposAreInvalidArgumentNamingTheVariable) {
   ExpectRejected("XAR_ROUTING_BACKEND", "chh");
   ExpectRejected("XAR_ROUTING_BACKEND", "-1");
-  ExpectRejected("XAR_ORACLE_CACHE", "clokc");
-  ExpectRejected("XAR_ORACLE_CACHE", "12x");
+  ExpectRejected("XAR_ROUTING_BACKEND", "astar");
   ExpectRejected("XAR_PREPROCESS_THREADS", "abc");
   ExpectRejected("XAR_PREPROCESS_THREADS", "-1");
   ExpectRejected("XAR_PREPROCESS_THREADS", "12x");

@@ -184,8 +184,7 @@ TEST(OracleConcurrencyTest, ClockPolicyParallelMatchesSerialUnderEviction) {
   }
 
   // Capacity far below the working set keeps the CLOCK hand moving.
-  GraphOracle shared(g, /*cache_capacity=*/32, RoutingBackendKind::kCh, {},
-                     OracleCachePolicy::kClock);
+  GraphOracle shared(g, /*cache_capacity=*/32, RoutingBackendKind::kCh);
   constexpr int kThreads = 8;
   std::atomic<std::size_t> mismatches{0};
   std::vector<std::thread> threads;

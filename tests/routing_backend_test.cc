@@ -1,4 +1,4 @@
-// Cross-backend differential suite: Dijkstra, A*, ALT and CH behind the
+// Cross-backend differential suite: Dijkstra, ALT and CH behind the
 // RoutingBackend interface must agree — on distances (to FP tolerance), on
 // route validity and route length under every metric, on random perturbed
 // lattices, and through a graph refresh that rebuilds the contraction
@@ -28,9 +28,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-constexpr RoutingBackendKind kAllKinds[] = {
-    RoutingBackendKind::kDijkstra, RoutingBackendKind::kAStar,
-    RoutingBackendKind::kAlt, RoutingBackendKind::kCh};
+constexpr RoutingBackendKind kAllKinds[] = {RoutingBackendKind::kDijkstra,
+                                            RoutingBackendKind::kAlt,
+                                            RoutingBackendKind::kCh};
 constexpr Metric kAllMetrics[] = {Metric::kDriveDistance, Metric::kDriveTime,
                                   Metric::kWalkDistance};
 
@@ -255,12 +255,16 @@ TEST(RoutingBackendTest, FromStringReportsUnknownNames) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), kind);
   }
-  Result<RoutingBackendKind> typo = RoutingBackendFromString("chh");
-  ASSERT_FALSE(typo.ok());
-  EXPECT_EQ(typo.status().code(), StatusCode::kInvalidArgument);
-  // The error names the typo and the valid spellings.
-  EXPECT_NE(typo.status().ToString().find("chh"), std::string::npos);
-  EXPECT_NE(typo.status().ToString().find("dijkstra"), std::string::npos);
+  // "astar" names the deleted A* backend; it is as unknown as a typo.
+  for (const char* name : {"chh", "astar"}) {
+    SCOPED_TRACE(name);
+    Result<RoutingBackendKind> typo = RoutingBackendFromString(name);
+    ASSERT_FALSE(typo.ok());
+    EXPECT_EQ(typo.status().code(), StatusCode::kInvalidArgument);
+    // The error names the typo and the valid spellings.
+    EXPECT_NE(typo.status().ToString().find(name), std::string::npos);
+    EXPECT_NE(typo.status().ToString().find("dijkstra"), std::string::npos);
+  }
 }
 
 // The parallel preprocessing contract: the hierarchy (node order, shortcut
