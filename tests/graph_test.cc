@@ -242,6 +242,31 @@ TEST(OracleTest, CacheEvictsAtCapacity) {
   EXPECT_GE(oracle.computation_count(), 2 * kPairs - kCapacity);
 }
 
+// Capacity 0 is the uncached differential reference: no cache object, so
+// every query reaches the backend and nothing is ever counted as cached.
+TEST(OracleTest, ZeroCapacityHoldsNoCache) {
+  CityOptions opt;
+  opt.rows = 8;
+  opt.cols = 8;
+  opt.seed = 15;
+  RoadGraph g = GenerateCity(opt);
+  GraphOracle uncached(g, /*cache_capacity=*/0);
+  GraphOracle cached(g, /*cache_capacity=*/1024);
+  EXPECT_STREQ(uncached.cache_policy_name(), "none");
+  EXPECT_STREQ(cached.cache_policy_name(), "clock");
+  const double d1 = uncached.DriveDistance(NodeId(0), NodeId(10));
+  const double d2 = uncached.DriveDistance(NodeId(0), NodeId(10));
+  EXPECT_EQ(d1, d2);
+  EXPECT_EQ(d1, cached.DriveDistance(NodeId(0), NodeId(10)));
+  EXPECT_EQ(uncached.computation_count(), 2u);
+  EXPECT_EQ(uncached.cache_hit_count(), 0u);
+  const OracleCacheCounters counters = uncached.cache_counters();
+  EXPECT_EQ(counters.insertions, 0u);
+  EXPECT_EQ(counters.evictions, 0u);
+  EXPECT_EQ(counters.drops, 0u);
+  EXPECT_EQ(counters.races, 0u);
+}
+
 TEST(OracleTest, RouteMatchesDistance) {
   CityOptions opt;
   opt.rows = 8;
