@@ -1,6 +1,10 @@
-// Interactive XAR shell: builds a city + discretization, then reads protocol
-// commands from stdin (one per line) and prints responses — the quickest way
-// to poke at the system by hand. `HELP` lists the commands; EOF exits.
+// Interactive XAR shell: builds a city + discretization and a 1-shard
+// ConcurrentXarSystem, then reads text-protocol commands from stdin (one per
+// line) and prints the CommandServer's responses — the quickest way to poke
+// at the system by hand. The text protocol is a codec over the same verb
+// layer the binary server serves (src/serve/service.h), so a session here
+// answers as a socket client of XarServeServer would. `HELP` lists the
+// commands; QUIT or EOF exits.
 //
 // Example session:
 //   CREATE 40.7100 -74.0150 40.7550 -73.9700 28800
@@ -12,7 +16,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "xar/command_server.h"
+#include "serve/command_server.h"
 #include "xar/xar.h"
 
 int main() {
@@ -36,7 +40,8 @@ int main() {
   }
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
                      options.routing_backend, options.BackendOptions());
-  XarSystem xar(graph, spatial, region, oracle, options);
+  ConcurrentXarSystem xar(graph, spatial, region, oracle, options,
+                          /*num_shards=*/1);
   CommandServer server(xar);
 
   const BoundingBox& b = graph.bounds();

@@ -163,21 +163,30 @@ Result<Frame> ServeClient::Call(Verb verb,
   return WaitForTag(tag, timeout_ms);
 }
 
-Result<SearchResult> ServeClient::Search(const SearchPayload& request,
-                                         int timeout_ms) {
-  std::vector<std::uint8_t> payload;
-  EncodeSearch(request, &payload);
-  Result<Frame> frame = Call(Verb::kSearch, payload, timeout_ms);
+template <typename T>
+Result<T> ServeClient::CallDecoded(Verb verb,
+                                   const std::vector<std::uint8_t>& payload,
+                                   int timeout_ms,
+                                   bool (*decode)(const std::uint8_t*,
+                                                  std::size_t, T*)) {
+  Result<Frame> frame = Call(verb, payload, timeout_ms);
   if (!frame.ok()) return frame.status();
   if (frame->code != static_cast<std::uint8_t>(RespStatus::kOk)) {
     return FrameError(*frame);
   }
-  SearchResult result;
-  if (!DecodeSearchResult(frame->payload.data(), frame->payload.size(),
-                          &result)) {
-    return Status::Internal("bad SEARCH response payload");
+  T result;
+  if (!decode(frame->payload.data(), frame->payload.size(), &result)) {
+    return Status::Internal("bad response payload for verb " +
+                            std::to_string(static_cast<int>(verb)));
   }
   return result;
+}
+
+Result<SearchResult> ServeClient::Search(const SearchPayload& request,
+                                         int timeout_ms) {
+  std::vector<std::uint8_t> payload;
+  EncodeSearch(request, &payload);
+  return CallDecoded(Verb::kSearch, payload, timeout_ms, DecodeSearchResult);
 }
 
 Result<BookingResult> ServeClient::Book(std::uint32_t rider_id,
@@ -185,34 +194,15 @@ Result<BookingResult> ServeClient::Book(std::uint32_t rider_id,
                                         int timeout_ms) {
   std::vector<std::uint8_t> payload;
   EncodeBook({rider_id, ride_id}, &payload);
-  Result<Frame> frame = Call(Verb::kBook, payload, timeout_ms);
-  if (!frame.ok()) return frame.status();
-  if (frame->code != static_cast<std::uint8_t>(RespStatus::kOk)) {
-    return FrameError(*frame);
-  }
-  BookingResult result;
-  if (!DecodeBookingResult(frame->payload.data(), frame->payload.size(),
-                           &result)) {
-    return Status::Internal("bad BOOK response payload");
-  }
-  return result;
+  return CallDecoded(Verb::kBook, payload, timeout_ms, DecodeBookingResult);
 }
 
 Result<BookingResult> ServeClient::SearchAndBook(const SearchPayload& request,
                                                  int timeout_ms) {
   std::vector<std::uint8_t> payload;
   EncodeSearch(request, &payload);
-  Result<Frame> frame = Call(Verb::kSearchAndBook, payload, timeout_ms);
-  if (!frame.ok()) return frame.status();
-  if (frame->code != static_cast<std::uint8_t>(RespStatus::kOk)) {
-    return FrameError(*frame);
-  }
-  BookingResult result;
-  if (!DecodeBookingResult(frame->payload.data(), frame->payload.size(),
-                           &result)) {
-    return Status::Internal("bad SEARCH_AND_BOOK response payload");
-  }
-  return result;
+  return CallDecoded(Verb::kSearchAndBook, payload, timeout_ms,
+                     DecodeBookingResult);
 }
 
 Result<std::string> ServeClient::Stats(const std::string& section,
@@ -227,17 +217,7 @@ Result<std::string> ServeClient::Stats(const std::string& section,
 }
 
 Result<RefreshResult> ServeClient::Refresh(int timeout_ms) {
-  Result<Frame> frame = Call(Verb::kRefresh, {}, timeout_ms);
-  if (!frame.ok()) return frame.status();
-  if (frame->code != static_cast<std::uint8_t>(RespStatus::kOk)) {
-    return FrameError(*frame);
-  }
-  RefreshResult result;
-  if (!DecodeRefreshResult(frame->payload.data(), frame->payload.size(),
-                           &result)) {
-    return Status::Internal("bad REFRESH response payload");
-  }
-  return result;
+  return CallDecoded(Verb::kRefresh, {}, timeout_ms, DecodeRefreshResult);
 }
 
 }  // namespace serve

@@ -70,6 +70,11 @@ class ServeClient {
 
  private:
   Result<Frame> WaitForTag(std::uint64_t tag, int timeout_ms);
+  /// Call, then decode an OK response's payload with `decode`.
+  template <typename T>
+  Result<T> CallDecoded(Verb verb, const std::vector<std::uint8_t>& payload,
+                        int timeout_ms,
+                        bool (*decode)(const std::uint8_t*, std::size_t, T*));
   /// Converts a non-OK response frame into the matching Status.
   static Status FrameError(const Frame& frame);
 

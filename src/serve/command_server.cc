@@ -1,29 +1,19 @@
-#include "xar/command_server.h"
+#include "serve/command_server.h"
 
-#include <cctype>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <sstream>
 
 namespace xar {
 namespace {
 
 std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!current.empty()) {
-        tokens.push_back(current);
-        current.clear();
-      }
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) tokens.push_back(current);
-  return tokens;
+  std::istringstream in(line);
+  return {std::istream_iterator<std::string>(in),
+          std::istream_iterator<std::string>()};
 }
 
 // A finite double: the binary front end rejects NaN and infinities too.
@@ -71,37 +61,8 @@ constexpr char kHelp[] =
 
 }  // namespace
 
-CommandServer::CommandServer(XarSystem& system) : system_(system) {
-  // One provider per stats section; STATS snapshots them on demand.
-  stats_registry_.Register("system", [this] {
-    StatsSection section;
-    section.name = "system";
-    section.AddRow(
-        {StatsMetric::Counter("rides", system_.NumRides()),
-         StatsMetric::Counter("active", system_.NumActiveRides()),
-         StatsMetric::Counter("bookings", system_.bookings().size()),
-         StatsMetric::Gauge("now", system_.Now(), 0),
-         StatsMetric::Counter("index_bytes", system_.MemoryFootprint()),
-         StatsMetric::Counter("pending_evicted", pending_.evicted())});
-    return section;
-  });
-  stats_registry_.Register(
-      "match", [this] { return MatchStatsSection(system_.match_index().stats()); });
-  stats_registry_.Register(
-      "refresh", [this] { return RefreshStatsSection(system_.refresh_stats()); });
-  stats_registry_.Register("pooling", [this] {
-    return PoolingStatsSection(system_.pooling_stats());
-  });
-  stats_registry_.Register(
-      "oracle", [this] { return OracleStatsSection(system_.oracle()); });
-  stats_registry_.Register("preprocess", [this] {
-    const RoutingBackend* backend = system_.oracle().routing_backend();
-    if (backend != nullptr) return PreprocessStatsSection(*backend);
-    StatsSection section;
-    section.name = "preprocess";
-    return section;
-  });
-}
+CommandServer::CommandServer(ConcurrentXarSystem& system)
+    : system_(system), service_(system), session_(service_) {}
 
 std::string CommandServer::Execute(const std::string& line) {
   std::vector<std::string> tokens = Tokenize(line);
@@ -158,77 +119,49 @@ std::string CommandServer::HandleSearch(
   if (args.size() < 7 || args.size() > 9) {
     return Err("usage: SEARCH req_id slat slng dlat dlng t0 t1 [walk] [k]");
   }
-  std::uint32_t req_id;
-  if (!ParseU32(args[0], &req_id)) return Err("bad request id");
-  double v[6];
-  for (int i = 0; i < 6; ++i) {
-    if (!ParseDouble(args[static_cast<std::size_t>(i + 1)], &v[i])) {
-      return Err("bad number: " + args[static_cast<std::size_t>(i + 1)]);
+  serve::SearchPayload p;
+  if (!ParseU32(args[0], &p.rider_id)) return Err("bad request id");
+  double* const fields[] = {&p.source_lat,           &p.source_lng,
+                            &p.dest_lat,             &p.dest_lng,
+                            &p.earliest_departure_s, &p.latest_departure_s};
+  for (std::size_t i = 0; i < 6; ++i) {
+    if (!ParseDouble(args[i + 1], fields[i])) {
+      return Err("bad number: " + args[i + 1]);
     }
   }
-  RideRequest request;
-  request.id = RequestId(req_id);
-  request.source = {v[0], v[1]};
-  request.destination = {v[2], v[3]};
-  request.earliest_departure_s = v[4];
-  request.latest_departure_s = v[5];
-  std::size_t k = 0;
-  if (args.size() >= 8 && !ParseDouble(args[7], &request.walk_limit_m)) {
+  if (args.size() >= 8 && !ParseDouble(args[7], &p.walk_limit_m)) {
     return Err("bad walk limit");
   }
-  if (args.size() == 9) {
-    std::uint32_t kk;
-    if (!ParseU32(args[8], &kk)) return Err("bad k");
-    k = kk;
-  }
+  if (args.size() == 9 && !ParseU32(args[8], &p.top_k)) return Err("bad k");
 
-  std::vector<RideMatch> matches = system_.SearchTopK(request, k);
-
+  const serve::SearchResult result = service_.Search(session_, p);
   char head[64];
-  std::snprintf(head, sizeof(head), "OK MATCHES %zu", matches.size());
+  std::snprintf(head, sizeof(head), "OK MATCHES %zu", result.matches.size());
   std::string out = head;
-  for (const RideMatch& m : matches) {
+  for (const serve::MatchRow& m : result.matches) {
     char row[128];
     std::snprintf(row, sizeof(row),
                   "\nMATCH ride=%u walk_m=%.0f eta_s=%.0f detour_m=%.0f",
-                  m.ride.value(), m.TotalWalkM(), m.eta_source_s,
-                  m.detour_estimate_m);
+                  m.ride_id, m.walk_m, m.eta_s, m.detour_m);
     out += row;
   }
-  pending_.Put(request, std::move(matches));
   return out;
 }
 
 std::string CommandServer::HandleBook(const std::vector<std::string>& args) {
   if (args.size() != 2) return Err("usage: BOOK req_id ride_id");
-  std::uint32_t req_id, ride_id;
-  if (!ParseU32(args[0], &req_id) || !ParseU32(args[1], &ride_id)) {
+  serve::BookPayload p;
+  if (!ParseU32(args[0], &p.rider_id) || !ParseU32(args[1], &p.ride_id)) {
     return Err("bad id");
   }
-  const PendingSearches::Entry* pending = pending_.Find(RequestId(req_id));
-  if (pending == nullptr) {
-    return Err("no prior SEARCH for request " + args[0]);
-  }
-  const RideMatch* match = nullptr;
-  for (const RideMatch& m : pending->matches) {
-    if (m.ride == RideId(ride_id)) {
-      match = &m;
-      break;
-    }
-  }
-  if (match == nullptr) {
-    return Err("ride " + args[1] + " was not in the search results");
-  }
-  Result<BookingRecord> booking =
-      system_.Book(RideId(ride_id), pending->request, *match);
-  if (!booking.ok()) return Err(booking.status().ToString());
+  Result<serve::BookingResult> booking = service_.Book(session_, p);
+  if (!booking.ok()) return Err(booking.status().message());
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "OK BOOKED ride=%u pickup_eta=%.0f dropoff_eta=%.0f "
                 "detour_m=%.0f walk_m=%.0f",
-                ride_id, booking->pickup_eta_s, booking->dropoff_eta_s,
-                booking->actual_detour_m, booking->walk_m);
-  pending_.Erase(RequestId(req_id));
+                booking->ride_id, booking->pickup_eta_s, booking->dropoff_eta_s,
+                booking->detour_m, booking->walk_m);
   return buf;
 }
 
@@ -268,8 +201,8 @@ std::string CommandServer::HandleRide(const std::vector<std::string>& args) {
   if (args.size() != 1) return Err("usage: RIDE ride_id");
   std::uint32_t ride_id;
   if (!ParseU32(args[0], &ride_id)) return Err("bad id");
-  const Ride* ride = system_.GetRide(RideId(ride_id));
-  if (ride == nullptr) return Err("unknown ride");
+  Result<Ride> ride = system_.GetRide(RideId(ride_id));
+  if (!ride.ok()) return Err("unknown ride");
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "OK RIDE %u active=%d seats=%d/%d route_m=%.0f "
@@ -281,7 +214,7 @@ std::string CommandServer::HandleRide(const std::vector<std::string>& args) {
 }
 
 std::string CommandServer::HandleRefresh() {
-  RefreshStats stats = system_.RefreshDiscretization();
+  const RefreshStats stats = service_.Refresh();
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "OK REFRESH epoch=%llu rehomed=%zu rebuild_ms=%.1f",
@@ -293,30 +226,12 @@ std::string CommandServer::HandleRefresh() {
 std::string CommandServer::HandleStats(
     const std::vector<std::string>& args) {
   if (args.size() > 1) return Err("usage: STATS [section]");
-  auto render = [](const StatsSection& section) {
-    std::string out;
-    for (const std::vector<StatsMetric>& row : section.rows) {
-      out += "\n" + section.name;
-      for (const StatsMetric& m : row) out += " " + m.name + "=" + m.value;
-    }
-    return out;
-  };
-  if (args.size() == 1) {
-    std::optional<StatsSection> section = stats_registry_.Snapshot(args[0]);
-    if (!section) {
-      std::string names;
-      for (const std::string& name : stats_registry_.SectionNames()) {
-        names += (names.empty() ? "" : ", ") + name;
-      }
-      return Err("unknown stats section \"" + args[0] + "\" (sections: " +
-                 names + ")");
-    }
-    return "OK STATS" + render(*section);
-  }
+  Result<std::string> rows = service_.Stats(args.empty() ? "" : args[0]);
+  if (!rows.ok()) return Err(rows.status().message());
+  // The service's rows each end in a newline; the text protocol puts one
+  // before each row instead.
   std::string out = "OK STATS";
-  for (const StatsSection& section : stats_registry_.SnapshotAll()) {
-    out += render(section);
-  }
+  if (!rows->empty()) out += "\n" + rows->substr(0, rows->size() - 1);
   return out;
 }
 

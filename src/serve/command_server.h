@@ -1,19 +1,22 @@
-#ifndef XAR_XAR_COMMAND_SERVER_H_
-#define XAR_XAR_COMMAND_SERVER_H_
+#ifndef XAR_SERVE_COMMAND_SERVER_H_
+#define XAR_SERVE_COMMAND_SERVER_H_
 
 #include <string>
 #include <vector>
 
-#include "common/stats_registry.h"
-#include "xar/pending_searches.h"
-#include "xar/xar_system.h"
+#include "serve/service.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 
-/// Line-oriented command front-end over a XarSystem — the protocol surface
-/// a mobile app / trip-planner gateway would speak. One request line in,
-/// one (possibly multi-line) response out; responses start with `OK` or
-/// `ERR`.
+/// Line-oriented command front end over a ConcurrentXarSystem — the
+/// protocol surface a mobile app / trip-planner gateway would speak, and the
+/// text codec over the same serve::XarService the binary server decodes
+/// into (xar_shell serves a 1-shard system through it). One request line
+/// in, one (possibly multi-line) response out; responses start with `OK` or
+/// `ERR`. SEARCH, BOOK, REFRESH and STATS go through the service; the other
+/// commands are one system call each. Not thread-safe: one caller, one
+/// session.
 ///
 /// Commands (times in seconds-since-midnight, distances in meters):
 ///   CREATE <slat> <slng> <dlat> <dlng> <depart> [seats] [detour_m]
@@ -30,8 +33,9 @@ namespace xar {
 /// BOOK resolves the match from the most recent SEARCH for that request id
 /// (the look-then-book flow), so searches must precede bookings. A SEARCH
 /// stays bookable until kMaxPendingSearches newer ones have arrived (the
-/// binary server's per-connection policy); `pending_evicted` in the system
-/// stats counts those that expired unbooked.
+/// binary server's per-connection policy); in the system stats, `pending`
+/// counts the bookable SEARCHes and `pending_evicted` those that expired
+/// unbooked.
 ///
 /// Numbers must be finite; ids and k are plain decimals that fit in 32 bits
 /// and seats a plain non-negative int. Anything else is an `ERR`.
@@ -39,14 +43,13 @@ namespace xar {
 /// REFRESH rebuilds the region discretization in place (epoch bump); BOOKs
 /// against searches issued before the refresh fail as stale — re-SEARCH.
 ///
-/// STATS iterates a StatsRegistry (sections: system, refresh, oracle,
-/// preprocess) instead of hand-concatenating per-subsystem tables; the
-/// optional argument filters the response to one section. The response is
-/// `OK STATS` followed by one `<section> key=value ...` line per section
-/// row.
+/// STATS renders the service's StatsRegistry (sections: system, match,
+/// retry, refresh, pooling, oracle, preprocess); the optional argument
+/// filters the response to one section. The response is `OK STATS`
+/// followed by one `<section> key=value ...` line per section row.
 class CommandServer {
  public:
-  explicit CommandServer(XarSystem& system);
+  explicit CommandServer(ConcurrentXarSystem& system);
 
   CommandServer(const CommandServer&) = delete;
   CommandServer& operator=(const CommandServer&) = delete;
@@ -66,11 +69,11 @@ class CommandServer {
   std::string HandleRefresh();
   std::string HandleStats(const std::vector<std::string>& args);
 
-  XarSystem& system_;
-  StatsRegistry stats_registry_;
-  PendingSearches pending_;
+  ConcurrentXarSystem& system_;
+  serve::XarService service_;
+  serve::Session session_;
 };
 
 }  // namespace xar
 
-#endif  // XAR_XAR_COMMAND_SERVER_H_
+#endif  // XAR_SERVE_COMMAND_SERVER_H_

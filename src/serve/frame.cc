@@ -93,8 +93,9 @@ void AppendFrame(std::uint64_t tag, std::uint8_t code,
 
 void FrameDecoder::Feed(const std::uint8_t* data, std::size_t n) {
   if (!error_.empty()) return;  // desynced: drop everything after the error
-  // Compact the consumed prefix before it grows unboundedly.
-  if (pos_ > 0 && (pos_ == buf_.size() || pos_ >= 4096)) {
+  // Drop the consumed prefix: a reader that pops every complete frame
+  // before the next Feed holds at most one partial frame plus `n` bytes.
+  if (pos_ > 0) {
     buf_.erase(buf_.begin(),
                buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;

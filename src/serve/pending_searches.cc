@@ -1,4 +1,4 @@
-#include "xar/pending_searches.h"
+#include "serve/pending_searches.h"
 
 namespace xar {
 

@@ -1,5 +1,5 @@
-#ifndef XAR_XAR_PENDING_SEARCHES_H_
-#define XAR_XAR_PENDING_SEARCHES_H_
+#ifndef XAR_SERVE_PENDING_SEARCHES_H_
+#define XAR_SERVE_PENDING_SEARCHES_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -21,8 +21,8 @@ constexpr std::size_t kMaxPendingSearches = 1024;
 
 /// The look-then-book ledger of one client session: the request and
 /// matches of each rider's latest SEARCH, until a BOOK consumes them or
-/// kMaxPendingSearches newer SEARCHes expire them. The text CommandServer
-/// keeps one, XarServeServer one per connection. Not thread-safe.
+/// kMaxPendingSearches newer SEARCHes expire them. Each serve::Session holds
+/// one, under the session's mutex. Not thread-safe.
 class PendingSearches {
  public:
   struct Entry {
@@ -39,8 +39,9 @@ class PendingSearches {
   /// Erase.
   const Entry* Find(RequestId rider) const;
 
-  /// Drops the pending SEARCH of `rider` (a BOOK consumed it).
-  void Erase(RequestId rider) { entries_.erase(rider); }
+  /// Drops the pending SEARCH of `rider` (a BOOK consumed it); false if it
+  /// had none.
+  bool Erase(RequestId rider) { return entries_.erase(rider) > 0; }
 
   std::size_t size() const { return entries_.size(); }
   /// SEARCHes evicted unbooked since construction.
@@ -58,4 +59,4 @@ class PendingSearches {
 
 }  // namespace xar
 
-#endif  // XAR_XAR_PENDING_SEARCHES_H_
+#endif  // XAR_SERVE_PENDING_SEARCHES_H_

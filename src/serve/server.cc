@@ -12,11 +12,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <utility>
 
 #include "common/clock.h"
-#include "discretize/region_snapshot.h"
 
 namespace xar {
 namespace serve {
@@ -24,17 +25,6 @@ namespace {
 
 std::vector<std::uint8_t> TextPayload(const std::string& text) {
   return std::vector<std::uint8_t>(text.begin(), text.end());
-}
-
-const char* VerbName(Verb verb) {
-  switch (verb) {
-    case Verb::kSearch: return "search";
-    case Verb::kBook: return "book";
-    case Verb::kSearchAndBook: return "search_and_book";
-    case Verb::kStats: return "stats";
-    case Verb::kRefresh: return "refresh";
-  }
-  return "unknown";
 }
 
 Status Errno(const std::string& what) {
@@ -51,17 +41,40 @@ bool AllFinite(const SearchPayload& p) {
          std::isfinite(p.latest_departure_s) && std::isfinite(p.walk_limit_m);
 }
 
+/// Sends what the socket takes of `unsent` without blocking and drops it
+/// from the front; the caller holds the connection's write mutex. True once
+/// nothing is left; a hard socket error sets `closed`.
+bool Flush(int fd, std::vector<std::uint8_t>* unsent,
+           std::atomic<bool>* closed) {
+  std::size_t sent = 0;
+  while (sent < unsent->size()) {
+    ssize_t n = ::send(fd, unsent->data() + sent, unsent->size() - sent,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    closed->store(true, std::memory_order_release);
+    break;
+  }
+  unsent->erase(unsent->begin(),
+                unsent->begin() + static_cast<std::ptrdiff_t>(sent));
+  return unsent->empty();
+}
+
 }  // namespace
 
 /// Per-connection state. The event-loop thread owns the read side (the
-/// decoder); workers share the write side (write_mutex) and the
-/// look-then-book pending map (pending_mutex). The fd is closed by the
-/// destructor, which only runs once the event loop has dropped its map
-/// entry AND every in-flight worker task has released its shared_ptr — so
-/// no thread ever writes to a recycled fd.
+/// decoder); workers share the write side (write_mutex, held only across
+/// non-blocking sends) and the client's look-then-book session. The fd is
+/// closed by the destructor, which only runs once the event loop has
+/// dropped its map entry AND every in-flight worker task has released its
+/// shared_ptr — so no thread ever writes to a recycled fd.
 struct XarServeServer::Connection {
-  Connection(int fd_in, std::size_t max_frame_bytes)
-      : fd(fd_in), decoder(max_frame_bytes) {}
+  Connection(int fd_in, std::size_t max_frame_bytes, XarService& service)
+      : fd(fd_in), decoder(max_frame_bytes), session(service) {}
   ~Connection() { ::close(fd); }
 
   const int fd;
@@ -69,9 +82,11 @@ struct XarServeServer::Connection {
   std::atomic<bool> closed{false};
 
   std::mutex write_mutex;
+  /// Whole frames queued for the socket; a frame's tail stays here while
+  /// its writer waits for the client. Guarded by write_mutex.
+  std::vector<std::uint8_t> unsent;
 
-  std::mutex pending_mutex;
-  PendingSearches pending;  ///< guarded by pending_mutex
+  Session session;
 };
 
 struct XarServeServer::Task {
@@ -141,30 +156,12 @@ class XarServeServer::BoundedTaskQueue {
 
 XarServeServer::XarServeServer(ConcurrentXarSystem& system,
                                ServeOptions options)
-    : system_(system),
+    : service_(system),
       options_(std::move(options)),
       num_workers_(options_.num_workers > 0 ? options_.num_workers
                                             : system.num_shards()) {
-  stats_registry_.Register("serve", [this] { return ServeSection(); });
-  stats_registry_.Register("system", [this] {
-    StatsSection section;
-    section.name = "system";
-    section.AddRow({StatsMetric::Counter("rides", system_.NumRides()),
-                    StatsMetric::Counter("active", system_.NumActiveRides()),
-                    StatsMetric::Gauge("now", system_.Now(), 0),
-                    StatsMetric::Counter("epoch", system_.epoch())});
-    return section;
-  });
-  stats_registry_.Register(
-      "match", [this] { return MatchStatsSection(system_.match_stats()); });
-  stats_registry_.Register(
-      "retry", [this] { return RetryStatsSection(system_.retry_stats()); });
-  stats_registry_.Register("refresh", [this] {
-    return RefreshStatsSection(system_.refresh_stats());
-  });
-  stats_registry_.Register("pooling", [this] {
-    return PoolingStatsSection(system_.pooling_stats());
-  });
+  service_.stats_registry().Register("serve",
+                                     [this] { return ServeSection(); });
 }
 
 XarServeServer::~XarServeServer() { Stop(); }
@@ -311,7 +308,8 @@ void XarServeServer::AcceptNewConnections() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(fd, options_.max_frame_bytes);
+    auto conn =
+        std::make_shared<Connection>(fd, options_.max_frame_bytes, service_);
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP;
     ev.data.fd = fd;
@@ -331,38 +329,35 @@ void XarServeServer::CloseConnection(int fd) {
 }
 
 void XarServeServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
+  // Frames are popped and dispatched after every read, so the decoder holds
+  // at most one partial frame plus one read.
   std::uint8_t buf[4096];
-  for (;;) {
-    ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->decoder.Feed(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) {  // peer closed: a truncated in-flight frame dies silently
-      CloseConnection(conn->fd);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CloseConnection(conn->fd);
-    return;
-  }
   Frame frame;
   for (;;) {
-    FrameDecoder::Next next = conn->decoder.Pop(&frame);
-    if (next == FrameDecoder::Next::kNeedMore) break;
-    if (next == FrameDecoder::Next::kError) {
-      // Framing is unrecoverable: answer one typed error, then close.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      WriteResponse(*conn, 0, RespStatus::kMalformed,
-                    TextPayload(conn->decoder.error()));
+    ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) {  // EOF (a truncated frame dies silently) or a hard error
       CloseConnection(conn->fd);
       return;
     }
-    DispatchFrame(conn, std::move(frame));
-    if (conn->closed.load(std::memory_order_acquire)) {
-      CloseConnection(conn->fd);
-      return;
+    conn->decoder.Feed(buf, static_cast<std::size_t>(n));
+    for (;;) {
+      FrameDecoder::Next next = conn->decoder.Pop(&frame);
+      if (next == FrameDecoder::Next::kNeedMore) break;
+      if (next == FrameDecoder::Next::kError) {
+        // Framing is unrecoverable: answer one typed error, then close.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        WriteNow(*conn, 0, RespStatus::kMalformed,
+                 TextPayload(conn->decoder.error()));
+        CloseConnection(conn->fd);
+        return;
+      }
+      DispatchFrame(conn, std::move(frame));
+      if (conn->closed.load(std::memory_order_acquire)) {
+        CloseConnection(conn->fd);
+        return;
+      }
     }
   }
 }
@@ -387,7 +382,7 @@ void XarServeServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
   if (!queues_[worker]->TryPush(std::move(task))) {
     // Load shedding: typed BUSY now beats an unbounded queue later.
     shed_.fetch_add(1, std::memory_order_relaxed);
-    WriteResponse(*conn, tag, RespStatus::kBusy, {});
+    WriteNow(*conn, tag, RespStatus::kBusy, {});
   }
 }
 
@@ -404,33 +399,7 @@ void XarServeServer::HandleTask(Task& task) {
   if (options_.worker_hook_for_test) options_.worker_hook_for_test(verb);
 
   std::vector<std::uint8_t> payload;
-  std::string message;
-  RespStatus status;
-  bool known_verb = true;
-  switch (verb) {
-    case Verb::kSearch:
-      status = HandleSearch(*task.conn, task.frame, &payload, &message);
-      break;
-    case Verb::kBook:
-      status = HandleBook(*task.conn, task.frame, &payload, &message);
-      break;
-    case Verb::kSearchAndBook:
-      status = HandleSearchAndBook(task.frame, &payload, &message);
-      break;
-    case Verb::kStats:
-      status = HandleStats(task.frame, &payload, &message);
-      break;
-    case Verb::kRefresh:
-      status = HandleRefresh(&payload);
-      break;
-    default:
-      status = RespStatus::kUnknownVerb;
-      known_verb = false;
-      break;
-  }
-  if (status == RespStatus::kFailed || status == RespStatus::kMalformed) {
-    payload = TextPayload(message);
-  }
+  const RespStatus status = Handle(*task.conn, task.frame, &payload);
   if (status == RespStatus::kMalformed) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -439,7 +408,7 @@ void XarServeServer::HandleTask(Task& task) {
   // contract serve_overload_test pins).
   completed_.fetch_add(1, std::memory_order_relaxed);
   WriteResponse(*task.conn, task.frame.tag, status, payload);
-  if (known_verb) {
+  if (status != RespStatus::kUnknownVerb) {
     const double micros =
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - task.enqueued)
@@ -448,194 +417,87 @@ void XarServeServer::HandleTask(Task& task) {
   }
 }
 
-RespStatus XarServeServer::HandleSearch(Connection& conn,
-                                        const Frame& request,
-                                        std::vector<std::uint8_t>* payload,
-                                        std::string* message) {
-  SearchPayload p;
-  if (!DecodeSearch(request.payload.data(), request.payload.size(), &p) ||
-      !AllFinite(p)) {
-    *message = "bad SEARCH payload";
-    return RespStatus::kMalformed;
-  }
-  RideRequest ride_request;
-  ride_request.id = RequestId(p.rider_id);
-  ride_request.source = {p.source_lat, p.source_lng};
-  ride_request.destination = {p.dest_lat, p.dest_lng};
-  ride_request.earliest_departure_s = p.earliest_departure_s;
-  ride_request.latest_departure_s = p.latest_departure_s;
-  ride_request.walk_limit_m = p.walk_limit_m;
-
-  std::vector<RideMatch> matches = system_.SearchTopK(ride_request, p.top_k);
-  SearchResult result;
-  result.matches.reserve(matches.size());
-  for (const RideMatch& m : matches) {
-    result.matches.push_back(
-        {m.ride.value(), m.TotalWalkM(), m.eta_source_s, m.detour_estimate_m});
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    if (conn.pending.Put(ride_request, std::move(matches))) {
-      pending_evicted_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  EncodeSearchResult(result, payload);
-  return RespStatus::kOk;
-}
-
-RespStatus XarServeServer::HandleBook(Connection& conn, const Frame& request,
-                                      std::vector<std::uint8_t>* payload,
-                                      std::string* message) {
-  BookPayload p;
-  if (!DecodeBook(request.payload.data(), request.payload.size(), &p)) {
-    *message = "bad BOOK payload";
-    return RespStatus::kMalformed;
-  }
-  PendingSearches::Entry pending;
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    const PendingSearches::Entry* found =
-        conn.pending.Find(RequestId(p.rider_id));
-    if (found == nullptr) {
-      *message =
-          "no prior SEARCH for request " + std::to_string(p.rider_id);
-      return RespStatus::kFailed;
-    }
-    pending = *found;
-  }
-  const RideMatch* match = nullptr;
-  for (const RideMatch& m : pending.matches) {
-    if (m.ride == RideId(p.ride_id)) {
-      match = &m;
-      break;
-    }
-  }
-  if (match == nullptr) {
-    *message = "ride " + std::to_string(p.ride_id) +
-               " was not in the search results";
-    return RespStatus::kFailed;
-  }
-  Result<BookingRecord> booked =
-      system_.Book(RideId(p.ride_id), pending.request, *match);
-  if (!booked.ok()) {
-    *message = booked.status().ToString();
-    return RespStatus::kFailed;
-  }
-  {
-    // The booking consumed the pending search (same contract as the
-    // line-oriented command server).
-    std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    conn.pending.Erase(RequestId(p.rider_id));
-  }
-  EncodeBookingResult({p.ride_id, booked->pickup_eta_s, booked->dropoff_eta_s,
-                       booked->actual_detour_m, booked->walk_m},
-                      payload);
-  return RespStatus::kOk;
-}
-
-RespStatus XarServeServer::HandleSearchAndBook(
-    const Frame& request, std::vector<std::uint8_t>* payload,
-    std::string* message) {
-  SearchPayload p;
-  if (!DecodeSearch(request.payload.data(), request.payload.size(), &p) ||
-      !AllFinite(p)) {
-    *message = "bad SEARCH_AND_BOOK payload";
-    return RespStatus::kMalformed;
-  }
-  RideRequest ride_request;
-  ride_request.id = RequestId(p.rider_id);
-  ride_request.source = {p.source_lat, p.source_lng};
-  ride_request.destination = {p.dest_lat, p.dest_lng};
-  ride_request.earliest_departure_s = p.earliest_departure_s;
-  ride_request.latest_departure_s = p.latest_departure_s;
-  ride_request.walk_limit_m = p.walk_limit_m;
-
-  Result<BookingRecord> booked = system_.SearchAndBook(ride_request);
-  if (!booked.ok()) {
-    *message = booked.status().ToString();
-    return RespStatus::kFailed;
-  }
-  EncodeBookingResult({booked->ride.value(), booked->pickup_eta_s,
-                       booked->dropoff_eta_s, booked->actual_detour_m,
-                       booked->walk_m},
-                      payload);
-  return RespStatus::kOk;
-}
-
-RespStatus XarServeServer::HandleStats(const Frame& request,
-                                       std::vector<std::uint8_t>* payload,
-                                       std::string* message) {
-  const std::string section_name(request.payload.begin(),
-                                 request.payload.end());
-  std::string out;
-  auto render = [&out](const StatsSection& section) {
-    for (const std::vector<StatsMetric>& row : section.rows) {
-      out += section.name;
-      for (const StatsMetric& m : row) out += " " + m.name + "=" + m.value;
-      out += "\n";
-    }
+RespStatus XarServeServer::Handle(Connection& conn, const Frame& request,
+                                  std::vector<std::uint8_t>* payload) {
+  auto fail = [payload](RespStatus status, const std::string& text) {
+    *payload = TextPayload(text);
+    return status;
   };
-  if (!section_name.empty()) {
-    std::optional<StatsSection> section =
-        stats_registry_.Snapshot(section_name);
-    if (!section) {
-      std::string names;
-      for (const std::string& name : stats_registry_.SectionNames()) {
-        names += (names.empty() ? "" : ", ") + name;
+  const std::uint8_t* data = request.payload.data();
+  const std::size_t size = request.payload.size();
+  SearchPayload search;
+  BookPayload book;
+  Result<BookingResult> booked;
+  switch (static_cast<Verb>(request.code)) {
+    case Verb::kSearch:
+      if (!DecodeSearch(data, size, &search) || !AllFinite(search)) {
+        return fail(RespStatus::kMalformed, "bad SEARCH payload");
       }
-      *message = "unknown stats section \"" + section_name +
-                 "\" (sections: " + names + ")";
-      return RespStatus::kFailed;
+      EncodeSearchResult(service_.Search(conn.session, search), payload);
+      return RespStatus::kOk;
+    case Verb::kBook:
+      if (!DecodeBook(data, size, &book)) {
+        return fail(RespStatus::kMalformed, "bad BOOK payload");
+      }
+      booked = service_.Book(conn.session, book);
+      break;
+    case Verb::kSearchAndBook:
+      if (!DecodeSearch(data, size, &search) || !AllFinite(search)) {
+        return fail(RespStatus::kMalformed, "bad SEARCH_AND_BOOK payload");
+      }
+      booked = service_.SearchAndBook(search);
+      break;
+    case Verb::kStats: {
+      Result<std::string> text = service_.Stats(
+          std::string(request.payload.begin(), request.payload.end()));
+      if (!text.ok()) return fail(RespStatus::kFailed, text.status().message());
+      *payload = TextPayload(*text);
+      return RespStatus::kOk;
     }
-    render(*section);
-  } else {
-    for (const StatsSection& section : stats_registry_.SnapshotAll()) {
-      render(section);
+    case Verb::kRefresh: {
+      const RefreshStats stats = service_.Refresh();
+      EncodeRefreshResult({stats.epoch, stats.last_rebuild_ms}, payload);
+      return RespStatus::kOk;
     }
+    default:
+      return RespStatus::kUnknownVerb;
   }
-  *payload = TextPayload(out);
-  return RespStatus::kOk;
-}
-
-RespStatus XarServeServer::HandleRefresh(std::vector<std::uint8_t>* payload) {
-  RefreshStats stats = system_.RefreshDiscretization();
-  EncodeRefreshResult({stats.epoch, stats.last_rebuild_ms}, payload);
+  if (!booked.ok()) return fail(RespStatus::kFailed, booked.status().message());
+  EncodeBookingResult(*booked, payload);
   return RespStatus::kOk;
 }
 
 void XarServeServer::WriteResponse(Connection& conn, std::uint64_t tag,
                                    RespStatus status,
                                    const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kFrameHeaderBytes + kMinBodyBytes + payload.size());
-  AppendFrame(tag, static_cast<std::uint8_t>(status), payload, &bytes);
+  std::unique_lock<std::mutex> lock(conn.write_mutex);
+  if (conn.closed.load(std::memory_order_acquire)) return;
+  AppendFrame(tag, static_cast<std::uint8_t>(status), payload, &conn.unsent);
+  Stopwatch waited;
+  while (!Flush(conn.fd, &conn.unsent, &conn.closed) &&
+         !conn.closed.load(std::memory_order_acquire)) {
+    // Socket buffer full: a slow client throttles this worker, not the
+    // server. Give up on shutdown or after 5 s of no progress.
+    if (stopping_.load(std::memory_order_acquire) ||
+        waited.ElapsedSeconds() > 5.0) {
+      conn.closed.store(true, std::memory_order_release);
+      return;
+    }
+    lock.unlock();
+    pollfd pfd{conn.fd, POLLOUT, 0};
+    ::poll(&pfd, 1, 100);
+    lock.lock();
+  }
+}
 
+void XarServeServer::WriteNow(Connection& conn, std::uint64_t tag,
+                              RespStatus status,
+                              const std::vector<std::uint8_t>& payload) {
   std::lock_guard<std::mutex> lock(conn.write_mutex);
   if (conn.closed.load(std::memory_order_acquire)) return;
-  std::size_t sent = 0;
-  Stopwatch waited;
-  while (sent < bytes.size()) {
-    ssize_t n = ::send(conn.fd, bytes.data() + sent, bytes.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Socket buffer full: a slow client throttles this worker, not the
-      // server. Give up on shutdown or after 5 s of no progress.
-      if (stopping_.load(std::memory_order_acquire) ||
-          waited.ElapsedSeconds() > 5.0) {
-        conn.closed.store(true, std::memory_order_release);
-        return;
-      }
-      pollfd pfd{conn.fd, POLLOUT, 0};
-      ::poll(&pfd, 1, 100);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+  AppendFrame(tag, static_cast<std::uint8_t>(status), payload, &conn.unsent);
+  if (!Flush(conn.fd, &conn.unsent, &conn.closed)) {
     conn.closed.store(true, std::memory_order_release);
-    return;
   }
 }
 
@@ -648,7 +510,7 @@ ServeCounters XarServeServer::counters() const {
   c.connections_opened = connections_opened_.load(std::memory_order_relaxed);
   c.connections_closed = connections_closed_.load(std::memory_order_relaxed);
   c.queue_highwater = queue_highwater_.load(std::memory_order_relaxed);
-  c.pending_evicted = pending_evicted_.load(std::memory_order_relaxed);
+  c.pending_evicted = service_.pending_evicted();
   return c;
 }
 
@@ -667,11 +529,10 @@ StatsSection XarServeServer::ServeSection() const {
        StatsMetric::Counter("pending_evicted", c.pending_evicted),
        StatsMetric::Counter("workers", num_workers_),
        StatsMetric::Counter("queue_capacity", options_.queue_capacity)});
-  for (Verb verb : {Verb::kSearch, Verb::kBook, Verb::kSearchAndBook,
-                    Verb::kStats, Verb::kRefresh}) {
-    LatencyHistogram::Snapshot snap = histograms_[VerbIndex(verb)].Take();
+  for (const VerbInfo& verb : kVerbTable) {
+    LatencyHistogram::Snapshot snap = histograms_[VerbIndex(verb.verb)].Take();
     if (snap.count == 0) continue;
-    section.AddRow({StatsMetric::Text("verb", VerbName(verb)),
+    section.AddRow({StatsMetric::Text("verb", verb.name),
                     StatsMetric::Counter("count", snap.count),
                     StatsMetric::Gauge("p50_us", snap.PercentileUs(0.50), 1),
                     StatsMetric::Gauge("p99_us", snap.PercentileUs(0.99), 1),

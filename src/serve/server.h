@@ -2,10 +2,9 @@
 #define XAR_SERVE_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,8 +16,8 @@
 #include "common/status.h"
 #include "serve/frame.h"
 #include "serve/latency_histogram.h"
+#include "serve/service.h"
 #include "xar/concurrent_xar.h"
-#include "xar/pending_searches.h"
 
 namespace xar {
 namespace serve {
@@ -55,8 +54,23 @@ struct ServeCounters {
   std::uint64_t pending_evicted = 0;  ///< searches evicted unbooked
 };
 
+/// The served verbs in wire-code order (codes 1..N) with their stats names:
+/// the one table the per-verb histograms and the "serve" section read.
+struct VerbInfo {
+  Verb verb;
+  const char* name;
+};
+inline constexpr VerbInfo kVerbTable[] = {
+    {Verb::kSearch, "search"},
+    {Verb::kBook, "book"},
+    {Verb::kSearchAndBook, "search_and_book"},
+    {Verb::kStats, "stats"},
+    {Verb::kRefresh, "refresh"},
+};
+
 /// Long-lived async network front end over a ConcurrentXarSystem
-/// (DESIGN.md "Serving layer").
+/// (DESIGN.md "Serving layer"): the binary codec over an XarService, one
+/// Session per connection.
 ///
 ///   - One epoll event-loop thread owns the listen socket and every
 ///     connection's read side: it accepts, reassembles length-prefixed
@@ -70,18 +84,21 @@ struct ServeCounters {
 ///     typed BUSY response written immediately from the event loop — the
 ///     server never queues unboundedly and stays responsive under
 ///     overload.
-///   - Workers write responses directly to the socket (per-connection write
-///     mutex); a slow client throttles only the workers serving it.
+///   - The event loop never waits on one client: a BUSY or framing-error
+///     response that the socket does not take whole at once closes that
+///     connection. Workers write responses directly to the socket and wait
+///     (up to 5 s) for a slow reader without holding its write mutex, so a
+///     slow client throttles only the workers serving it.
 ///
-/// All counters and per-verb latency histograms flow into a StatsRegistry
-/// ("serve" section, plus the served system's retry/refresh sections) that
-/// the STATS verb renders over the wire.
+/// All counters and per-verb latency histograms flow into the service's
+/// StatsRegistry ("serve" section, next to the served system's) that the
+/// STATS verb renders over the wire.
 ///
-/// Shutdown contract (pinned by command_server_test): Stop() is idempotent
-/// and joins in-flight handlers — workers finish the task they hold, queued
-/// but unstarted tasks are dropped — and the listen socket binds with
-/// SO_REUSEADDR so back-to-back server instances can reuse a port
-/// immediately.
+/// Shutdown contract (pinned by ServerLifecycleTest in command_server_test):
+/// Stop() is idempotent and joins in-flight handlers — workers finish the
+/// task they hold, queued but unstarted tasks are dropped — and the listen
+/// socket binds with SO_REUSEADDR so back-to-back server instances can
+/// reuse a port immediately.
 class XarServeServer {
  public:
   explicit XarServeServer(ConcurrentXarSystem& system,
@@ -117,11 +134,6 @@ class XarServeServer {
     return histograms_[VerbIndex(verb)];
   }
 
-  /// The registry the STATS verb renders: "serve" + the served system's
-  /// "retry"/"refresh" sections. Callers may register more sections while
-  /// the server is quiescent.
-  StatsRegistry& stats_registry() { return stats_registry_; }
-
   /// The "serve" stats section (counters + one histogram row per verb).
   StatsSection ServeSection() const;
 
@@ -135,37 +147,29 @@ class XarServeServer {
   void HandleReadable(const std::shared_ptr<Connection>& conn);
   void DispatchFrame(const std::shared_ptr<Connection>& conn, Frame frame);
   void HandleTask(Task& task);
+  /// Decodes one request, calls the service and encodes its answer (or a
+  /// failure's text) into `payload`.
+  RespStatus Handle(Connection& conn, const Frame& request,
+                    std::vector<std::uint8_t>* payload);
   void AcceptNewConnections();
   void CloseConnection(int fd);
 
-  // Verb handlers (run on workers). Each returns the response status and
-  // fills `payload`.
-  RespStatus HandleSearch(Connection& conn, const Frame& request,
-                          std::vector<std::uint8_t>* payload,
-                          std::string* message);
-  RespStatus HandleBook(Connection& conn, const Frame& request,
-                        std::vector<std::uint8_t>* payload,
-                        std::string* message);
-  RespStatus HandleSearchAndBook(const Frame& request,
-                                 std::vector<std::uint8_t>* payload,
-                                 std::string* message);
-  RespStatus HandleStats(const Frame& request,
-                         std::vector<std::uint8_t>* payload,
-                         std::string* message);
-  RespStatus HandleRefresh(std::vector<std::uint8_t>* payload);
-
-  /// Serialized, complete write of one response frame to the connection
-  /// (per-connection mutex; EAGAIN waits for writability). Failures mark
-  /// the connection closed; the event loop reaps it.
+  /// A worker's complete write of one response frame: waits for a slow
+  /// reader (without holding the write mutex) until 5 s pass or the server
+  /// stops. Failures mark the connection closed; the event loop reaps it.
   void WriteResponse(Connection& conn, std::uint64_t tag, RespStatus status,
                      const std::vector<std::uint8_t>& payload);
+  /// The event loop's write: the frame goes out whole now or the connection
+  /// is marked closed. Never waits on the client.
+  void WriteNow(Connection& conn, std::uint64_t tag, RespStatus status,
+                const std::vector<std::uint8_t>& payload);
 
   static std::size_t VerbIndex(Verb verb) {
     std::size_t i = static_cast<std::size_t>(verb);
-    return i >= 1 && i <= 5 ? i - 1 : 0;
+    return i >= 1 && i <= std::size(kVerbTable) ? i - 1 : 0;
   }
 
-  ConcurrentXarSystem& system_;
+  XarService service_;
   ServeOptions options_;
   std::size_t num_workers_;
 
@@ -195,11 +199,9 @@ class XarServeServer {
   std::atomic<std::uint64_t> connections_opened_{0};
   std::atomic<std::uint64_t> connections_closed_{0};
   std::atomic<std::uint64_t> queue_highwater_{0};
-  std::atomic<std::uint64_t> pending_evicted_{0};
 
-  LatencyHistogram histograms_[5];  ///< per verb, indexed by VerbIndex
-
-  StatsRegistry stats_registry_;
+  /// Per verb, indexed by VerbIndex.
+  LatencyHistogram histograms_[std::size(kVerbTable)];
 };
 
 }  // namespace serve

@@ -299,6 +299,14 @@ class ConcurrentXarSystem {
     return refresh_stats_;
   }
 
+  /// The oracle of the last adopted refresh, which every shard serves with
+  /// once that refresh returns: what the "oracle" and "preprocess" stats
+  /// sections read.
+  const DistanceOracle& oracle() const {
+    std::lock_guard<std::mutex> lock(refresh_mutex_);
+    return *oracle_;
+  }
+
   RetryStats retry_stats() const {
     RetryStats stats;
     stats.booked_first_try =

@@ -5,8 +5,9 @@
 /// Umbrella header for the Xhare-a-Ride library: the road-network substrate
 /// (graphs, routing engines, oracles, generators, I/O), the three-tier
 /// region discretization, the XAR run-time (create / search / book / track /
-/// cancel), and the deployment-facing façades (thread-safe wrapper, command
-/// protocol, GeoJSON export). See README.md for a quickstart.
+/// cancel), and the deployment-facing façades (thread-safe wrapper, GeoJSON
+/// export). The network and text front ends live in src/serve. See README.md
+/// for a quickstart.
 
 #include "discretize/region_index.h"
 #include "graph/alt.h"
@@ -18,7 +19,6 @@
 #include "graph/spatial_index.h"
 #include "graph/text_io.h"
 #include "schedule/kinetic_tree.h"
-#include "xar/command_server.h"
 #include "xar/concurrent_xar.h"
 #include "xar/env_options.h"
 #include "xar/geojson_export.h"

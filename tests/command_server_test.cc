@@ -1,10 +1,11 @@
-#include "xar/command_server.h"
+#include "serve/command_server.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "serve/client.h"
 #include "serve/server.h"
@@ -21,7 +22,8 @@ class CommandServerTest : public ::testing::Test {
  protected:
   CommandServerTest()
       : city_(SharedCity()),
-        xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle),
+        xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle,
+             XarOptions{}, /*num_shards=*/1),
         server_(xar_) {}
 
   /// Formats a lat/lng pair at box fractions (fy, fx) as two tokens.
@@ -35,7 +37,7 @@ class CommandServerTest : public ::testing::Test {
   }
 
   TestCity& city_;
-  XarSystem xar_;
+  ConcurrentXarSystem xar_;
   CommandServer server_;
 };
 
@@ -51,8 +53,8 @@ TEST_F(CommandServerTest, CreateSearchBookFlow) {
 
   std::string booked = server_.Execute("BOOK 7 0");
   ASSERT_EQ(booked.rfind("OK BOOKED ride=0", 0), 0u) << booked;
-  EXPECT_EQ(xar_.bookings().size(), 1u);
 
+  // The one booking took one of ride 0's seats.
   std::string ride = server_.Execute("RIDE 0");
   EXPECT_NE(ride.find("seats=2/3"), std::string::npos) << ride;
   EXPECT_NE(ride.find("via_points=4"), std::string::npos) << ride;
@@ -271,9 +273,127 @@ TEST_F(CommandServerTest, PendingSearchesAreCapped) {
   EXPECT_NE(server_.Execute("STATS system")
                 .find("pending_evicted=" + std::to_string(kExtra)),
             std::string::npos);
+  EXPECT_NE(server_.Execute("STATS system")
+                .find(" pending=" + std::to_string(kMaxPendingSearches) + " "),
+            std::string::npos);
   EXPECT_EQ(server_.Execute("BOOK " + std::to_string(kExtra + 1) + " 0")
                 .rfind("OK BOOKED ride=0", 0),
             0u);
+}
+
+// The text protocol and the binary wire are two codecs over one verb layer:
+// the same script on twin systems must answer alike — the same ride ids in
+// the same order, the text's %.0f of every wire double, the same booking
+// ETAs, the same epochs and the same stale-BOOK error.
+TEST_F(CommandServerTest, TextAndWireAnswerAlike) {
+  ConcurrentXarSystem twin(city_.graph, *city_.spatial, *city_.region,
+                           *city_.oracle, XarOptions{}, /*num_shards=*/1);
+  const double departures[] = {28800, 28860, 28920, 29100};
+  for (double depart : departures) {
+    char line[32];
+    std::snprintf(line, sizeof(line), " %.0f", depart);
+    ASSERT_EQ(server_
+                  .Execute("CREATE " + At(0.1, 0.1) + " " + At(0.9, 0.9) +
+                           line)
+                  .rfind("OK RIDE ", 0),
+              0u);
+    const BoundingBox& b = city_.graph.bounds();
+    RideOffer offer;
+    offer.source = {b.min_lat + 0.1 * (b.max_lat - b.min_lat),
+                    b.min_lng + 0.1 * (b.max_lng - b.min_lng)};
+    offer.destination = {b.min_lat + 0.9 * (b.max_lat - b.min_lat),
+                         b.min_lng + 0.9 * (b.max_lng - b.min_lng)};
+    offer.departure_time_s = depart;
+    ASSERT_TRUE(twin.CreateRide(offer).ok());
+  }
+  serve::XarServeServer wire_server(twin);
+  ASSERT_TRUE(wire_server.Start().ok());
+  serve::ServeClient wire;
+  ASSERT_TRUE(wire.Connect(wire_server.port()).ok());
+
+  const std::string query = At(0.35, 0.35) + " " + At(0.7, 0.7);
+  serve::SearchPayload payload;
+  ASSERT_EQ(std::sscanf(query.c_str(), "%lf %lf %lf %lf", &payload.source_lat,
+                        &payload.source_lng, &payload.dest_lat,
+                        &payload.dest_lng),
+            4);
+  payload.earliest_departure_s = 28800;
+  payload.latest_departure_s = 30600;
+  // SEARCH on both sides; returns the wire's ride ids.
+  auto search = [&](std::uint32_t rider, std::uint32_t k) {
+    payload.rider_id = rider;
+    payload.top_k = k;
+    std::vector<std::uint32_t> rides;
+    Result<serve::SearchResult> found = wire.Search(payload);
+    if (!found.ok()) {
+      ADD_FAILURE() << found.status().ToString();
+      return rides;
+    }
+    std::string expected = "OK MATCHES " + std::to_string(found->matches.size());
+    for (const serve::MatchRow& m : found->matches) {
+      char row[128];
+      std::snprintf(row, sizeof(row),
+                    "\nMATCH ride=%u walk_m=%.0f eta_s=%.0f detour_m=%.0f",
+                    m.ride_id, m.walk_m, m.eta_s, m.detour_m);
+      expected += row;
+      rides.push_back(m.ride_id);
+    }
+    EXPECT_EQ(server_.Execute("SEARCH " + std::to_string(rider) + " " + query +
+                              " 28800 30600 -1 " + std::to_string(k)),
+              expected);
+    return rides;
+  };
+  // BOOK on both sides: the same booking or the same error. True if booked.
+  auto book = [&](std::uint32_t rider, std::uint32_t ride) {
+    Result<serve::BookingResult> booked = wire.Book(rider, ride);
+    const std::string text = server_.Execute("BOOK " + std::to_string(rider) +
+                                             " " + std::to_string(ride));
+    if (!booked.ok()) {
+      EXPECT_EQ(text, "ERR " + booked.status().message());
+      return false;
+    }
+    char expected[160];
+    std::snprintf(expected, sizeof(expected),
+                  "OK BOOKED ride=%u pickup_eta=%.0f dropoff_eta=%.0f "
+                  "detour_m=%.0f walk_m=%.0f",
+                  booked->ride_id, booked->pickup_eta_s, booked->dropoff_eta_s,
+                  booked->detour_m, booked->walk_m);
+    EXPECT_EQ(text, expected);
+    return true;
+  };
+
+  const std::vector<std::uint32_t> all = search(7, 0);
+  ASSERT_GE(all.size(), 2u) << "the script needs competing matches";
+  const std::vector<std::uint32_t> top = search(8, 1);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top.front(), all.front());
+  EXPECT_TRUE(book(7, all[1]));
+
+  Result<serve::RefreshResult> refreshed = wire.Refresh();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ(server_.Execute("REFRESH")
+                .rfind("OK REFRESH epoch=" +
+                           std::to_string(refreshed->epoch) + " ",
+                       0),
+            0u);
+  EXPECT_EQ(refreshed->epoch, xar_.epoch());
+
+  // Rider 8's SEARCH predates the refresh: stale on both sides, with the
+  // same message, and still pending on both.
+  EXPECT_FALSE(book(8, top.front()));
+  EXPECT_NE(server_.Execute("BOOK 8 " + std::to_string(top.front()))
+                .find("stale"),
+            std::string::npos);
+
+  const std::vector<std::uint32_t> again = search(8, 0);
+  ASSERT_FALSE(again.empty());
+  EXPECT_TRUE(book(8, again.front()));
+
+  Result<std::string> wire_stats = wire.Stats("system");
+  ASSERT_TRUE(wire_stats.ok());
+  EXPECT_EQ(server_.Execute("STATS system") + "\n", "OK STATS\n" + *wire_stats);
+  EXPECT_NE(wire_stats->find(" epoch=1 pending=0 "), std::string::npos)
+      << *wire_stats;
 }
 
 // --- Network server lifecycle (ISSUE 7 satellite 4) ------------------------

@@ -4,7 +4,7 @@
 // rider leaves a stale slot behind, and that slot must evict nothing when
 // it expires.
 
-#include "xar/pending_searches.h"
+#include "serve/pending_searches.h"
 
 #include <gtest/gtest.h>
 

@@ -6,8 +6,14 @@
 // contract: Stop() joins the in-flight handler instead of abandoning it.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -15,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "serve/client.h"
 #include "serve/frame.h"
 #include "serve/server.h"
@@ -222,6 +229,87 @@ TEST(ServeOverload, QueuedButUnstartedTasksAreDroppedOnStop) {
   ServeCounters counters = world.server->counters();
   EXPECT_EQ(counters.accepted, 2u);
   EXPECT_EQ(counters.completed, 1u);
+}
+
+
+// The event loop never waits on one client. Client A pipelines SEARCHes for
+// a parked worker and never reads its BUSY answers, with a shrunk receive
+// buffer; once a BUSY cannot be written whole, A loses its connection. A
+// second client's round trip on the other worker must not queue behind A:
+// a loop that waited for A to read would hold it for seconds.
+TEST(ServeOverload, SlowReaderCannotStallTheEventLoop) {
+  testing::TestCity& city = testing::SharedCity();
+  ConcurrentXarSystem system(city.graph, *city.spatial, *city.region,
+                             *city.oracle, XarOptions{}, /*num_shards=*/2);
+  WorkerGate gate;
+  ServeOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 1;
+  // Only SEARCHes park, and only A sends them, all to worker 0 (even tags).
+  options.worker_hook_for_test = [&gate](Verb verb) {
+    if (verb == Verb::kSearch) gate.Enter();
+  };
+  XarServeServer server(system, options);
+  ASSERT_TRUE(server.Start().ok());
+  struct Unpark {  // never leave worker 0 parked when Stop joins it
+    WorkerGate& gate;
+    XarServeServer& server;
+    ~Unpark() {
+      gate.Release();
+      server.Stop();
+    }
+  } unpark{gate, server};
+
+  const int a = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(a, 0);
+  int rcvbuf = 1024;
+  ::setsockopt(a, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(a, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  const BoundingBox& b = city.graph.bounds();
+  SearchPayload search;
+  search.source_lat = search.dest_lat = (b.min_lat + b.max_lat) / 2;
+  search.source_lng = search.dest_lng = (b.min_lng + b.max_lng) / 2;
+  std::vector<std::uint8_t> payload;
+  EncodeSearch(search, &payload);
+  std::vector<std::uint8_t> chunk;
+  for (std::uint64_t tag = 2; chunk.size() < 64 * 1024; tag += 2) {
+    AppendFrame(tag, static_cast<std::uint8_t>(Verb::kSearch), payload,
+                &chunk);
+  }
+  // Non-blocking writer: stops when the server stops reading A (no progress
+  // for 200 ms), drops A, or after 64 MiB.
+  std::size_t written = 0;
+  while (written < (std::size_t{64} << 20)) {
+    const std::size_t at = written % chunk.size();  // whole frames only
+    ssize_t n = ::send(a, chunk.data() + at, chunk.size() - at,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      written += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      pollfd pfd{a, POLLOUT, 0};
+      if (::poll(&pfd, 1, 200) > 0) continue;
+    }
+    break;
+  }
+  gate.AwaitEntered(1);
+
+  ServeClient b_client;
+  ASSERT_TRUE(b_client.Connect(server.port()).ok());
+  Stopwatch round_trip;
+  Result<std::string> stats = b_client.Stats("serve", /*timeout_ms=*/1000);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_LT(round_trip.ElapsedSeconds(), 1.0);
+  EXPECT_GT(server.counters().shed, 0u);
+  EXPECT_EQ(server.counters().connections_closed, 1u) << *stats;
+  ::close(a);
 }
 
 }  // namespace

@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -341,6 +343,53 @@ TEST(ServeProtocol, PendingSearchesAreCappedPerConnection) {
   EXPECT_NE(stats->find("pending_evicted=" + std::to_string(kExtra)),
             std::string::npos)
       << *stats;
+}
+
+// The `pending` gauge in the system section counts the look-then-book
+// entries live across all connections: a SEARCH of a new rider adds one, a
+// BOOK consumes one, and a closed connection takes its entries with it.
+TEST(ServeProtocol, PendingGaugeFollowsSearchesBooksAndConnections) {
+  ServedWorld world;
+  const RideRequest* bookable = nullptr;
+  for (const RideRequest& req : world.requests) {
+    if (!world.system->Search(req).empty()) {
+      bookable = &req;
+      break;
+    }
+  }
+  ASSERT_NE(bookable, nullptr) << "workload produced no searchable request";
+  auto pending_reads = [](ServeClient& client, int n) {
+    Result<std::string> stats = client.Stats("system");
+    return stats.ok() && stats->find(" pending=" + std::to_string(n) + " ") !=
+                             std::string::npos;
+  };
+
+  constexpr int kSearches = 5;
+  constexpr std::uint32_t kFirstRider = 600000;
+  ServeClient client = world.Connect();
+  SearchPayload payload = ServedWorld::ToPayload(*bookable);
+  std::uint32_t top_ride = 0;
+  for (int i = 0; i < kSearches; ++i) {
+    payload.rider_id = kFirstRider + static_cast<std::uint32_t>(i);
+    Result<SearchResult> found = client.Search(payload);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    ASSERT_FALSE(found->matches.empty());
+    top_ride = found->matches.front().ride_id;
+  }
+  EXPECT_TRUE(pending_reads(client, kSearches));
+  ASSERT_TRUE(client.Book(kFirstRider, top_ride).ok());
+  EXPECT_TRUE(pending_reads(client, kSearches - 1));
+
+  // The server releases the connection (and its session) once it has seen
+  // the close; poll briefly for that.
+  client.Close();
+  ServeClient other = world.Connect();
+  bool drained = false;
+  for (int i = 0; i < 200 && !drained; ++i) {
+    drained = pending_reads(other, 0);
+    if (!drained) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(drained) << *other.Stats("system");
 }
 
 TEST(ServeProtocol, StatsAndRefreshVerbs) {
