@@ -1,12 +1,11 @@
 // Google-benchmark microbenchmarks for the core operations and the design
 // ablations called out in DESIGN.md §4: routing engines, grid mapping,
-// cluster-list maintenance, ETA-range probes vs linear scan, candidate
-// intersection strategies, and the oracle CLOCK cache.
+// cluster-list maintenance, ETA-range probes vs linear scan, and the oracle
+// CLOCK cache.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -139,21 +138,26 @@ ClusterRideList MakeList(std::size_t n) {
   ClusterRideList list;
   Rng rng(3);
   for (std::size_t i = 0; i < n; ++i) {
-    list.Upsert(RideId(static_cast<RideId::underlying_type>(i)),
+    list.Insert(RideId(static_cast<RideId::underlying_type>(i)),
                 rng.Uniform(0, 86400), rng.Uniform(0, 4000));
   }
   return list;
 }
 
-void BM_ClusterListUpsert(benchmark::State& state) {
+// One list entry's lifetime: insert at a key, then erase by that key (the
+// list keeps its size across iterations).
+void BM_ClusterListInsertErase(benchmark::State& state) {
   ClusterRideList list = MakeList(static_cast<std::size_t>(state.range(0)));
   Rng rng(4);
   std::uint32_t next = 1 << 20;
   for (auto _ : state) {
-    list.Upsert(RideId(next++), rng.Uniform(0, 86400), 0.0);
+    const RideId ride(next++);
+    const double eta_s = rng.Uniform(0, 86400);
+    list.Insert(ride, eta_s, 0.0);
+    benchmark::DoNotOptimize(list.Erase(ride, eta_s));
   }
 }
-BENCHMARK(BM_ClusterListUpsert)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_ClusterListInsertErase)->Arg(1000)->Arg(10000);
 
 // Ablation: binary-searched ETA range vs linear scan of an unsorted list.
 void BM_EtaRangeSorted(benchmark::State& state) {
@@ -185,49 +189,6 @@ void BM_EtaRangeLinearScanBaseline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EtaRangeLinearScanBaseline)->Arg(1000)->Arg(10000);
-
-// Ablation: sorted-vector intersection vs hash-set intersection of candidate
-// ride-id sets (Search Step 2).
-std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
-MakeIdSets(std::size_t n) {
-  Rng rng(6);
-  std::vector<std::uint32_t> a, b;
-  for (std::size_t i = 0; i < n; ++i) {
-    a.push_back(static_cast<std::uint32_t>(rng.NextIndex(4 * n)));
-    b.push_back(static_cast<std::uint32_t>(rng.NextIndex(4 * n)));
-  }
-  std::sort(a.begin(), a.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  std::sort(b.begin(), b.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
-  return {a, b};
-}
-
-void BM_IntersectSortedVectors(benchmark::State& state) {
-  auto [a, b] = MakeIdSets(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::size_t hits = 0;
-    std::size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i] < b[j]) ++i;
-      else if (b[j] < a[i]) ++j;
-      else { ++hits; ++i; ++j; }
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_IntersectSortedVectors)->Arg(256)->Arg(4096);
-
-void BM_IntersectHashSet(benchmark::State& state) {
-  auto [a, b] = MakeIdSets(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::unordered_set<std::uint32_t> set(a.begin(), a.end());
-    std::size_t hits = 0;
-    for (std::uint32_t x : b) hits += set.count(x);
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_IntersectHashSet)->Arg(256)->Arg(4096);
 
 // --- End-to-end operations ----------------------------------------------------
 

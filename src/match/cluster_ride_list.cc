@@ -1,7 +1,6 @@
 #include "match/cluster_ride_list.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace xar {
 namespace {
@@ -11,53 +10,22 @@ bool EtaLess(const PotentialRide& a, const PotentialRide& b) {
   return a.ride < b.ride;
 }
 
-bool RideLess(const PotentialRide& a, const PotentialRide& b) {
-  return a.ride < b.ride;
-}
-
 }  // namespace
 
-void ClusterRideList::Upsert(RideId ride, double eta_s, double detour_m) {
+void ClusterRideList::Insert(RideId ride, double eta_s, double detour_m) {
   PotentialRide entry{ride, eta_s, detour_m};
-  auto rit = std::lower_bound(by_ride_.begin(), by_ride_.end(), entry,
-                              RideLess);
-  if (rit != by_ride_.end() && rit->ride == ride) {
-    // Update in place: relocate the ETA-sorted copy.
-    PotentialRide old = *rit;
-    *rit = entry;
-    auto eit = std::lower_bound(by_eta_.begin(), by_eta_.end(), old, EtaLess);
-    assert(eit != by_eta_.end() && eit->ride == ride);
-    by_eta_.erase(eit);
-  } else {
-    by_ride_.insert(rit, entry);
-  }
   by_eta_.insert(
       std::lower_bound(by_eta_.begin(), by_eta_.end(), entry, EtaLess), entry);
 }
 
-bool ClusterRideList::Remove(RideId ride) {
-  PotentialRide probe{ride, 0.0, 0.0};
-  auto rit =
-      std::lower_bound(by_ride_.begin(), by_ride_.end(), probe, RideLess);
-  if (rit == by_ride_.end() || rit->ride != ride) return false;
-  PotentialRide old = *rit;
-  by_ride_.erase(rit);
-  auto eit = std::lower_bound(by_eta_.begin(), by_eta_.end(), old, EtaLess);
-  assert(eit != by_eta_.end() && eit->ride == ride);
-  by_eta_.erase(eit);
+bool ClusterRideList::Erase(RideId ride, double eta_s) {
+  PotentialRide key{ride, eta_s, 0.0};
+  auto it = std::lower_bound(by_eta_.begin(), by_eta_.end(), key, EtaLess);
+  if (it == by_eta_.end() || it->ride != ride || it->eta_s != eta_s) {
+    return false;
+  }
+  by_eta_.erase(it);
   return true;
-}
-
-bool ClusterRideList::Contains(RideId ride) const {
-  return Find(ride) != nullptr;
-}
-
-const PotentialRide* ClusterRideList::Find(RideId ride) const {
-  PotentialRide probe{ride, 0.0, 0.0};
-  auto rit =
-      std::lower_bound(by_ride_.begin(), by_ride_.end(), probe, RideLess);
-  if (rit == by_ride_.end() || rit->ride != ride) return nullptr;
-  return &*rit;
 }
 
 std::span<const PotentialRide> ClusterRideList::EtaRange(double t_begin,

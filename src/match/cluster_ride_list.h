@@ -18,42 +18,30 @@ struct PotentialRide {
   double detour_m = 0.0;
 };
 
-/// The paper's per-cluster potential-ride structure (Section VI): the same
-/// tuples maintained in two sorted orders — by non-decreasing ETA (for the
-/// logarithmic time-window probe of Search Step 1/2) and by ride id (for
-/// O(log n) point updates and membership checks).
+/// The paper's per-cluster potential-ride structure (Section VI): one list
+/// sorted by (eta_s, ride), probed by the logarithmic time-window search of
+/// Search Step 1/2. A ride appears at most once per list, and its owner
+/// remembers the ETA it inserted at: that full key is what Erase finds it by.
 class ClusterRideList {
  public:
-  /// Inserts or updates the entry for `ride`.
-  void Upsert(RideId ride, double eta_s, double detour_m);
+  /// Inserts `ride` at key (eta_s, ride). The ride must not be listed yet.
+  void Insert(RideId ride, double eta_s, double detour_m);
 
-  /// Removes `ride` if present; returns whether it was present.
-  bool Remove(RideId ride);
+  /// Removes the entry at key (eta_s, ride); returns whether it was there.
+  bool Erase(RideId ride, double eta_s);
 
-  bool Contains(RideId ride) const;
-
-  /// The entry for `ride`, or nullptr.
-  const PotentialRide* Find(RideId ride) const;
-
-  /// All entries with eta in [t_begin, t_end], by binary search on the
-  /// ETA-sorted list.
+  /// All entries with eta in [t_begin, t_end], by binary search.
   std::span<const PotentialRide> EtaRange(double t_begin, double t_end) const;
 
-  std::size_t size() const { return by_ride_.size(); }
-  bool empty() const { return by_ride_.empty(); }
-
-  /// Entries in ride-id order (for intersection-style traversals).
-  const std::vector<PotentialRide>& by_ride() const { return by_ride_; }
+  std::size_t size() const { return by_eta_.size(); }
+  bool empty() const { return by_eta_.empty(); }
 
   std::size_t MemoryFootprint() const {
-    return (by_eta_.capacity() + by_ride_.capacity()) *
-               sizeof(PotentialRide) +
-           sizeof(*this);
+    return by_eta_.capacity() * sizeof(PotentialRide) + sizeof(*this);
   }
 
  private:
-  std::vector<PotentialRide> by_eta_;   // sorted by (eta_s, ride)
-  std::vector<PotentialRide> by_ride_;  // sorted by ride
+  std::vector<PotentialRide> by_eta_;  // sorted by (eta_s, ride)
 };
 
 }  // namespace xar

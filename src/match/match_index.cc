@@ -246,18 +246,25 @@ void MatchIndex::Register(const Ride& ride) {
   std::unordered_map<ClusterId, Support> agg = AggregateSupports(reg);
   reg.registered_clusters.reserve(agg.size());
   for (const auto& [cluster, support] : agg) {
-    lists_[cluster.value()].Upsert(ride.id, support.eta_s, support.detour_m);
     reg.registered_clusters.push_back(cluster);
   }
   std::sort(reg.registered_clusters.begin(), reg.registered_clusters.end());
+  reg.registered_eta_s.reserve(agg.size());
+  for (ClusterId c : reg.registered_clusters) {
+    const Support& support = agg.find(c)->second;
+    lists_[c.value()].Insert(ride.id, support.eta_s, support.detour_m);
+    reg.registered_eta_s.push_back(support.eta_s);
+  }
   registrations_[ride.id] = std::move(reg);
 }
 
 void MatchIndex::Unregister(RideId ride) {
   auto it = registrations_.find(ride);
   if (it == registrations_.end()) return;
-  for (ClusterId c : it->second.registered_clusters) {
-    lists_[c.value()].Remove(ride);
+  const RideRegistration& reg = it->second;
+  for (std::size_t k = 0; k < reg.registered_clusters.size(); ++k) {
+    lists_[reg.registered_clusters[k].value()].Erase(ride,
+                                                     reg.registered_eta_s[k]);
   }
   registrations_.erase(it);
 }
@@ -304,23 +311,30 @@ std::size_t MatchIndex::Advance(const Ride& ride, double now_s) {
   // it; otherwise the ride is evicted from that cluster's potential list.
   std::unordered_map<ClusterId, Support> agg = AggregateSupports(reg);
   std::size_t evicted = 0;
-  std::vector<ClusterId> still_registered;
-  still_registered.reserve(reg.registered_clusters.size());
-  for (ClusterId c : reg.registered_clusters) {
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < reg.registered_clusters.size(); ++k) {
+    const ClusterId c = reg.registered_clusters[k];
+    double eta_s = reg.registered_eta_s[k];
+    ClusterRideList& list = lists_[c.value()];
     auto support = agg.find(c);
     if (support == agg.end()) {
-      if (lists_[c.value()].Remove(ride.id)) ++evicted;
+      if (list.Erase(ride.id, eta_s)) ++evicted;
       continue;
     }
-    still_registered.push_back(c);
-    // Refresh ETA/detour if this cluster lost its best supporting
+    // Re-key the entry if this cluster lost its best supporting
     // pass-through.
     if (std::binary_search(affected.begin(), affected.end(), c)) {
-      lists_[c.value()].Upsert(ride.id, support->second.eta_s,
-                               support->second.detour_m);
+      [[maybe_unused]] const bool listed = list.Erase(ride.id, eta_s);
+      assert(listed);
+      eta_s = support->second.eta_s;
+      list.Insert(ride.id, eta_s, support->second.detour_m);
     }
+    reg.registered_clusters[kept] = c;
+    reg.registered_eta_s[kept] = eta_s;
+    ++kept;
   }
-  reg.registered_clusters = std::move(still_registered);
+  reg.registered_clusters.resize(kept);
+  reg.registered_eta_s.resize(kept);
 
   // Step 3 (remove crossed pass-throughs) is represented by the `crossed`
   // flag; physically erase them to keep the registration compact.
@@ -519,7 +533,8 @@ std::size_t MatchIndex::MemoryFootprint() const {
       bytes += sizeof(pt) + pt.reachable.capacity() * sizeof(ClusterId) +
                pt.reachable_detour_m.capacity() * sizeof(double);
     }
-    bytes += reg.registered_clusters.capacity() * sizeof(ClusterId);
+    bytes += reg.registered_clusters.capacity() * sizeof(ClusterId) +
+             reg.registered_eta_s.capacity() * sizeof(double);
   }
   return bytes;
 }

@@ -38,8 +38,11 @@ struct PassThroughCluster {
 /// Everything the index knows about one registered ride.
 struct RideRegistration {
   std::vector<PassThroughCluster> pass_throughs;  ///< in segment order
-  /// Every cluster this ride currently appears under (sorted, unique).
+  /// Every cluster this ride currently appears under (sorted, unique), and
+  /// the ETA it is listed at there, parallel arrays: the list's full
+  /// (eta, ride) key, so removal is one binary search.
   std::vector<ClusterId> registered_clusters;
+  std::vector<double> registered_eta_s;
 };
 
 /// Point-in-time copy of the index counters (the "match" stats section).

@@ -28,28 +28,33 @@ TShareSystem::TShareSystem(const RoadGraph& graph,
       grid_(graph.bounds(), options.grid_cell_m),
       cell_lists_(grid_.CellCount()) {}
 
-void TShareSystem::IndexRideCells(const Ride& ride) {
-  // Insert the taxi into the temporal list of every grid its route crosses,
-  // keyed by the ETA of the first route node inside the cell.
+std::vector<std::pair<GridId, double>> TShareSystem::FirstVisitKeys(
+    const Ride& ride) const {
+  // Every grid the route crosses, keyed by the ETA of the first route node
+  // inside the cell (a route that re-enters a cell keeps its first visit).
+  std::vector<std::pair<GridId, double>> keys;
   GridId prev = GridId::Invalid();
   for (std::size_t j = 0; j < ride.route.nodes.size(); ++j) {
     GridId g = grid_.GridOf(graph_.PositionOf(ride.route.nodes[j]));
     if (g == prev) continue;
     prev = g;
-    if (!cell_lists_[g.value()].Contains(ride.id)) {
-      cell_lists_[g.value()].Upsert(
-          ride.id, ride.departure_time_s + ride.route_cum_time_s[j], 0.0);
+    if (std::none_of(keys.begin(), keys.end(),
+                     [g](const auto& key) { return key.first == g; })) {
+      keys.emplace_back(g, ride.departure_time_s + ride.route_cum_time_s[j]);
     }
+  }
+  return keys;
+}
+
+void TShareSystem::IndexRideCells(const Ride& ride) {
+  for (const auto& [g, eta_s] : FirstVisitKeys(ride)) {
+    cell_lists_[g.value()].Insert(ride.id, eta_s, 0.0);
   }
 }
 
 void TShareSystem::DeindexRideCells(const Ride& ride) {
-  GridId prev = GridId::Invalid();
-  for (std::size_t j = 0; j < ride.route.nodes.size(); ++j) {
-    GridId g = grid_.GridOf(graph_.PositionOf(ride.route.nodes[j]));
-    if (g == prev) continue;
-    prev = g;
-    cell_lists_[g.value()].Remove(ride.id);
+  for (const auto& [g, eta_s] : FirstVisitKeys(ride)) {
+    cell_lists_[g.value()].Erase(ride.id, eta_s);
   }
 }
 

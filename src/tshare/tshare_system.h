@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -96,6 +97,11 @@ class TShareSystem {
 
   std::size_t MemoryFootprint() const;
 
+  /// The temporal taxi list of a grid cell.
+  const ClusterRideList& CellList(GridId g) const {
+    return cell_lists_[g.value()];
+  }
+
  private:
   /// Exact minimum insertion detour of `node` over the segments of `ride`
   /// at or after `from_segment`; fills the chosen segment. Uses 2 oracle
@@ -103,6 +109,11 @@ class TShareSystem {
   double BestInsertion(const Ride& ride, NodeId node,
                        std::size_t from_segment, std::size_t* segment);
 
+  /// The (cell, ETA) key of each grid cell `ride`'s route visits. Index and
+  /// Deindex both call it: a ride's route does not change while it is
+  /// indexed, so Deindex recomputes exactly the keys Index inserted.
+  std::vector<std::pair<GridId, double>> FirstVisitKeys(
+      const Ride& ride) const;
   void IndexRideCells(const Ride& ride);
   void DeindexRideCells(const Ride& ride);
   Ride& MutableRide(RideId id) { return rides_[id.value()]; }

@@ -114,6 +114,12 @@ class ConcurrentXarSystem {
 
   std::size_t num_shards() const { return num_shards_; }
 
+  /// Shard `s`'s system, read without its lock: for single-threaded callers
+  /// on a quiescent system only (tests that inspect one shard's index).
+  const XarSystem& shard_system(std::size_t s) const {
+    return shards_[s]->system;
+  }
+
   // --- Read path (per-shard shared locks, concurrent) ---------------------
 
   std::vector<RideMatch> Search(const RideRequest& request) const {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "match/cluster_ride_list.h"
@@ -9,42 +11,51 @@
 namespace xar {
 namespace {
 
-TEST(ClusterRideListTest, UpsertInsertsAndFinds) {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ClusterRideListTest, InsertListsTheEntryAtItsKey) {
   ClusterRideList list;
-  list.Upsert(RideId(5), 100.0, 50.0);
+  list.Insert(RideId(5), 100.0, 50.0);
   EXPECT_EQ(list.size(), 1u);
-  EXPECT_TRUE(list.Contains(RideId(5)));
-  EXPECT_FALSE(list.Contains(RideId(6)));
-  const PotentialRide* pr = list.Find(RideId(5));
-  ASSERT_NE(pr, nullptr);
-  EXPECT_DOUBLE_EQ(pr->eta_s, 100.0);
-  EXPECT_DOUBLE_EQ(pr->detour_m, 50.0);
+  std::span<const PotentialRide> at_key = list.EtaRange(100.0, 100.0);
+  ASSERT_EQ(at_key.size(), 1u);
+  EXPECT_EQ(at_key[0].ride, RideId(5));
+  EXPECT_DOUBLE_EQ(at_key[0].eta_s, 100.0);
+  EXPECT_DOUBLE_EQ(at_key[0].detour_m, 50.0);
 }
 
-TEST(ClusterRideListTest, UpsertUpdatesInPlace) {
+TEST(ClusterRideListTest, EraseThenInsertReKeysAnEntry) {
   ClusterRideList list;
-  list.Upsert(RideId(5), 100.0, 0.0);
-  list.Upsert(RideId(5), 300.0, 70.0);
+  list.Insert(RideId(5), 100.0, 0.0);
+  ASSERT_TRUE(list.Erase(RideId(5), 100.0));
+  list.Insert(RideId(5), 300.0, 70.0);
   EXPECT_EQ(list.size(), 1u);
-  EXPECT_DOUBLE_EQ(list.Find(RideId(5))->eta_s, 300.0);
-  // The old ETA-sorted copy is gone.
+  // The old key is gone; the entry sits at the new one.
   EXPECT_TRUE(list.EtaRange(50, 150).empty());
-  EXPECT_EQ(list.EtaRange(250, 350).size(), 1u);
+  ASSERT_EQ(list.EtaRange(250, 350).size(), 1u);
+  EXPECT_DOUBLE_EQ(list.EtaRange(250, 350)[0].detour_m, 70.0);
 }
 
-TEST(ClusterRideListTest, RemoveReportsPresence) {
+TEST(ClusterRideListTest, EraseReportsPresenceAtTheKey) {
   ClusterRideList list;
-  list.Upsert(RideId(1), 10.0, 0.0);
-  EXPECT_TRUE(list.Remove(RideId(1)));
-  EXPECT_FALSE(list.Remove(RideId(1)));
+  list.Insert(RideId(1), 10.0, 0.0);
+  list.Insert(RideId(2), 10.0, 0.0);
+  // The right ride at the wrong ETA, and the right ETA for a ride not
+  // listed, both miss.
+  EXPECT_FALSE(list.Erase(RideId(1), 11.0));
+  EXPECT_FALSE(list.Erase(RideId(3), 10.0));
+  EXPECT_EQ(list.size(), 2u);
+  EXPECT_TRUE(list.Erase(RideId(1), 10.0));
+  EXPECT_FALSE(list.Erase(RideId(1), 10.0));
+  EXPECT_TRUE(list.Erase(RideId(2), 10.0));
   EXPECT_TRUE(list.empty());
 }
 
 TEST(ClusterRideListTest, EtaRangeBoundsInclusive) {
   ClusterRideList list;
-  list.Upsert(RideId(1), 10.0, 0.0);
-  list.Upsert(RideId(2), 20.0, 0.0);
-  list.Upsert(RideId(3), 30.0, 0.0);
+  list.Insert(RideId(1), 10.0, 0.0);
+  list.Insert(RideId(2), 20.0, 0.0);
+  list.Insert(RideId(3), 30.0, 0.0);
   EXPECT_EQ(list.EtaRange(10.0, 30.0).size(), 3u);
   EXPECT_EQ(list.EtaRange(10.1, 29.9).size(), 1u);
   EXPECT_EQ(list.EtaRange(31.0, 99.0).size(), 0u);
@@ -58,62 +69,80 @@ TEST(ClusterRideListTest, EtaRangeOnEmptyList) {
 
 TEST(ClusterRideListTest, DuplicateEtasAllReturned) {
   ClusterRideList list;
-  for (std::uint32_t i = 0; i < 5; ++i) list.Upsert(RideId(i), 42.0, 0.0);
+  for (std::uint32_t i = 0; i < 5; ++i) list.Insert(RideId(i), 42.0, 0.0);
   EXPECT_EQ(list.EtaRange(42.0, 42.0).size(), 5u);
 }
 
-/// Property: after a random interleaving of upserts and removes, both sorted
-/// views agree with a reference map, and every ETA probe matches a brute
-/// force scan.
+bool KeyLess(const PotentialRide& a, const PotentialRide& b) {
+  return a.eta_s != b.eta_s ? a.eta_s < b.eta_s : a.ride < b.ride;
+}
+
+bool SameEntry(const PotentialRide& a, const PotentialRide& b) {
+  return a.ride == b.ride && a.eta_s == b.eta_s && a.detour_m == b.detour_m;
+}
+
+/// Property: after a random interleaving of inserts and key erases — some
+/// with the right ride at a wrong ETA — the list equals an (eta, ride)
+/// sorted reference model entry by entry, and every ETA probe matches a
+/// brute force scan.
 class ClusterRideListPropertyTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClusterRideListPropertyTest, MatchesReferenceModel) {
   Rng rng(GetParam());
   ClusterRideList list;
-  std::map<RideId, std::pair<double, double>> model;
+  std::vector<PotentialRide> model;  // sorted by (eta, ride)
+
+  auto same_as_model = [&] {
+    std::span<const PotentialRide> got = list.EtaRange(-kInf, kInf);
+    return got.size() == model.size() &&
+           std::equal(got.begin(), got.end(), model.begin(), SameEntry);
+  };
 
   for (int op = 0; op < 2000; ++op) {
     RideId ride(static_cast<RideId::underlying_type>(rng.NextIndex(200)));
-    if (rng.Bernoulli(0.7)) {
-      double eta = rng.Uniform(0, 86400);
-      double detour = rng.Uniform(0, 4000);
-      list.Upsert(ride, eta, detour);
-      model[ride] = {eta, detour};
-    } else {
-      bool present = model.count(ride) > 0;
-      EXPECT_EQ(list.Remove(ride), present);
-      model.erase(ride);
+    // ETAs on a coarse grid so that distinct rides often share one.
+    const double eta = static_cast<double>(rng.NextIndex(400)) * 60.0;
+    auto listed = std::find_if(model.begin(), model.end(),
+                               [&](const PotentialRide& pr) {
+                                 return pr.ride == ride;
+                               });
+    if (listed == model.end()) {
+      if (rng.Bernoulli(0.7)) {
+        PotentialRide entry{ride, eta, rng.Uniform(0, 4000)};
+        list.Insert(ride, entry.eta_s, entry.detour_m);
+        model.insert(
+            std::upper_bound(model.begin(), model.end(), entry, KeyLess),
+            entry);
+      } else {
+        EXPECT_FALSE(list.Erase(ride, eta));
+      }
+    } else if (rng.Bernoulli(0.5)) {
+      EXPECT_TRUE(list.Erase(ride, listed->eta_s));
+      model.erase(listed);
+    } else if (eta != listed->eta_s) {
+      // The right ride at the wrong ETA: no entry is touched.
+      EXPECT_FALSE(list.Erase(ride, eta));
+      EXPECT_TRUE(same_as_model());
     }
   }
 
   EXPECT_EQ(list.size(), model.size());
-  // by_ride view is sorted and complete.
-  const std::vector<PotentialRide>& by_ride = list.by_ride();
-  ASSERT_EQ(by_ride.size(), model.size());
-  auto it = model.begin();
-  for (const PotentialRide& pr : by_ride) {
-    EXPECT_EQ(pr.ride, it->first);
-    EXPECT_DOUBLE_EQ(pr.eta_s, it->second.first);
-    EXPECT_DOUBLE_EQ(pr.detour_m, it->second.second);
-    ++it;
-  }
-  // Random ETA probes match brute force counts.
+  EXPECT_TRUE(same_as_model());
+  // Random ETA probes match brute force ranges of the model.
   for (int probe = 0; probe < 50; ++probe) {
-    double lo = rng.Uniform(0, 86400);
+    double lo = rng.Uniform(0, 24000);
     double hi = lo + rng.Uniform(0, 7200);
-    std::size_t brute = 0;
-    for (const auto& [ride, entry] : model) {
-      if (entry.first >= lo && entry.first <= hi) ++brute;
-    }
+    auto first = std::find_if(model.begin(), model.end(),
+                              [&](const PotentialRide& pr) {
+                                return pr.eta_s >= lo;
+                              });
+    auto last = std::find_if(first, model.end(), [&](const PotentialRide& pr) {
+      return pr.eta_s > hi;
+    });
     std::span<const PotentialRide> got = list.EtaRange(lo, hi);
-    EXPECT_EQ(got.size(), brute);
-    double prev = lo;
-    for (const PotentialRide& pr : got) {
-      EXPECT_GE(pr.eta_s, prev - 1e-12);
-      EXPECT_LE(pr.eta_s, hi);
-      prev = pr.eta_s;
-    }
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(last - first));
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), first, SameEntry));
   }
 }
 
@@ -123,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClusterRideListPropertyTest,
 TEST(ClusterRideListTest, MemoryFootprintGrows) {
   ClusterRideList list;
   std::size_t empty = list.MemoryFootprint();
-  for (std::uint32_t i = 0; i < 100; ++i) list.Upsert(RideId(i), i, 0.0);
+  for (std::uint32_t i = 0; i < 100; ++i) list.Insert(RideId(i), i, 0.0);
   EXPECT_GT(list.MemoryFootprint(), empty);
 }
 

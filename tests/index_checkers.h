@@ -5,16 +5,19 @@
 //
 // IndexMatchesRebuild builds a fresh MatchIndex on the system's current
 // region, Inserts then Advances(now) every active ride, and compares it
-// with the live index: every cluster list in both orders (by ride, and the
-// whole ETA order via EtaRange(-inf, +inf)) entry by entry with eta_s and
-// detour_m bitwise equal, every registration (pass-throughs and registered
-// clusters), and the registered-ride count. Since the rebuild runs the same
-// Insert/Advance code, it also checks each live list entry against the
-// min-aggregated support of the ride's own pass-throughs.
+// with the live index: every cluster list in its one order, the whole
+// (eta, ride) order via EtaRange(-inf, +inf), entry by entry with eta_s and
+// detour_m bitwise equal, every registration (pass-throughs, registered
+// clusters and their stored ETA keys), and the registered-ride count.
+// Independently of the index code, it also checks each registration's
+// stored key against the min-aggregated support of the ride's own
+// pass-throughs, and that the cluster's list holds exactly (ride, that eta,
+// that detour) at that key: the key removal later binary-searches for.
 //
 // RebuildCheckingTarget runs that check inside an EventSim run, after the
-// calls that mutate the index. An end-of-run check alone proves nothing:
-// the sim drains every vehicle, so the index is empty when it returns.
+// calls that mutate the index, on a serial XarSystem or on every shard of a
+// ConcurrentXarSystem. An end-of-run check alone proves nothing: the sim
+// drains every vehicle, so the index is empty when it returns.
 
 #ifndef XAR_TESTS_INDEX_CHECKERS_H_
 #define XAR_TESTS_INDEX_CHECKERS_H_
@@ -30,11 +33,14 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "discretize/region_snapshot.h"
 #include "match/match_index.h"
 #include "sim/event_sim.h"
+#include "tests/test_helpers.h"
+#include "xar/concurrent_xar.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -46,10 +52,10 @@ inline bool SameBits(double a, double b) {
 
 inline ::testing::AssertionResult SameEntries(
     std::span<const PotentialRide> live, std::span<const PotentialRide> fresh,
-    std::size_t cluster, const char* order) {
+    std::size_t cluster) {
   if (live.size() != fresh.size()) {
     return ::testing::AssertionFailure()
-           << "cluster " << cluster << " (" << order << "): live lists "
+           << "cluster " << cluster << ": live lists "
            << live.size() << " rides, rebuild " << fresh.size();
   }
   for (std::size_t i = 0; i < live.size(); ++i) {
@@ -57,7 +63,7 @@ inline ::testing::AssertionResult SameEntries(
         !SameBits(live[i].eta_s, fresh[i].eta_s) ||
         !SameBits(live[i].detour_m, fresh[i].detour_m)) {
       return ::testing::AssertionFailure()
-             << "cluster " << cluster << " (" << order << ") entry " << i
+             << "cluster " << cluster << " entry " << i
              << ": live ride " << live[i].ride.value() << " eta "
              << live[i].eta_s << " detour " << live[i].detour_m
              << ", rebuild ride " << fresh[i].ride.value() << " eta "
@@ -123,6 +129,14 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
              << got->registered_clusters.size() << ", rebuild "
              << want->registered_clusters.size() << " (or differ)";
     }
+    if (got->registered_eta_s.size() != want->registered_eta_s.size() ||
+        !std::equal(got->registered_eta_s.begin(),
+                    got->registered_eta_s.end(),
+                    want->registered_eta_s.begin(), SameBits)) {
+      return ::testing::AssertionFailure()
+             << "ride " << id.value()
+             << ": live registered ETA keys differ from the rebuild's";
+    }
     if (got->pass_throughs.size() != want->pass_throughs.size()) {
       return ::testing::AssertionFailure()
              << "ride " << id.value() << ": live pass-throughs "
@@ -145,7 +159,8 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
   // Independently of the index code: each registered ride is listed under
   // exactly its registered clusters, at the min (ETA, detour) over its
   // pass-throughs — a pass-through's own cluster at its ETA and zero detour,
-  // a reachable cluster at the ETA plus the cluster-distance drive.
+  // a reachable cluster at the ETA plus the cluster-distance drive — and
+  // each cluster's stored key is that min ETA.
   const RegionIndex& region = xar.region();
   for (std::size_t i = 0; i < xar.NumRides(); ++i) {
     const RideId id = ride_at(i);
@@ -169,22 +184,36 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
         offer(pt.reachable[r], pt.eta_s + travel, pt.reachable_detour_m[r]);
       }
     }
-    if (expected.size() != reg->registered_clusters.size()) {
+    if (expected.size() != reg->registered_clusters.size() ||
+        expected.size() != reg->registered_eta_s.size()) {
       return ::testing::AssertionFailure()
              << "ride " << id.value() << " is registered under "
-             << reg->registered_clusters.size()
-             << " clusters, its pass-throughs support " << expected.size();
+             << reg->registered_clusters.size() << " clusters with "
+             << reg->registered_eta_s.size()
+             << " ETA keys, its pass-throughs support " << expected.size();
     }
     std::size_t k = 0;
     for (const auto& [cluster, want] : expected) {
-      const PotentialRide* got = live.ListOf(cluster).Find(id);
-      if (reg->registered_clusters[k++] != cluster || got == nullptr ||
-          !SameBits(got->eta_s, want.eta_s) ||
+      const double key = reg->registered_eta_s[k];
+      if (reg->registered_clusters[k++] != cluster ||
+          !SameBits(key, want.eta_s)) {
+        return ::testing::AssertionFailure()
+               << "ride " << id.value() << " in cluster " << cluster.value()
+               << ": stored key eta " << key
+               << ", its pass-throughs give eta " << want.eta_s;
+      }
+      // The entry sits where Erase's binary search on (key, ride) looks.
+      const PotentialRide* got = FindEntry(live.ListOf(cluster), id);
+      const std::span<const PotentialRide> at_key =
+          live.ListOf(cluster).EtaRange(key, key);
+      if (got == nullptr || got < at_key.data() ||
+          got >= at_key.data() + at_key.size() ||
+          !SameBits(got->eta_s, key) ||
           !SameBits(got->detour_m, want.detour_m)) {
         return ::testing::AssertionFailure()
                << "ride " << id.value() << " in cluster " << cluster.value()
                << ": listed "
-               << (got == nullptr ? "nowhere" : "at a stale support")
+               << (got == nullptr ? "nowhere" : "off its key or stale")
                << ", its pass-throughs give eta " << want.eta_s
                << " detour " << want.detour_m;
       }
@@ -194,30 +223,28 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (std::size_t c = 0; c < region.NumClusters(); ++c) {
     const ClusterId cluster(static_cast<ClusterId::underlying_type>(c));
-    const ClusterRideList& got = live.ListOf(cluster);
-    const ClusterRideList& want = fresh.ListOf(cluster);
-    ::testing::AssertionResult by_ride =
-        SameEntries(got.by_ride(), want.by_ride(), c, "by ride");
-    if (!by_ride) return by_ride;
-    ::testing::AssertionResult by_eta = SameEntries(
-        got.EtaRange(-kInf, kInf), want.EtaRange(-kInf, kInf), c, "by eta");
-    if (!by_eta) return by_eta;
+    ::testing::AssertionResult same =
+        SameEntries(live.ListOf(cluster).EtaRange(-kInf, kInf),
+                    fresh.ListOf(cluster).EtaRange(-kInf, kInf), c);
+    if (!same) return same;
   }
   return ::testing::AssertionSuccess();
 }
 
-/// Forwards every call to a serial XarSystem and, after each call that can
-/// change the index, checks it against a rebuild — every time with
-/// `check_every_s` 0, else at most once per that many sim-seconds. Keeps the
-/// first failure.
+/// Forwards every call to a serial XarSystem, or to a ConcurrentXarSystem,
+/// and after each call that can change the index checks it against a
+/// rebuild, on every shard — every time with `check_every_s` 0, else at most
+/// once per that many sim-seconds. Keeps the first failure.
 class RebuildCheckingTarget final : public SimTarget {
  public:
   RebuildCheckingTarget(XarSystem& xar, const RoadGraph& graph,
                         double check_every_s)
-      : xar_(xar),
-        graph_(graph),
-        check_every_s_(check_every_s),
-        inner_(MakeSimTarget(xar)) {}
+      : RebuildCheckingTarget(MakeSimTarget(xar), {&xar}, graph,
+                              check_every_s) {}
+  RebuildCheckingTarget(ConcurrentXarSystem& xar, const RoadGraph& graph,
+                        double check_every_s)
+      : RebuildCheckingTarget(MakeSimTarget(xar), ShardsOf(xar), graph,
+                              check_every_s) {}
 
   std::vector<RideMatch> Search(const RideRequest& request) const override {
     return inner_->Search(request);
@@ -257,26 +284,48 @@ class RebuildCheckingTarget final : public SimTarget {
   std::uint64_t epoch() const override { return inner_->epoch(); }
 
   std::size_t checks = 0;
-  /// Most rides registered at any check: proves the checks saw a live index.
-  std::size_t max_registered = 0;
+  /// Most rides registered at any check, per shard: proves the checks saw a
+  /// live index on every shard.
+  std::vector<std::size_t> max_registered;
   std::string first_failure;
 
  private:
+  RebuildCheckingTarget(std::unique_ptr<SimTarget> inner,
+                        std::vector<const XarSystem*> shards,
+                        const RoadGraph& graph, double check_every_s)
+      : max_registered(shards.size(), 0),
+        shards_(std::move(shards)),
+        graph_(graph),
+        check_every_s_(check_every_s),
+        inner_(std::move(inner)) {}
+
+  static std::vector<const XarSystem*> ShardsOf(
+      const ConcurrentXarSystem& xar) {
+    std::vector<const XarSystem*> shards;
+    for (std::size_t s = 0; s < xar.num_shards(); ++s) {
+      shards.push_back(&xar.shard_system(s));
+    }
+    return shards;
+  }
+
   void Check(const char* after) {
-    if (checks > 0 && xar_.Now() < next_check_s_) return;
-    next_check_s_ = xar_.Now() + check_every_s_;
+    const double now = shards_.front()->Now();
+    if (checks > 0 && now < next_check_s_) return;
+    next_check_s_ = now + check_every_s_;
     ++checks;
-    max_registered =
-        std::max(max_registered, xar_.match_index().NumRegisteredRides());
-    if (!first_failure.empty()) return;
-    ::testing::AssertionResult same = IndexMatchesRebuild(xar_, graph_);
-    if (!same) {
-      first_failure = std::string("after ") + after + " at t=" +
-                      std::to_string(xar_.Now()) + ": " + same.message();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      max_registered[s] = std::max(
+          max_registered[s], shards_[s]->match_index().NumRegisteredRides());
+      if (!first_failure.empty()) continue;
+      ::testing::AssertionResult same = IndexMatchesRebuild(*shards_[s], graph_);
+      if (!same) {
+        first_failure = "shard " + std::to_string(s) + " after " + after +
+                        " at t=" + std::to_string(now) + ": " + same.message();
+      }
     }
   }
 
-  XarSystem& xar_;
+  std::vector<const XarSystem*> shards_;
   const RoadGraph& graph_;
   const double check_every_s_;
   double next_check_s_ = 0.0;

@@ -49,7 +49,7 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
                                           /*check_every_s=*/3600.0);
     result_ = sim.Run(target, trips_);
     index_checks_ = target.checks;
-    index_max_registered_ = target.max_registered;
+    index_max_registered_ = target.max_registered.front();
     index_failure_ = target.first_failure;
   }
 

@@ -10,6 +10,7 @@
 namespace xar {
 namespace {
 
+using testing::FindEntry;
 using testing::SharedCity;
 using testing::TestCity;
 
@@ -149,10 +150,10 @@ TEST_F(LifecycleTest, FullDayLifecycleEndsClean) {
   EXPECT_EQ(xar_.match_index().RegistrationOf(ride), nullptr);
   // No cluster still lists the ride.
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
-    EXPECT_FALSE(
-        xar_.match_index()
-            .ListOf(ClusterId(static_cast<ClusterId::underlying_type>(c)))
-            .Contains(ride));
+    EXPECT_EQ(FindEntry(xar_.match_index().ListOf(ClusterId(
+                            static_cast<ClusterId::underlying_type>(c))),
+                        ride),
+              nullptr);
   }
 }
 

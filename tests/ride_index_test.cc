@@ -12,6 +12,7 @@
 namespace xar {
 namespace {
 
+using testing::FindEntry;
 using testing::SharedCity;
 using testing::TestCity;
 
@@ -113,7 +114,7 @@ TEST_F(RideIndexTest, ListsMatchRegisteredClusters) {
   // The ride appears in exactly the clusters it claims, nowhere else.
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
     ClusterId cluster(static_cast<ClusterId::underlying_type>(c));
-    bool listed = index_.ListOf(cluster).Contains(ride.id);
+    bool listed = FindEntry(index_.ListOf(cluster), ride.id) != nullptr;
     bool claimed =
         std::binary_search(reg->registered_clusters.begin(),
                            reg->registered_clusters.end(), cluster);
@@ -127,9 +128,10 @@ TEST_F(RideIndexTest, UnregisterRemovesEverywhere) {
   index_.Remove(ride.id);
   EXPECT_EQ(index_.RegistrationOf(ride.id), nullptr);
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
-    EXPECT_FALSE(
-        index_.ListOf(ClusterId(static_cast<ClusterId::underlying_type>(c)))
-            .Contains(ride.id));
+    EXPECT_EQ(FindEntry(index_.ListOf(ClusterId(
+                            static_cast<ClusterId::underlying_type>(c))),
+                        ride.id),
+              nullptr);
   }
   // Idempotent.
   index_.Remove(ride.id);
@@ -153,7 +155,7 @@ TEST_F(RideIndexTest, AdvanceCrossesOnlyPastClusters) {
                        pt.reachable.end();
     }
     EXPECT_TRUE(supported);
-    EXPECT_TRUE(index_.ListOf(c).Contains(ride.id));
+    EXPECT_NE(FindEntry(index_.ListOf(c), ride.id), nullptr);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef XAR_TESTS_TEST_HELPERS_H_
 #define XAR_TESTS_TEST_HELPERS_H_
 
+#include <limits>
 #include <memory>
 
 #include "discretize/region_index.h"
@@ -8,6 +9,7 @@
 #include "graph/oracle.h"
 #include "graph/road_graph.h"
 #include "graph/spatial_index.h"
+#include "match/cluster_ride_list.h"
 
 namespace xar {
 namespace testing {
@@ -45,6 +47,17 @@ inline TestCity MakeTestCity(std::size_t rows = 14, std::size_t cols = 14,
 inline TestCity& SharedCity() {
   static TestCity* city = new TestCity(MakeTestCity());
   return *city;
+}
+
+/// The entry of `ride` in `list`, or nullptr. A list keeps no ride-id order,
+/// so this scans the whole ETA order.
+inline const PotentialRide* FindEntry(const ClusterRideList& list,
+                                      RideId ride) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const PotentialRide& entry : list.EtaRange(-kInf, kInf)) {
+    if (entry.ride == ride) return &entry;
+  }
+  return nullptr;
 }
 
 }  // namespace testing

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <span>
+#include <vector>
+
+#include "geo/grid.h"
 #include "tests/test_helpers.h"
 
 namespace xar {
@@ -9,6 +18,31 @@ namespace {
 
 using testing::SharedCity;
 using testing::TestCity;
+
+// Forwards to a real oracle; while `fail_routes` is set every route comes
+// back unreachable, so a booking's splice fails.
+class FailingRouteOracle final : public DistanceOracle {
+ public:
+  explicit FailingRouteOracle(DistanceOracle& inner) : inner_(inner) {}
+
+  double DriveDistance(NodeId from, NodeId to) override {
+    return inner_.DriveDistance(from, to);
+  }
+  double DriveTime(NodeId from, NodeId to) override {
+    return inner_.DriveTime(from, to);
+  }
+  double WalkDistance(NodeId from, NodeId to) override {
+    return inner_.WalkDistance(from, to);
+  }
+  Path DriveRoute(NodeId from, NodeId to) override {
+    return fail_routes ? Path{} : inner_.DriveRoute(from, to);
+  }
+
+  bool fail_routes = false;
+
+ private:
+  DistanceOracle& inner_;
+};
 
 class TShareTest : public ::testing::Test {
  protected:
@@ -168,6 +202,92 @@ TEST_F(TShareTest, MemoryFootprintGrows) {
   std::size_t empty = tshare_.MemoryFootprint();
   ASSERT_TRUE(tshare_.CreateRide(DiagonalOffer()).ok());
   EXPECT_GT(tshare_.MemoryFootprint(), empty);
+}
+
+// Every cell list holds exactly the active rides, each at the ETA of its
+// route's first node inside the cell, through bookings, a failed splice
+// and retirement.
+TEST_F(TShareTest, CellListsHoldActiveRidesAtFirstVisitKeys) {
+  FailingRouteOracle routing(*city_.oracle);
+  TShareSystem tshare(city_.graph, *city_.spatial, routing);
+  const GridSpec grid(city_.graph.bounds(), TShareOptions{}.grid_cell_m);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  auto lists_hold_first_visits = [&]() -> ::testing::AssertionResult {
+    std::vector<std::vector<PotentialRide>> want(grid.CellCount());
+    for (std::size_t i = 0; i < tshare.NumRides(); ++i) {
+      const Ride& ride = *tshare.GetRide(
+          RideId(static_cast<RideId::underlying_type>(i)));
+      if (!ride.active) continue;
+      std::map<GridId, double> first_visit;
+      for (std::size_t j = 0; j < ride.route.nodes.size(); ++j) {
+        first_visit.emplace(
+            grid.GridOf(city_.graph.PositionOf(ride.route.nodes[j])),
+            ride.departure_time_s + ride.route_cum_time_s[j]);
+      }
+      for (const auto& [g, eta_s] : first_visit) {
+        want[g.value()].push_back(PotentialRide{ride.id, eta_s, 0.0});
+      }
+    }
+    for (std::size_t c = 0; c < grid.CellCount(); ++c) {
+      std::sort(want[c].begin(), want[c].end(),
+                [](const PotentialRide& a, const PotentialRide& b) {
+                  return a.eta_s != b.eta_s ? a.eta_s < b.eta_s
+                                            : a.ride < b.ride;
+                });
+      const std::span<const PotentialRide> got =
+          tshare.CellList(GridId(static_cast<GridId::underlying_type>(c)))
+              .EtaRange(-kInf, kInf);
+      bool same = got.size() == want[c].size();
+      for (std::size_t k = 0; same && k < got.size(); ++k) {
+        same = got[k].ride == want[c][k].ride &&
+               std::bit_cast<std::uint64_t>(got[k].eta_s) ==
+                   std::bit_cast<std::uint64_t>(want[c][k].eta_s) &&
+               got[k].detour_m == 0.0;
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "cell " << c << " lists " << got.size()
+               << " rides, the active routes first visit it "
+               << want[c].size() << " times (or differ)";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  Result<RideId> ride = tshare.CreateRide(DiagonalOffer());
+  ASSERT_TRUE(ride.ok());
+  ASSERT_TRUE(tshare.CreateRide(DiagonalOffer(8 * 3600.0 + 600)).ok());
+  EXPECT_TRUE(lists_hold_first_visits());
+
+  auto book = [&](RequestId id, double from, double to) {
+    const BoundingBox& b = city_.graph.bounds();
+    RideRequest req = MidRequest();
+    req.id = id;
+    req.source = {b.min_lat + from * (b.max_lat - b.min_lat),
+                  b.min_lng + from * (b.max_lng - b.min_lng)};
+    req.destination = {b.min_lat + to * (b.max_lat - b.min_lat),
+                       b.min_lng + to * (b.max_lng - b.min_lng)};
+    for (const TShareMatch& m : tshare.Search(req)) {
+      if (m.ride != *ride) continue;
+      // A failed splice restores the ride's old entries; the retry books.
+      routing.fail_routes = true;
+      EXPECT_FALSE(tshare.Book(m.ride, req, m).ok());
+      routing.fail_routes = false;
+      EXPECT_TRUE(lists_hold_first_visits());
+      return tshare.Book(m.ride, req, m).ok();
+    }
+    return false;
+  };
+  ASSERT_TRUE(book(RequestId(1), 0.3, 0.6));
+  EXPECT_TRUE(lists_hold_first_visits());
+  ASSERT_TRUE(book(RequestId(2), 0.5, 0.8));
+  EXPECT_TRUE(lists_hold_first_visits());
+  EXPECT_EQ(tshare.GetRide(*ride)->via_points.size(), 6u);
+
+  tshare.AdvanceTime(tshare.GetRide(*ride)->ArrivalTimeS() + 1.0);
+  EXPECT_FALSE(tshare.GetRide(*ride)->active);
+  EXPECT_TRUE(lists_hold_first_visits());
 }
 
 }  // namespace
