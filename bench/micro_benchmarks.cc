@@ -139,7 +139,7 @@ ClusterRideList MakeList(std::size_t n) {
   Rng rng(3);
   for (std::size_t i = 0; i < n; ++i) {
     list.Insert(RideId(static_cast<RideId::underlying_type>(i)),
-                rng.Uniform(0, 86400), rng.Uniform(0, 4000));
+                rng.Uniform(0, 86400));
   }
   return list;
 }
@@ -153,11 +153,28 @@ void BM_ClusterListInsertErase(benchmark::State& state) {
   for (auto _ : state) {
     const RideId ride(next++);
     const double eta_s = rng.Uniform(0, 86400);
-    list.Insert(ride, eta_s, 0.0);
+    list.Insert(ride, eta_s);
     benchmark::DoNotOptimize(list.Erase(ride, eta_s));
   }
 }
 BENCHMARK(BM_ClusterListInsertErase)->Arg(1000)->Arg(10000);
+
+// A booking's re-key of one entry: its ETA moves by about 3 ranks, to the
+// right then back (the list keeps its keys across iterations).
+void BM_ClusterListMove(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  ClusterRideList list = MakeList(n);
+  const PotentialRide entry = list.EtaRange(0, 86400)[n / 2];
+  // MakeList's ETAs are uniform over a day: 3 ranks is 3/n of it.
+  const double moved_s = entry.eta_s + 3.0 * 86400.0 / static_cast<double>(n);
+  bool out = true;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(out ? list.Move(entry.ride, entry.eta_s, moved_s)
+                                 : list.Move(entry.ride, moved_s, entry.eta_s));
+    out = !out;
+  }
+}
+BENCHMARK(BM_ClusterListMove)->Arg(1000)->Arg(10000);
 
 // Ablation: binary-searched ETA range vs linear scan of an unsorted list.
 void BM_EtaRangeSorted(benchmark::State& state) {
@@ -176,7 +193,7 @@ void BM_EtaRangeLinearScanBaseline(benchmark::State& state) {
   for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
     flat.push_back(PotentialRide{
         RideId(static_cast<RideId::underlying_type>(i)),
-        rng.Uniform(0, 86400), 0.0});
+        rng.Uniform(0, 86400)});
   }
   Rng probe(5);
   for (auto _ : state) {

@@ -109,7 +109,9 @@ MatchIndex::MatchIndex(std::shared_ptr<const RegionSnapshot> snapshot,
     : snapshot_(snapshot),
       region_(snapshot->index.get()),
       graph_(&graph),
-      lists_(region_->NumClusters()) {}
+      lists_(region_->NumClusters()),
+      support_eta_(region_->NumClusters(),
+                   std::numeric_limits<double>::infinity()) {}
 
 void MatchIndex::OnEpochSwap(std::shared_ptr<const RegionSnapshot> snapshot,
                              const RoadGraph& graph) {
@@ -117,6 +119,8 @@ void MatchIndex::OnEpochSwap(std::shared_ptr<const RegionSnapshot> snapshot,
   graph_ = &graph;
   // Fresh containers, so the old epoch's list capacity is released.
   lists_ = std::vector<ClusterRideList>(region_->NumClusters());
+  support_eta_.assign(region_->NumClusters(),
+                      std::numeric_limits<double>::infinity());
   registrations_ = decltype(registrations_)();
   snapshot_.store(std::move(snapshot), std::memory_order_release);
 }
@@ -134,7 +138,11 @@ StatsSection MatchStatsSection(const MatchIndexStats& stats) {
        StatsMetric::Counter("evictions", stats.counters.evictions),
        StatsMetric::Counter("searches", stats.counters.searches),
        StatsMetric::Counter("empty_searches", stats.counters.empty_searches),
-       StatsMetric::Counter("candidates", stats.counters.candidates)});
+       StatsMetric::Counter("candidates", stats.counters.candidates),
+       StatsMetric::Counter("update_kept", stats.counters.update_kept),
+       StatsMetric::Counter("update_moved", stats.counters.update_moved),
+       StatsMetric::Counter("update_left", stats.counters.update_left),
+       StatsMetric::Counter("update_entered", stats.counters.update_entered)});
   return section;
 }
 
@@ -147,6 +155,10 @@ MatchCounters MatchIndex::counters() const {
   c.searches = counters_.searches.load(std::memory_order_relaxed);
   c.empty_searches = counters_.empty_searches.load(std::memory_order_relaxed);
   c.candidates = counters_.candidates.load(std::memory_order_relaxed);
+  c.update_kept = counters_.update_kept.load(std::memory_order_relaxed);
+  c.update_moved = counters_.update_moved.load(std::memory_order_relaxed);
+  c.update_left = counters_.update_left.load(std::memory_order_relaxed);
+  c.update_entered = counters_.update_entered.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -215,74 +227,109 @@ std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
   return out;
 }
 
-std::unordered_map<ClusterId, MatchIndex::Support>
-MatchIndex::AggregateSupports(const RideRegistration& reg) const {
-  std::unordered_map<ClusterId, Support> agg;
-  double speed = region_->nominal_speed_mps();
-  auto offer = [&](ClusterId c, double eta, double detour) {
-    auto [it, inserted] = agg.emplace(c, Support{eta, detour});
-    if (!inserted) {
-      it->second.eta_s = std::min(it->second.eta_s, eta);
-      it->second.detour_m = std::min(it->second.detour_m, detour);
-    }
+void MatchIndex::AggregateSupports(const RideRegistration& reg,
+                                   std::vector<ClusterId>* clusters,
+                                   std::vector<double>* eta_s) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double speed = region_->nominal_speed_mps();
+  std::size_t supported = 0;
+  auto offer = [&](ClusterId c, double eta) {
+    double& best = support_eta_[c.value()];
+    if (best == kInf) ++supported;
+    best = std::min(best, eta);
   };
   for (const PassThroughCluster& pt : reg.pass_throughs) {
     if (pt.crossed) continue;
-    offer(pt.cluster, pt.eta_s, 0.0);
-    for (std::size_t i = 0; i < pt.reachable.size(); ++i) {
-      double travel =
-          region_->ClusterDistance(pt.cluster, pt.reachable[i]) / speed;
-      offer(pt.reachable[i], pt.eta_s + travel, pt.reachable_detour_m[i]);
+    offer(pt.cluster, pt.eta_s);
+    for (ClusterId reachable : pt.reachable) {
+      offer(reachable,
+            pt.eta_s + region_->ClusterDistance(pt.cluster, reachable) / speed);
     }
   }
-  return agg;
+  clusters->clear();
+  eta_s->clear();
+  clusters->reserve(supported);
+  eta_s->reserve(supported);
+  for (std::size_t c = 0; c < support_eta_.size(); ++c) {
+    if (support_eta_[c] == kInf) continue;
+    clusters->push_back(ClusterId(static_cast<ClusterId::underlying_type>(c)));
+    eta_s->push_back(support_eta_[c]);
+    support_eta_[c] = kInf;
+  }
 }
 
-void MatchIndex::Register(const Ride& ride) {
-  assert(registrations_.find(ride.id) == registrations_.end());
-  RideRegistration reg;
+MatchIndex::Rekeyed MatchIndex::Rekey(RideId ride, RideRegistration* reg) {
+  std::vector<ClusterId> clusters;
+  std::vector<double> eta_s;
+  AggregateSupports(*reg, &clusters, &eta_s);
+
+  const std::vector<ClusterId>& old_clusters = reg->registered_clusters;
+  const std::vector<double>& old_eta_s = reg->registered_eta_s;
+  Rekeyed done;
+  std::size_t i = 0;  // old keys
+  std::size_t j = 0;  // new keys
+  while (i < old_clusters.size() || j < clusters.size()) {
+    if (j == clusters.size() ||
+        (i < old_clusters.size() && old_clusters[i] < clusters[j])) {
+      [[maybe_unused]] const bool listed =
+          lists_[old_clusters[i].value()].Erase(ride, old_eta_s[i]);
+      assert(listed);
+      ++done.left;
+      ++i;
+    } else if (i == old_clusters.size() || clusters[j] < old_clusters[i]) {
+      lists_[clusters[j].value()].Insert(ride, eta_s[j]);
+      ++done.entered;
+      ++j;
+    } else {
+      if (old_eta_s[i] == eta_s[j]) {
+        ++done.kept;
+      } else {
+        [[maybe_unused]] const bool listed =
+            lists_[clusters[j].value()].Move(ride, old_eta_s[i], eta_s[j]);
+        assert(listed);
+        ++done.moved;
+      }
+      ++i;
+      ++j;
+    }
+  }
+  reg->registered_clusters = std::move(clusters);
+  reg->registered_eta_s = std::move(eta_s);
+  return done;
+}
+
+MatchIndex::Rekeyed MatchIndex::Register(const Ride& ride) {
+  RideRegistration& reg = registrations_[ride.id];
   reg.pass_throughs = ComputePassThroughs(ride);
-
-  std::unordered_map<ClusterId, Support> agg = AggregateSupports(reg);
-  reg.registered_clusters.reserve(agg.size());
-  for (const auto& [cluster, support] : agg) {
-    reg.registered_clusters.push_back(cluster);
-  }
-  std::sort(reg.registered_clusters.begin(), reg.registered_clusters.end());
-  reg.registered_eta_s.reserve(agg.size());
-  for (ClusterId c : reg.registered_clusters) {
-    const Support& support = agg.find(c)->second;
-    lists_[c.value()].Insert(ride.id, support.eta_s, support.detour_m);
-    reg.registered_eta_s.push_back(support.eta_s);
-  }
-  registrations_[ride.id] = std::move(reg);
-}
-
-void MatchIndex::Unregister(RideId ride) {
-  auto it = registrations_.find(ride);
-  if (it == registrations_.end()) return;
-  const RideRegistration& reg = it->second;
-  for (std::size_t k = 0; k < reg.registered_clusters.size(); ++k) {
-    lists_[reg.registered_clusters[k].value()].Erase(ride,
-                                                     reg.registered_eta_s[k]);
-  }
-  registrations_.erase(it);
+  return Rekey(ride.id, &reg);
 }
 
 void MatchIndex::Insert(const Ride& ride) {
+  assert(registrations_.find(ride.id) == registrations_.end());
   Register(ride);
   counters_.inserts.fetch_add(1, std::memory_order_relaxed);
 }
 
 void MatchIndex::Remove(RideId ride) {
-  Unregister(ride);
+  auto it = registrations_.find(ride);
+  if (it != registrations_.end()) {
+    const RideRegistration& reg = it->second;
+    for (std::size_t k = 0; k < reg.registered_clusters.size(); ++k) {
+      lists_[reg.registered_clusters[k].value()].Erase(
+          ride, reg.registered_eta_s[k]);
+    }
+    registrations_.erase(it);
+  }
   counters_.removes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void MatchIndex::Update(const Ride& ride) {
-  Unregister(ride.id);
-  Register(ride);
+  const Rekeyed done = Register(ride);
   counters_.updates.fetch_add(1, std::memory_order_relaxed);
+  counters_.update_kept.fetch_add(done.kept, std::memory_order_relaxed);
+  counters_.update_moved.fetch_add(done.moved, std::memory_order_relaxed);
+  counters_.update_left.fetch_add(done.left, std::memory_order_relaxed);
+  counters_.update_entered.fetch_add(done.entered, std::memory_order_relaxed);
 }
 
 std::size_t MatchIndex::Advance(const Ride& ride, double now_s) {
@@ -290,60 +337,30 @@ std::size_t MatchIndex::Advance(const Ride& ride, double now_s) {
   if (it == registrations_.end()) return 0;
   RideRegistration& reg = it->second;
 
-  // Step 1: mark newly crossed pass-throughs and collect the clusters they
-  // were supporting (themselves + their reachable sets) as obsolete
-  // candidates.
-  std::vector<ClusterId> affected;
+  // Step 1: mark newly crossed pass-throughs.
   bool any_crossed = false;
   for (PassThroughCluster& pt : reg.pass_throughs) {
     if (pt.crossed || pt.eta_s >= now_s) continue;
     pt.crossed = true;
     any_crossed = true;
-    affected.push_back(pt.cluster);
-    affected.insert(affected.end(), pt.reachable.begin(), pt.reachable.end());
   }
   if (!any_crossed) return 0;
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
 
-  // Step 2: a candidate stays only if some valid pass-through still reaches
-  // it; otherwise the ride is evicted from that cluster's potential list.
-  std::unordered_map<ClusterId, Support> agg = AggregateSupports(reg);
-  std::size_t evicted = 0;
-  std::size_t kept = 0;
-  for (std::size_t k = 0; k < reg.registered_clusters.size(); ++k) {
-    const ClusterId c = reg.registered_clusters[k];
-    double eta_s = reg.registered_eta_s[k];
-    ClusterRideList& list = lists_[c.value()];
-    auto support = agg.find(c);
-    if (support == agg.end()) {
-      if (list.Erase(ride.id, eta_s)) ++evicted;
-      continue;
-    }
-    // Re-key the entry if this cluster lost its best supporting
-    // pass-through.
-    if (std::binary_search(affected.begin(), affected.end(), c)) {
-      [[maybe_unused]] const bool listed = list.Erase(ride.id, eta_s);
-      assert(listed);
-      eta_s = support->second.eta_s;
-      list.Insert(ride.id, eta_s, support->second.detour_m);
-    }
-    reg.registered_clusters[kept] = c;
-    reg.registered_eta_s[kept] = eta_s;
-    ++kept;
-  }
-  reg.registered_clusters.resize(kept);
-  reg.registered_eta_s.resize(kept);
+  // Step 2: a cluster stays only if some valid pass-through still reaches
+  // it, re-keyed if it lost its best support; otherwise the ride is evicted
+  // from that cluster's potential list. Crossing only removes supports, so
+  // nothing enters.
+  const Rekeyed done = Rekey(ride.id, &reg);
+  assert(done.entered == 0);
 
   // Step 3 (remove crossed pass-throughs) is represented by the `crossed`
   // flag; physically erase them to keep the registration compact.
   std::erase_if(reg.pass_throughs,
                 [](const PassThroughCluster& pt) { return pt.crossed; });
-  if (evicted > 0) {
-    counters_.evictions.fetch_add(evicted, std::memory_order_relaxed);
+  if (done.left > 0) {
+    counters_.evictions.fetch_add(done.left, std::memory_order_relaxed);
   }
-  return evicted;
+  return done.left;
 }
 
 const RideRegistration* MatchIndex::RegistrationOf(RideId ride) const {
@@ -525,7 +542,7 @@ bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
 }
 
 std::size_t MatchIndex::MemoryFootprint() const {
-  std::size_t bytes = sizeof(*this);
+  std::size_t bytes = sizeof(*this) + support_eta_.capacity() * sizeof(double);
   for (const ClusterRideList& list : lists_) bytes += list.MemoryFootprint();
   for (const auto& [id, reg] : registrations_) {
     bytes += sizeof(id) + sizeof(reg);

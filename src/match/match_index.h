@@ -40,7 +40,7 @@ struct RideRegistration {
   std::vector<PassThroughCluster> pass_throughs;  ///< in segment order
   /// Every cluster this ride currently appears under (sorted, unique), and
   /// the ETA it is listed at there, parallel arrays: the list's full
-  /// (eta, ride) key, so removal is one binary search.
+  /// (eta, ride) key, so removal and re-keying are one binary search.
   std::vector<ClusterId> registered_clusters;
   std::vector<double> registered_eta_s;
 };
@@ -54,6 +54,12 @@ struct MatchCounters {
   std::uint64_t searches = 0;        ///< Candidates() calls
   std::uint64_t empty_searches = 0;  ///< Candidates() calls returning none
   std::uint64_t candidates = 0;      ///< matches returned, total
+  /// What Update did to the cluster entries of the rides it re-derived:
+  /// left at their key, moved to a new ETA, erased, and inserted.
+  std::uint64_t update_kept = 0;
+  std::uint64_t update_moved = 0;
+  std::uint64_t update_left = 0;
+  std::uint64_t update_entered = 0;
 
   MatchCounters& operator+=(const MatchCounters& other) {
     inserts += other.inserts;
@@ -63,6 +69,10 @@ struct MatchCounters {
     searches += other.searches;
     empty_searches += other.empty_searches;
     candidates += other.candidates;
+    update_kept += other.update_kept;
+    update_moved += other.update_moved;
+    update_left += other.update_left;
+    update_entered += other.update_entered;
     return *this;
   }
 };
@@ -124,7 +134,8 @@ struct MatchTuning {
 ///
 /// Contract:
 ///  - Insert/Remove/Update track ride lifecycle; Update re-derives all
-///    associations after a booking/cancellation changed the ride's shape.
+///    associations after a booking/cancellation changed the ride's shape,
+///    and touches only the list entries whose key that changed.
 ///  - Candidates returns feasible matches ranked by MatchRankLess, each
 ///    carrying the landmarks/clusters Book needs and stamped with the epoch
 ///    of the snapshot it was computed on. Each candidate ride costs one
@@ -166,7 +177,10 @@ class MatchIndex {
   void Remove(RideId ride);
 
   /// Re-derives all associations after a booking changed the ride's route,
-  /// via-points or detour budget.
+  /// via-points or detour budget. Entries whose (eta, ride) key is
+  /// unchanged stay put, a changed ETA moves in place, and only clusters
+  /// the ride left or entered are erased or inserted: the lists end exactly
+  /// as Remove then Insert would leave them.
   void Update(const Ride& ride);
 
   /// Tracking (paper Section VIII-A): marks pass-through clusters with
@@ -237,9 +251,12 @@ class MatchIndex {
   }
 
  private:
-  struct Support {
-    double eta_s;
-    double detour_m;
+  /// What Rekey did to a ride's list entries.
+  struct Rekeyed {
+    std::size_t kept = 0;
+    std::size_t moved = 0;
+    std::size_t left = 0;
+    std::size_t entered = 0;
   };
 
   struct AtomicCounters {
@@ -250,15 +267,27 @@ class MatchIndex {
     mutable std::atomic<std::uint64_t> searches{0};
     mutable std::atomic<std::uint64_t> empty_searches{0};
     mutable std::atomic<std::uint64_t> candidates{0};
+    std::atomic<std::uint64_t> update_kept{0};
+    std::atomic<std::uint64_t> update_moved{0};
+    std::atomic<std::uint64_t> update_left{0};
+    std::atomic<std::uint64_t> update_entered{0};
   };
 
-  void Register(const Ride& ride);
-  void Unregister(RideId ride);
+  /// Computes `ride`'s pass-throughs into its registration (made if absent)
+  /// and rekeys its list entries to them.
+  Rekeyed Register(const Ride& ride);
 
-  /// Min-aggregated (eta, detour) of `ride` for each cluster it touches,
-  /// over uncrossed pass-throughs.
-  std::unordered_map<ClusterId, Support> AggregateSupports(
-      const RideRegistration& reg) const;
+  /// Brings `ride`'s list entries from `reg`'s registered keys to the
+  /// supports of its uncrossed pass-throughs, merging the two in cluster
+  /// order: a kept key is left alone, a changed ETA is moved, a cluster no
+  /// longer supported is erased and a newly supported one inserted.
+  Rekeyed Rekey(RideId ride, RideRegistration* reg);
+
+  /// The min ETA at which `reg`'s uncrossed pass-throughs support each
+  /// cluster, in cluster-id order, as parallel arrays.
+  void AggregateSupports(const RideRegistration& reg,
+                         std::vector<ClusterId>* clusters,
+                         std::vector<double>* eta_s);
 
   std::vector<PassThroughCluster> ComputePassThroughs(const Ride& ride) const;
 
@@ -270,6 +299,8 @@ class MatchIndex {
   const RegionIndex* region_;
   const RoadGraph* graph_;
   std::vector<ClusterRideList> lists_;  // one per cluster
+  /// AggregateSupports' per-cluster min ETA, +inf between calls.
+  std::vector<double> support_eta_;
   std::unordered_map<RideId, RideRegistration> registrations_;
   AtomicCounters counters_;
 };

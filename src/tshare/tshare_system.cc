@@ -48,7 +48,7 @@ std::vector<std::pair<GridId, double>> TShareSystem::FirstVisitKeys(
 
 void TShareSystem::IndexRideCells(const Ride& ride) {
   for (const auto& [g, eta_s] : FirstVisitKeys(ride)) {
-    cell_lists_[g.value()].Insert(ride.id, eta_s, 0.0);
+    cell_lists_[g.value()].Insert(ride.id, eta_s);
   }
 }
 

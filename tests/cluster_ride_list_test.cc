@@ -15,31 +15,39 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(ClusterRideListTest, InsertListsTheEntryAtItsKey) {
   ClusterRideList list;
-  list.Insert(RideId(5), 100.0, 50.0);
+  list.Insert(RideId(5), 100.0);
   EXPECT_EQ(list.size(), 1u);
   std::span<const PotentialRide> at_key = list.EtaRange(100.0, 100.0);
   ASSERT_EQ(at_key.size(), 1u);
   EXPECT_EQ(at_key[0].ride, RideId(5));
   EXPECT_DOUBLE_EQ(at_key[0].eta_s, 100.0);
-  EXPECT_DOUBLE_EQ(at_key[0].detour_m, 50.0);
 }
 
-TEST(ClusterRideListTest, EraseThenInsertReKeysAnEntry) {
+TEST(ClusterRideListTest, MoveReKeysAnEntry) {
   ClusterRideList list;
-  list.Insert(RideId(5), 100.0, 0.0);
-  ASSERT_TRUE(list.Erase(RideId(5), 100.0));
-  list.Insert(RideId(5), 300.0, 70.0);
-  EXPECT_EQ(list.size(), 1u);
-  // The old key is gone; the entry sits at the new one.
+  list.Insert(RideId(4), 200.0);
+  list.Insert(RideId(5), 100.0);
+  list.Insert(RideId(6), 400.0);
+  // The right ride at the wrong ETA, or a ride not listed, is not moved.
+  EXPECT_FALSE(list.Move(RideId(5), 101.0, 300.0));
+  EXPECT_FALSE(list.Move(RideId(7), 100.0, 300.0));
+  ASSERT_TRUE(list.Move(RideId(5), 100.0, 300.0));
+  EXPECT_EQ(list.size(), 3u);
+  // The old key is gone; the entry sits at the new one, between the others.
   EXPECT_TRUE(list.EtaRange(50, 150).empty());
-  ASSERT_EQ(list.EtaRange(250, 350).size(), 1u);
-  EXPECT_DOUBLE_EQ(list.EtaRange(250, 350)[0].detour_m, 70.0);
+  std::span<const PotentialRide> all = list.EtaRange(0, 1000);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].ride, RideId(4));
+  EXPECT_EQ(all[1].ride, RideId(5));
+  EXPECT_DOUBLE_EQ(all[1].eta_s, 300.0);
+  EXPECT_EQ(all[2].ride, RideId(6));
+  EXPECT_FALSE(list.Move(RideId(5), 100.0, 300.0));
 }
 
 TEST(ClusterRideListTest, EraseReportsPresenceAtTheKey) {
   ClusterRideList list;
-  list.Insert(RideId(1), 10.0, 0.0);
-  list.Insert(RideId(2), 10.0, 0.0);
+  list.Insert(RideId(1), 10.0);
+  list.Insert(RideId(2), 10.0);
   // The right ride at the wrong ETA, and the right ETA for a ride not
   // listed, both miss.
   EXPECT_FALSE(list.Erase(RideId(1), 11.0));
@@ -53,9 +61,9 @@ TEST(ClusterRideListTest, EraseReportsPresenceAtTheKey) {
 
 TEST(ClusterRideListTest, EtaRangeBoundsInclusive) {
   ClusterRideList list;
-  list.Insert(RideId(1), 10.0, 0.0);
-  list.Insert(RideId(2), 20.0, 0.0);
-  list.Insert(RideId(3), 30.0, 0.0);
+  list.Insert(RideId(1), 10.0);
+  list.Insert(RideId(2), 20.0);
+  list.Insert(RideId(3), 30.0);
   EXPECT_EQ(list.EtaRange(10.0, 30.0).size(), 3u);
   EXPECT_EQ(list.EtaRange(10.1, 29.9).size(), 1u);
   EXPECT_EQ(list.EtaRange(31.0, 99.0).size(), 0u);
@@ -69,7 +77,7 @@ TEST(ClusterRideListTest, EtaRangeOnEmptyList) {
 
 TEST(ClusterRideListTest, DuplicateEtasAllReturned) {
   ClusterRideList list;
-  for (std::uint32_t i = 0; i < 5; ++i) list.Insert(RideId(i), 42.0, 0.0);
+  for (std::uint32_t i = 0; i < 5; ++i) list.Insert(RideId(i), 42.0);
   EXPECT_EQ(list.EtaRange(42.0, 42.0).size(), 5u);
 }
 
@@ -78,11 +86,34 @@ bool KeyLess(const PotentialRide& a, const PotentialRide& b) {
 }
 
 bool SameEntry(const PotentialRide& a, const PotentialRide& b) {
-  return a.ride == b.ride && a.eta_s == b.eta_s && a.detour_m == b.detour_m;
+  return a.ride == b.ride && a.eta_s == b.eta_s;
 }
 
-/// Property: after a random interleaving of inserts and key erases — some
-/// with the right ride at a wrong ETA — the list equals an (eta, ride)
+/// An ETA for `ride`'s move in a list sorted like `model`: to the left or
+/// the right of its entry, onto a neighbour's ETA (where the ride ids break
+/// the tie), to either end of the list, or onto its own key.
+double MoveTarget(Rng& rng, const std::vector<PotentialRide>& model,
+                  std::size_t at) {
+  const double eta = model[at].eta_s;
+  switch (rng.NextIndex(6)) {
+    case 0:
+      return eta - static_cast<double>(1 + rng.NextIndex(5)) * 60.0;
+    case 1:
+      return eta + static_cast<double>(1 + rng.NextIndex(5)) * 60.0;
+    case 2:
+      return model[at > 0 ? at - 1 : at].eta_s;
+    case 3:
+      return model[at + 1 < model.size() ? at + 1 : at].eta_s;
+    case 4:
+      return rng.Bernoulli(0.5) ? model.front().eta_s - 60.0
+                                : model.back().eta_s + 60.0;
+    default:
+      return eta;
+  }
+}
+
+/// Property: after a random interleaving of inserts, key erases and moves —
+/// some with the right ride at a wrong ETA — the list equals an (eta, ride)
 /// sorted reference model entry by entry, and every ETA probe matches a
 /// brute force scan.
 class ClusterRideListPropertyTest
@@ -109,20 +140,37 @@ TEST_P(ClusterRideListPropertyTest, MatchesReferenceModel) {
                                });
     if (listed == model.end()) {
       if (rng.Bernoulli(0.7)) {
-        PotentialRide entry{ride, eta, rng.Uniform(0, 4000)};
-        list.Insert(ride, entry.eta_s, entry.detour_m);
+        PotentialRide entry{ride, eta};
+        list.Insert(ride, entry.eta_s);
         model.insert(
             std::upper_bound(model.begin(), model.end(), entry, KeyLess),
             entry);
-      } else {
+      } else if (rng.Bernoulli(0.5)) {
         EXPECT_FALSE(list.Erase(ride, eta));
+      } else {
+        EXPECT_FALSE(list.Move(ride, eta, eta + 60.0));
       }
-    } else if (rng.Bernoulli(0.5)) {
+    } else if (rng.Bernoulli(0.3)) {
       EXPECT_TRUE(list.Erase(ride, listed->eta_s));
       model.erase(listed);
+    } else if (rng.Bernoulli(0.7)) {
+      // Move, checked after every one against erase-then-insert in the
+      // model.
+      PotentialRide entry{
+          ride, MoveTarget(rng, model,
+                           static_cast<std::size_t>(listed - model.begin()))};
+      EXPECT_TRUE(list.Move(ride, listed->eta_s, entry.eta_s));
+      model.erase(listed);
+      model.insert(
+          std::upper_bound(model.begin(), model.end(), entry, KeyLess), entry);
+      EXPECT_TRUE(same_as_model());
     } else if (eta != listed->eta_s) {
       // The right ride at the wrong ETA: no entry is touched.
-      EXPECT_FALSE(list.Erase(ride, eta));
+      if (rng.Bernoulli(0.5)) {
+        EXPECT_FALSE(list.Erase(ride, eta));
+      } else {
+        EXPECT_FALSE(list.Move(ride, eta, listed->eta_s + 60.0));
+      }
       EXPECT_TRUE(same_as_model());
     }
   }
@@ -152,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClusterRideListPropertyTest,
 TEST(ClusterRideListTest, MemoryFootprintGrows) {
   ClusterRideList list;
   std::size_t empty = list.MemoryFootprint();
-  for (std::uint32_t i = 0; i < 100; ++i) list.Insert(RideId(i), i, 0.0);
+  for (std::uint32_t i = 0; i < 100; ++i) list.Insert(RideId(i), i);
   EXPECT_GT(list.MemoryFootprint(), empty);
 }
 

@@ -6,13 +6,14 @@
 // IndexMatchesRebuild builds a fresh MatchIndex on the system's current
 // region, Inserts then Advances(now) every active ride, and compares it
 // with the live index: every cluster list in its one order, the whole
-// (eta, ride) order via EtaRange(-inf, +inf), entry by entry with eta_s and
-// detour_m bitwise equal, every registration (pass-throughs, registered
-// clusters and their stored ETA keys), and the registered-ride count.
-// Independently of the index code, it also checks each registration's
-// stored key against the min-aggregated support of the ride's own
-// pass-throughs, and that the cluster's list holds exactly (ride, that eta,
-// that detour) at that key: the key removal later binary-searches for.
+// (eta, ride) order via EtaRange(-inf, +inf), entry by entry with eta_s
+// bitwise equal, every registration (pass-throughs with their reachable
+// detour estimates, registered clusters and their stored ETA keys), and the
+// registered-ride count. Independently of the index code, it also checks
+// each registration's stored key against the min-aggregated support ETA of
+// the ride's own pass-throughs, and that the cluster's list holds exactly
+// (ride, that eta) at that key: the key that Update's merge, Advance's
+// re-key and Remove later binary-search for.
 //
 // RebuildCheckingTarget runs that check inside an EventSim run, after the
 // calls that mutate the index, on a serial XarSystem or on every shard of a
@@ -60,14 +61,12 @@ inline ::testing::AssertionResult SameEntries(
   }
   for (std::size_t i = 0; i < live.size(); ++i) {
     if (live[i].ride != fresh[i].ride ||
-        !SameBits(live[i].eta_s, fresh[i].eta_s) ||
-        !SameBits(live[i].detour_m, fresh[i].detour_m)) {
+        !SameBits(live[i].eta_s, fresh[i].eta_s)) {
       return ::testing::AssertionFailure()
              << "cluster " << cluster << " entry " << i
              << ": live ride " << live[i].ride.value() << " eta "
-             << live[i].eta_s << " detour " << live[i].detour_m
-             << ", rebuild ride " << fresh[i].ride.value() << " eta "
-             << fresh[i].eta_s << " detour " << fresh[i].detour_m;
+             << live[i].eta_s << ", rebuild ride " << fresh[i].ride.value()
+             << " eta " << fresh[i].eta_s;
     }
   }
   return ::testing::AssertionSuccess();
@@ -157,31 +156,27 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
   }
 
   // Independently of the index code: each registered ride is listed under
-  // exactly its registered clusters, at the min (ETA, detour) over its
-  // pass-throughs — a pass-through's own cluster at its ETA and zero detour,
-  // a reachable cluster at the ETA plus the cluster-distance drive — and
-  // each cluster's stored key is that min ETA.
+  // exactly its registered clusters, at the min ETA over its pass-throughs
+  // — a pass-through's own cluster at its ETA, a reachable cluster at the
+  // ETA plus the cluster-distance drive — and each cluster's stored key is
+  // that min ETA.
   const RegionIndex& region = xar.region();
   for (std::size_t i = 0; i < xar.NumRides(); ++i) {
     const RideId id = ride_at(i);
     const RideRegistration* reg = live.RegistrationOf(id);
     if (reg == nullptr) continue;
-    std::map<ClusterId, PotentialRide> expected;
-    auto offer = [&](ClusterId c, double eta, double detour) {
-      auto [it, inserted] = expected.emplace(c, PotentialRide{id, eta, detour});
-      if (!inserted) {
-        it->second.eta_s = std::min(it->second.eta_s, eta);
-        it->second.detour_m = std::min(it->second.detour_m, detour);
-      }
+    std::map<ClusterId, double> expected;  // min ETA per cluster
+    auto offer = [&](ClusterId c, double eta) {
+      auto [it, inserted] = expected.emplace(c, eta);
+      if (!inserted) it->second = std::min(it->second, eta);
     };
     for (const PassThroughCluster& pt : reg->pass_throughs) {
       if (pt.crossed) continue;
-      offer(pt.cluster, pt.eta_s, 0.0);
-      for (std::size_t r = 0; r < pt.reachable.size(); ++r) {
-        const double travel = region.ClusterDistance(pt.cluster,
-                                                     pt.reachable[r]) /
+      offer(pt.cluster, pt.eta_s);
+      for (ClusterId reachable : pt.reachable) {
+        const double travel = region.ClusterDistance(pt.cluster, reachable) /
                               region.nominal_speed_mps();
-        offer(pt.reachable[r], pt.eta_s + travel, pt.reachable_detour_m[r]);
+        offer(reachable, pt.eta_s + travel);
       }
     }
     if (expected.size() != reg->registered_clusters.size() ||
@@ -193,29 +188,27 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
              << " ETA keys, its pass-throughs support " << expected.size();
     }
     std::size_t k = 0;
-    for (const auto& [cluster, want] : expected) {
+    for (const auto& [cluster, want_eta] : expected) {
       const double key = reg->registered_eta_s[k];
       if (reg->registered_clusters[k++] != cluster ||
-          !SameBits(key, want.eta_s)) {
+          !SameBits(key, want_eta)) {
         return ::testing::AssertionFailure()
                << "ride " << id.value() << " in cluster " << cluster.value()
                << ": stored key eta " << key
-               << ", its pass-throughs give eta " << want.eta_s;
+               << ", its pass-throughs give eta " << want_eta;
       }
-      // The entry sits where Erase's binary search on (key, ride) looks.
+      // The entry sits where the binary search on (key, ride) looks.
       const PotentialRide* got = FindEntry(live.ListOf(cluster), id);
       const std::span<const PotentialRide> at_key =
           live.ListOf(cluster).EtaRange(key, key);
       if (got == nullptr || got < at_key.data() ||
           got >= at_key.data() + at_key.size() ||
-          !SameBits(got->eta_s, key) ||
-          !SameBits(got->detour_m, want.detour_m)) {
+          !SameBits(got->eta_s, key)) {
         return ::testing::AssertionFailure()
                << "ride " << id.value() << " in cluster " << cluster.value()
                << ": listed "
-               << (got == nullptr ? "nowhere" : "off its key or stale")
-               << ", its pass-throughs give eta " << want.eta_s
-               << " detour " << want.detour_m;
+               << (got == nullptr ? "nowhere" : "off its key")
+               << ", its pass-throughs give eta " << want_eta;
       }
     }
   }

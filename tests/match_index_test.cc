@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -548,11 +549,30 @@ TEST(MatchIndexTest, WorkloadReplayRespectsDetourGuarantee) {
   EXPECT_GT(stats.registered_rides, 0u);
   EXPECT_GT(stats.bytes, 0u);
 
+  // Every booking re-derived its ride, and shifted or dropped entries.
+  EXPECT_GE(stats.counters.updates, booked);
+  EXPECT_GT(stats.counters.update_moved + stats.counters.update_left, 0u);
+
   // And renders into the registered "match" section shape.
   StatsSection section = MatchStatsSection(stats);
   EXPECT_EQ(section.name, "match");
   ASSERT_EQ(section.rows.size(), 1u);
   EXPECT_EQ(section.rows[0].front().name, "registered_rides");
+  std::vector<std::string> names;
+  for (const StatsMetric& metric : section.rows[0]) {
+    names.push_back(metric.name);
+  }
+  EXPECT_EQ(std::vector<std::string>(names.end() - 4, names.end()),
+            (std::vector<std::string>{"update_kept", "update_moved",
+                                      "update_left", "update_entered"}));
+
+  // A sharded system sums its shards' counters, the Update split too.
+  MatchCounters twice = stats.counters;
+  twice += stats.counters;
+  EXPECT_EQ(twice.update_kept, 2 * stats.counters.update_kept);
+  EXPECT_EQ(twice.update_moved, 2 * stats.counters.update_moved);
+  EXPECT_EQ(twice.update_left, 2 * stats.counters.update_left);
+  EXPECT_EQ(twice.update_entered, 2 * stats.counters.update_entered);
 }
 
 TEST(MatchIndexTest, SurvivesEpochSwapAndAdvance) {

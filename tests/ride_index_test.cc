@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "tests/test_helpers.h"
 #include "xar/route_utils.h"
@@ -231,6 +234,136 @@ TEST_F(RideIndexTest, ReregisterReflectsNewBudget) {
   std::size_t narrow =
       index_.RegistrationOf(ride.id)->registered_clusters.size();
   EXPECT_LT(narrow, wide);
+}
+
+/// Every list of `index`, entry by entry, as the bits of each key.
+std::vector<std::vector<std::uint64_t>> ListBits(const MatchIndex& index,
+                                                 std::size_t num_clusters) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<std::uint64_t>> bits(num_clusters);
+  for (std::size_t c = 0; c < num_clusters; ++c) {
+    for (const PotentialRide& entry :
+         index.ListOf(ClusterId(static_cast<ClusterId::underlying_type>(c)))
+             .EtaRange(-kInf, kInf)) {
+      bits[c].push_back(entry.ride.value());
+      bits[c].push_back(std::bit_cast<std::uint64_t>(entry.eta_s));
+    }
+  }
+  return bits;
+}
+
+/// The Update counters `after` gained over `before`.
+MatchCounters UpdateDelta(const MatchCounters& before,
+                          const MatchCounters& after) {
+  MatchCounters d;
+  d.update_kept = after.update_kept - before.update_kept;
+  d.update_moved = after.update_moved - before.update_moved;
+  d.update_left = after.update_left - before.update_left;
+  d.update_entered = after.update_entered - before.update_entered;
+  return d;
+}
+
+TEST_F(RideIndexTest, UpdateOfUnchangedRideKeepsEveryEntry) {
+  Ride ride = MakeDiagonalRide(city_, 8 * 3600);
+  for (std::uint32_t k = 1; k < 4; ++k) {
+    Ride other = MakeDiagonalRide(city_, 8 * 3600 + 30.0 * k);
+    other.id = RideId(k);
+    index_.Insert(other);
+  }
+  index_.Insert(ride);
+  const std::size_t clusters = city_.region->NumClusters();
+  const auto lists_before = ListBits(index_, clusters);
+  const std::size_t listed =
+      index_.RegistrationOf(ride.id)->registered_clusters.size();
+  ASSERT_GT(listed, 0u);
+  const MatchCounters before = index_.counters();
+
+  index_.Update(ride);
+  EXPECT_EQ(ListBits(index_, clusters), lists_before);
+  const MatchCounters d = UpdateDelta(before, index_.counters());
+  EXPECT_EQ(d.update_kept, listed);
+  EXPECT_EQ(d.update_moved, 0u);
+  EXPECT_EQ(d.update_left, 0u);
+  EXPECT_EQ(d.update_entered, 0u);
+}
+
+/// A ride across the city diagonal and a rider along its middle, on a
+/// XarSystem whose clock stands before the ride departs: Book and
+/// CancelBooking re-derive the ride with Update, and the Advance after it
+/// evicts nothing.
+class IndexUpdateCountsTest : public RideIndexTest {
+ protected:
+  IndexUpdateCountsTest()
+      : xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle) {}
+
+  LatLng Along(double f) const {
+    const BoundingBox& b = city_.graph.bounds();
+    return {b.min_lat + f * (b.max_lat - b.min_lat),
+            b.min_lng + f * (b.max_lng - b.min_lng)};
+  }
+
+  RideId CreateRide() {
+    RideOffer offer;
+    offer.source = Along(0.1);
+    offer.destination = Along(0.9);
+    offer.departure_time_s = 8 * 3600.0;
+    Result<RideId> ride = xar_.CreateRide(offer);
+    EXPECT_TRUE(ride.ok()) << ride.status().ToString();
+    return *ride;
+  }
+
+  RideRequest MidRequest() const {
+    RideRequest req;
+    req.id = RequestId(1);
+    req.source = Along(0.35);
+    req.destination = Along(0.7);
+    req.earliest_departure_s = 8 * 3600.0;
+    req.latest_departure_s = 8 * 3600.0 + 1800;
+    return req;
+  }
+
+  std::size_t Listed(RideId ride) const {
+    return xar_.match_index().RegistrationOf(ride)->registered_clusters.size();
+  }
+
+  XarSystem xar_;
+};
+
+TEST_F(IndexUpdateCountsTest, SpliceBookingSplitsOldAndNewRegistrations) {
+  const RideId ride = CreateRide();
+  const RideRequest req = MidRequest();
+  const std::size_t listed_before = Listed(ride);
+  const MatchCounters before = xar_.match_index().counters();
+
+  std::vector<RideMatch> matches = xar_.Search(req);
+  ASSERT_FALSE(matches.empty());
+  ASSERT_TRUE(xar_.Book(ride, req, matches[0]).ok());
+  const MatchCounters after = xar_.match_index().counters();
+  ASSERT_EQ(after.updates, before.updates + 1);
+  ASSERT_EQ(after.evictions, before.evictions);
+
+  const MatchCounters d = UpdateDelta(before, after);
+  EXPECT_EQ(d.update_kept + d.update_moved + d.update_left, listed_before);
+  EXPECT_EQ(d.update_kept + d.update_moved + d.update_entered, Listed(ride));
+  // The splice spent detour budget and shifted the ETAs behind the pickup.
+  EXPECT_GT(d.update_left, 0u);
+  EXPECT_GT(d.update_moved, 0u);
+}
+
+TEST_F(IndexUpdateCountsTest, CancelGrowsTheBudgetAndEntersClusters) {
+  const RideId ride = CreateRide();
+  const RideRequest req = MidRequest();
+  std::vector<RideMatch> matches = xar_.Search(req);
+  ASSERT_FALSE(matches.empty());
+  ASSERT_TRUE(xar_.Book(ride, req, matches[0]).ok());
+  const std::size_t listed_before = Listed(ride);
+  const MatchCounters before = xar_.match_index().counters();
+
+  ASSERT_TRUE(xar_.CancelBooking(ride, req.id).ok());
+  const MatchCounters d = UpdateDelta(before, xar_.match_index().counters());
+  EXPECT_GT(d.update_entered, 0u);
+  EXPECT_EQ(d.update_kept + d.update_moved + d.update_left, listed_before);
+  EXPECT_EQ(d.update_kept + d.update_moved + d.update_entered, Listed(ride));
 }
 
 TEST_F(RideIndexTest, MemoryFootprintTracksRegistrations) {
