@@ -45,7 +45,7 @@ void Run() {
   double scale = bench::BenchScale();
   bench::BenchWorldOptions wopt;
   wopt.num_trips = 100;  // world only provides the street network here
-  bench::BenchWorld world = bench::MakeBenchWorld(wopt);
+  bench::BenchWorld world(wopt);
 
   bench::PrintHeader("Ablation: scheduling",
                      "kinetic tree vs arrival-order rider insertion");

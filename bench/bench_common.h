@@ -3,19 +3,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "discretize/region_index.h"
 #include "graph/generator.h"
-#include "graph/oracle.h"
-#include "graph/road_graph.h"
-#include "graph/routing_backend.h"
-#include "graph/spatial_index.h"
 #include "workload/taxi_trip.h"
 #include "workload/trip_generator.h"
-#include "xar/options.h"
+#include "xar/world.h"
 
 namespace xar {
 namespace bench {
@@ -30,17 +24,6 @@ inline double BenchScale() {
   return v > 0 ? v : 1.0;
 }
 
-/// The shared experimental substrate: one synthetic city, its
-/// discretization (paper defaults: 100 m grids, ε = 4δ = 1 km), a routing
-/// oracle and an NYC-like trip workload.
-struct BenchWorld {
-  RoadGraph graph;
-  std::unique_ptr<SpatialNodeIndex> spatial;
-  std::unique_ptr<RegionIndex> region;
-  std::unique_ptr<GraphOracle> oracle;
-  std::vector<TaxiTrip> trips;
-};
-
 struct BenchWorldOptions {
   std::size_t city_rows = 28;
   std::size_t city_cols = 28;
@@ -48,43 +31,24 @@ struct BenchWorldOptions {
   std::size_t num_trips = 12000;
   std::size_t landmark_candidates = 500;
   std::uint64_t seed = 42;
-  /// Routing backend the world's oracle runs (XarOptions::routing_backend
-  /// is honored by forwarding it here).
-  RoutingBackendKind routing_backend = XarOptions{}.routing_backend;
-  /// Worker threads for backend preprocessing (0 = hardware concurrency);
-  /// forwarded like XarOptions::preprocess_threads.
-  std::size_t preprocess_threads = 0;
 };
 
-inline BenchWorld MakeBenchWorld(const BenchWorldOptions& opt = {}) {
-  BenchWorld world;
-  CityOptions city;
-  city.rows = opt.city_rows;
-  city.cols = opt.city_cols;
-  city.seed = opt.seed;
-  world.graph = GenerateCity(city);
-  world.spatial = std::make_unique<SpatialNodeIndex>(world.graph);
+/// The shared experimental substrate: one synthetic city with its World
+/// stack (paper defaults: 100 m grids, ε = 4δ = 1 km; XarOptions' default
+/// routing) and an NYC-like trip workload.
+struct BenchWorld : World {
+  explicit BenchWorld(const BenchWorldOptions& opt)
+      : World(GenerateCity({.rows = opt.city_rows,
+                            .cols = opt.city_cols,
+                            .seed = opt.seed}),
+              {.delta_m = opt.delta_m,
+               .landmarks = {.num_candidates = opt.landmark_candidates,
+                             .seed = opt.seed + 1}}),
+        trips(GenerateTrips(graph.bounds(), {.num_trips = opt.num_trips,
+                                             .seed = opt.seed + 2})) {}
 
-  DiscretizationOptions dopt;
-  dopt.delta_m = opt.delta_m;
-  dopt.landmarks.num_candidates = opt.landmark_candidates;
-  dopt.landmarks.seed = opt.seed + 1;
-  world.region = std::make_unique<RegionIndex>(
-      RegionIndex::Build(world.graph, *world.spatial, dopt));
-
-  XarOptions xar_options;
-  xar_options.routing_backend = opt.routing_backend;
-  xar_options.preprocess_threads = opt.preprocess_threads;
-  world.oracle = std::make_unique<GraphOracle>(
-      world.graph, /*cache_capacity=*/std::size_t{1} << 16,
-      opt.routing_backend, xar_options.BackendOptions());
-
-  WorkloadOptions wopt;
-  wopt.num_trips = opt.num_trips;
-  wopt.seed = opt.seed + 2;
-  world.trips = GenerateTrips(world.graph.bounds(), wopt);
-  return world;
-}
+  std::vector<TaxiTrip> trips;
+};
 
 /// Splits a time-sorted trip stream into (offers, requests) by interleaving
 /// (every `stride`-th trip becomes an offer), so both sides cover the same

@@ -23,7 +23,7 @@ void Run() {
   double scale = bench::BenchScale();
   bench::BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(20000 * scale);
-  bench::BenchWorld world = bench::MakeBenchWorld(wopt);
+  bench::BenchWorld world(wopt);
   double epsilon = world.region->epsilon();
 
   XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);

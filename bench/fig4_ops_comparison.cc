@@ -34,7 +34,7 @@ void Run() {
   double scale = bench::BenchScale();
   bench::BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(12000 * scale);
-  bench::BenchWorld world = bench::MakeBenchWorld(wopt);
+  bench::BenchWorld world(wopt);
 
   // 6am-12pm subset, as in the paper's Fig. 4 setup.
   std::vector<TaxiTrip> window =

@@ -26,7 +26,7 @@ void Run() {
   wopt.city_cols = 40;
   wopt.landmark_candidates = 900;
   wopt.num_trips = static_cast<std::size_t>(16000 * scale);
-  bench::BenchWorld world = bench::MakeBenchWorld(wopt);
+  bench::BenchWorld world(wopt);
 
   // Dense supply so that large k is meaningful: 2/3 of trips become rides,
   // interleaved with the probing requests so both cover the same hours.

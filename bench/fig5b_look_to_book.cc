@@ -19,7 +19,7 @@ void Run() {
   double scale = bench::BenchScale();
   bench::BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(16000 * scale);
-  bench::BenchWorld world = bench::MakeBenchWorld(wopt);
+  bench::BenchWorld world(wopt);
 
   std::vector<TaxiTrip> offers;
   std::vector<TaxiTrip> requests;

@@ -25,7 +25,7 @@ void Run() {
   double scale = bench::BenchScale();
   bench::BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(9000 * scale);
-  bench::BenchWorld world = bench::MakeBenchWorld(wopt);
+  bench::BenchWorld world(wopt);
   Timetable timetable = GenerateTransitNetwork(world.graph.bounds(), {});
   TripPlanner planner(timetable);
 

@@ -62,7 +62,7 @@ RegimePoint BenchIndex(const XarSystem& host, const std::vector<RideId>& rides,
   MatchIndex index(host.snapshot(), world.graph);
 
   Stopwatch build;
-  for (RideId id : rides) index.Insert(*host.GetRide(id));
+  for (RideId id : rides) index.Insert(*host.GetRide(id), host.Now());
   const double build_ms = build.ElapsedMillis();
 
   HostRideTable lookup(&host);
@@ -115,7 +115,7 @@ int main() {
 
   BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(9000 * scale);
-  BenchWorld world = MakeBenchWorld(wopt);
+  BenchWorld world(wopt);
 
   // Density regimes: how many concurrent active rides the index holds while
   // serving the same request stream.

@@ -23,11 +23,7 @@ namespace {
 
 /// World shared across all microbenchmarks (built once).
 bench::BenchWorld& World() {
-  static bench::BenchWorld* world = [] {
-    bench::BenchWorldOptions opt;
-    opt.num_trips = 4000;
-    return new bench::BenchWorld(bench::MakeBenchWorld(opt));
-  }();
+  static bench::BenchWorld* world = new bench::BenchWorld({.num_trips = 4000});
   return *world;
 }
 

@@ -64,7 +64,7 @@ int main() {
 
   BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(6000 * scale);
-  BenchWorld world = MakeBenchWorld(wopt);
+  BenchWorld world(wopt);
   std::vector<TaxiTrip> trips =
       FilterByTimeWindow(world.trips, 7 * 3600.0, 9 * 3600.0);
   std::printf("trips in window: %zu\n\n", trips.size());

@@ -93,7 +93,7 @@ int main() {
 
   BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(15000 * scale);
-  BenchWorld world = MakeBenchWorld(wopt);
+  BenchWorld world(wopt);
   // Two rush-hour hours: enough bookings for stable quality means, short
   // enough that every cadence point re-runs the full scenario quickly.
   std::vector<TaxiTrip> trips =

@@ -215,7 +215,7 @@ int Main() {
   wopt.city_rows = 16;
   wopt.city_cols = 16;
   wopt.num_trips = 4000;
-  BenchWorld world = MakeBenchWorld(wopt);
+  BenchWorld world(wopt);
   std::vector<TaxiTrip> offer_trips, request_trips;
   SplitTrips(world.trips, /*stride=*/3, &offer_trips, &request_trips);
 

@@ -95,7 +95,7 @@ int Run() {
 
   BenchWorldOptions wopt;
   wopt.num_trips = static_cast<std::size_t>(8000 * scale);
-  BenchWorld world = MakeBenchWorld(wopt);
+  BenchWorld world(wopt);
 
   std::vector<TaxiTrip> offers;
   std::vector<TaxiTrip> probes;

@@ -14,20 +14,6 @@
 int main() {
   using namespace xar;
 
-  CityOptions city_options;
-  city_options.rows = 28;
-  city_options.cols = 28;
-  RoadGraph graph = GenerateCity(city_options);
-  SpatialNodeIndex spatial(graph);
-
-  DiscretizationOptions disc;
-  disc.landmarks.num_candidates = 500;
-  RegionIndex region = RegionIndex::Build(graph, spatial, disc);
-
-  WorkloadOptions workload;
-  workload.num_trips = 15000;
-  std::vector<TaxiTrip> trips = GenerateTrips(graph.bounds(), workload);
-
   XarOptions options;
   // The XAR_* overrides swap the routing backend under the whole simulated
   // day; a typo is a hard error (xar_shell rules).
@@ -35,15 +21,24 @@ int main() {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions());
-  XarSystem xar(graph, spatial, region, oracle, options);
+  CityOptions city_options;
+  city_options.rows = 28;
+  city_options.cols = 28;
+  DiscretizationOptions disc;
+  disc.landmarks.num_candidates = 500;
+  World world(GenerateCity(city_options), disc, options);
+  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle,
+                options);
+
+  WorkloadOptions workload;
+  workload.num_trips = 15000;
+  std::vector<TaxiTrip> trips = GenerateTrips(world.graph.bounds(), workload);
 
   std::printf("simulating %zu trips over a day "
               "(%zu clusters, eps=%.0fm, %s routing)...\n",
-              trips.size(), region.NumClusters(), region.epsilon(),
-              oracle.backend_name());
-  EventSim sim(graph, xar.options(), ScenarioConfig{});
+              trips.size(), world.region->NumClusters(),
+              world.region->epsilon(), world.oracle->backend_name());
+  EventSim sim(world.graph, xar.options(), ScenarioConfig{});
   EventSimResult result = RunEventSim(xar, sim, trips);
 
   std::printf("\nrequests:      %zu\n", result.requests);
@@ -68,13 +63,15 @@ int main() {
                   : 0.0);
 
   std::printf("\nin-memory index: %.1f MB (region) + %.1f MB (rides)\n",
-              static_cast<double>(region.MemoryFootprint()) / 1048576.0,
+              static_cast<double>(world.region->MemoryFootprint()) / 1048576.0,
               static_cast<double>(xar.MemoryFootprint()) / 1048576.0);
 
   StatsRegistry registry;
-  registry.Register("oracle", [&] { return OracleStatsSection(oracle); });
-  registry.Register("preprocess",
-                    [&] { return PreprocessStatsSection(oracle.backend()); });
+  registry.Register("oracle",
+                    [&] { return OracleStatsSection(*world.oracle); });
+  registry.Register("preprocess", [&] {
+    return PreprocessStatsSection(world.oracle->backend());
+  });
   std::printf("\n%s\n", registry.RenderTables().c_str());
   return 0;
 }

@@ -15,31 +15,27 @@
 int main() {
   using namespace xar;
 
-  CityOptions city_options;
-  city_options.rows = 24;
-  city_options.cols = 24;
-  RoadGraph graph = GenerateCity(city_options);
-  SpatialNodeIndex spatial(graph);
-
-  DiscretizationOptions disc;
-  disc.landmarks.num_candidates = 400;
-  RegionIndex region = RegionIndex::Build(graph, spatial, disc);
-
-  WorkloadOptions workload;
-  workload.num_trips = 10000;
-  std::vector<TaxiTrip> all_trips = GenerateTrips(graph.bounds(), workload);
-  // Morning rush only — that's where the congestion model bites.
-  std::vector<TaxiTrip> trips =
-      FilterByTimeWindow(all_trips, 7 * 3600.0, 10 * 3600.0);
-
   XarOptions options;
   if (Status status = ApplyEnvOverrides(&options); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions());
-  XarSystem xar(graph, spatial, region, oracle, options);
+  CityOptions city_options;
+  city_options.rows = 24;
+  city_options.cols = 24;
+  DiscretizationOptions disc;
+  disc.landmarks.num_candidates = 400;
+  World world(GenerateCity(city_options), disc, options);
+  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle,
+                options);
+
+  WorkloadOptions workload;
+  workload.num_trips = 10000;
+  std::vector<TaxiTrip> all_trips =
+      GenerateTrips(world.graph.bounds(), workload);
+  // Morning rush only — that's where the congestion model bites.
+  std::vector<TaxiTrip> trips =
+      FilterByTimeWindow(all_trips, 7 * 3600.0, 10 * 3600.0);
 
   ScenarioConfig config;
   config.protocol.window_s = 900.0;
@@ -53,9 +49,9 @@ int main() {
   std::printf("city_traffic: %zu rush-hour trips on a %zux%zu grid, "
               "refresh every %.0f s, %s routing\n\n",
               trips.size(), city_options.rows, city_options.cols,
-              config.refresh_period_s, oracle.backend_name());
+              config.refresh_period_s, world.oracle->backend_name());
 
-  EventSim sim(graph, xar.options(), config);
+  EventSim sim(world.graph, xar.options(), config);
   EventSimResult result = RunEventSim(xar, sim, trips);
 
   std::printf("requests:          %zu\n", result.requests);

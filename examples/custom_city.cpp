@@ -4,6 +4,7 @@
 // inspection in any GeoJSON viewer.
 
 #include <cstdio>
+#include <utility>
 
 #include "graph/text_io.h"
 #include "workload/trip_generator.h"
@@ -47,12 +48,10 @@ int main() {
   std::printf("loaded %zu nodes, %zu edges, %zu trips from CSV\n",
               graph->NumNodes(), graph->NumEdges(), trips->size());
 
-  SpatialNodeIndex spatial(*graph);
   DiscretizationOptions dopt;
   dopt.landmarks.num_candidates = 350;
-  RegionIndex region = RegionIndex::Build(*graph, spatial, dopt);
-  GraphOracle oracle(*graph);
-  XarSystem xar(*graph, spatial, region, oracle);
+  World world(std::move(*graph), dopt);
+  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
 
   // Serve the first hundred trips: offers and requests alternate.
   std::size_t matches_found = 0;
@@ -81,9 +80,9 @@ int main() {
 
   // Export everything for visual inspection.
   GeoJsonWriter geo;
-  geo.AddRoadNetwork(*graph);
-  geo.AddLandmarks(region);
-  if (last_ride.valid()) geo.AddRide(*graph, *xar.GetRide(last_ride));
+  geo.AddRoadNetwork(world.graph);
+  geo.AddLandmarks(*world.region);
+  if (last_ride.valid()) geo.AddRide(world.graph, *xar.GetRide(last_ride));
   if (!geo.WriteTo(map_path).ok()) return 1;
   std::printf("map with %zu features written to %s\n", geo.NumFeatures(),
               map_path);

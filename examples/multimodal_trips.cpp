@@ -48,16 +48,13 @@ int main() {
   CityOptions city_options;
   city_options.rows = 24;
   city_options.cols = 24;
-  RoadGraph graph = GenerateCity(city_options);
-  SpatialNodeIndex spatial(graph);
   DiscretizationOptions disc;
   disc.landmarks.num_candidates = 400;
-  RegionIndex region = RegionIndex::Build(graph, spatial, disc);
-  GraphOracle oracle(graph);
-  XarSystem xar(graph, spatial, region, oracle);
+  World world(GenerateCity(city_options), disc);
+  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
 
   // A synthetic transit network (subway trunks + bus corridors) and planner.
-  Timetable timetable = GenerateTransitNetwork(graph.bounds(), {});
+  Timetable timetable = GenerateTransitNetwork(world.graph.bounds(), {});
   TripPlanner planner(timetable);
   std::printf("transit: %zu stops, %zu routes, %zu connections\n\n",
               timetable.stops().size(), timetable.routes().size(),
@@ -66,7 +63,7 @@ int main() {
   // Seed ride-share supply: commuters driving across town around 08:00.
   WorkloadOptions workload;
   workload.num_trips = 3000;
-  for (const TaxiTrip& t : GenerateTrips(graph.bounds(), workload)) {
+  for (const TaxiTrip& t : GenerateTrips(world.graph.bounds(), workload)) {
     RideOffer offer;
     offer.source = t.pickup;
     offer.destination = t.dropoff;
@@ -77,7 +74,7 @@ int main() {
               xar.NumActiveRides());
 
   // A commuter's trip at 08:00 from a corner of town to the far side.
-  const BoundingBox& b = graph.bounds();
+  const BoundingBox& b = world.graph.bounds();
   LatLng origin{b.min_lat + 0.12 * (b.max_lat - b.min_lat),
                 b.min_lng + 0.18 * (b.max_lng - b.min_lng)};
   LatLng destination{b.min_lat + 0.85 * (b.max_lat - b.min_lat),

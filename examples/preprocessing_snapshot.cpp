@@ -21,17 +21,15 @@ int main() {
     CityOptions copt;
     copt.rows = 24;
     copt.cols = 24;
-    RoadGraph graph = GenerateCity(copt);
-    SpatialNodeIndex spatial(graph);
     DiscretizationOptions dopt;
     dopt.landmarks.num_candidates = 400;
-    RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
+    World world(GenerateCity(copt), dopt);
     std::printf("pre-processing: %zu landmarks -> %zu clusters in %.2f s\n",
-                region.landmarks().size(), region.NumClusters(),
+                world.region->landmarks().size(), world.region->NumClusters(),
                 build_timer.ElapsedSeconds());
 
-    Status gs = SaveRoadGraph(graph, graph_path);
-    Status rs = region.Save(region_path);
+    Status gs = SaveRoadGraph(world.graph, graph_path);
+    Status rs = world.region->Save(region_path);
     if (!gs.ok() || !rs.ok()) {
       std::printf("snapshot failed: %s / %s\n", gs.ToString().c_str(),
                   rs.ToString().c_str());

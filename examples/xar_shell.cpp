@@ -21,15 +21,6 @@
 
 int main() {
   using namespace xar;
-  CityOptions copt;
-  copt.rows = 24;
-  copt.cols = 24;
-  RoadGraph graph = GenerateCity(copt);
-  SpatialNodeIndex spatial(graph);
-  DiscretizationOptions dopt;
-  dopt.landmarks.num_candidates = 400;
-  RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
-
   // XAR_ROUTING_BACKEND / XAR_PREPROCESS_THREADS override the defaults; a
   // typo in either is a hard error, not a silent fall-through to the
   // default.
@@ -38,19 +29,23 @@ int main() {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
-                     options.routing_backend, options.BackendOptions());
-  ConcurrentXarSystem xar(graph, spatial, region, oracle, options,
-                          /*num_shards=*/1);
+  CityOptions copt;
+  copt.rows = 24;
+  copt.cols = 24;
+  DiscretizationOptions dopt;
+  dopt.landmarks.num_candidates = 400;
+  World world(GenerateCity(copt), dopt, options);
+  ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                          *world.oracle, options, /*num_shards=*/1);
   CommandServer server(xar);
 
-  const BoundingBox& b = graph.bounds();
+  const BoundingBox& b = world.graph.bounds();
   std::printf("XAR shell — city bounds lat [%.4f, %.4f], lng [%.4f, %.4f]\n",
               b.min_lat, b.max_lat, b.min_lng, b.max_lng);
   std::printf("%zu clusters, epsilon %.0f m, %s routing, %s cache. "
               "Type HELP for commands.\n",
-              region.NumClusters(), region.epsilon(), oracle.backend_name(),
-              oracle.cache_policy_name());
+              world.region->NumClusters(), world.region->epsilon(),
+              world.oracle->backend_name(), world.oracle->cache_policy_name());
 
   char line[512];
   while (true) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace xar {
 
@@ -80,54 +79,6 @@ double PercentileTracker::FractionAtMost(double x) const {
 const std::vector<double>& PercentileTracker::sorted() const {
   EnsureSorted();
   return samples_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins + 1, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x >= hi_) {
-    ++counts_[bins()];
-    return;
-  }
-  double pos = (x - lo_) / width_;
-  std::size_t i = pos <= 0 ? 0 : static_cast<std::size_t>(pos);
-  if (i >= bins()) i = bins() - 1;
-  ++counts_[i];
-}
-
-double Histogram::BucketLow(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::BucketHigh(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-std::string Histogram::ToString(int bar_width) const {
-  std::string out;
-  std::size_t maxc = 1;
-  for (std::size_t c : counts_) maxc = std::max(maxc, c);
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    int bar = static_cast<int>(static_cast<double>(counts_[i]) /
-                               static_cast<double>(maxc) * bar_width);
-    if (i < bins()) {
-      std::snprintf(line, sizeof(line), "[%10.3f, %10.3f) %8zu ",
-                    BucketLow(i), BucketHigh(i), counts_[i]);
-    } else {
-      std::snprintf(line, sizeof(line), "[%10.3f,        inf) %8zu ", hi_,
-                    counts_[i]);
-    }
-    out += line;
-    out.append(static_cast<std::size_t>(bar), '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace xar

@@ -2,7 +2,6 @@
 #define XAR_COMMON_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace xar {
@@ -59,30 +58,6 @@ class PercentileTracker {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-  std::size_t count() const { return total_; }
-  /// Count in bucket i (i == bins() means overflow, underflow clamps to 0).
-  std::size_t BucketCount(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size() - 1; }
-  double BucketLow(std::size_t i) const;
-  double BucketHigh(std::size_t i) const;
-
-  /// Multi-line text rendering with bar glyphs, for bench output.
-  std::string ToString(int bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::size_t total_ = 0;
-  std::vector<std::size_t> counts_;  // bins + 1 overflow slot
 };
 
 }  // namespace xar

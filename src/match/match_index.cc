@@ -49,7 +49,7 @@ struct GatheredRide {
   std::size_t dest_begin = 0;  ///< its run in SearchScratch::dest
 };
 
-/// The detour terms of one uncrossed pass-through in a joint estimate.
+/// The detour terms of one pass-through in a joint estimate.
 struct PassTerms {
   std::size_t segment;
   bool pickup;   ///< supports the pickup cluster
@@ -172,7 +172,7 @@ void MatchIndex::CountSearch(std::size_t returned) const {
 }
 
 std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
-    const Ride& ride) const {
+    const Ride& ride, double now_s) const {
   std::vector<PassThroughCluster> out;
   if (ride.route.nodes.empty() || ride.via_points.size() < 2) return out;
 
@@ -196,12 +196,16 @@ std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
       prev = c;
       if (seen_in_segment[c.value()]) continue;
       seen_in_segment[c.value()] = true;
+      // A first visit already behind the clock is dropped, not replaced by
+      // a later visit of the same cluster in this segment.
+      const double eta_s = ride.departure_time_s + ride.route_cum_time_s[j];
+      if (eta_s < now_s) continue;
 
       PassThroughCluster pt;
       pt.cluster = c;
       pt.landmark = region_->LandmarkOfGrid(grid);
       pt.segment = seg;
-      pt.eta_s = ride.departure_time_s + ride.route_cum_time_s[j];
+      pt.eta_s = eta_s;
 
       // Reachable clusters (paper Section VI): candidates within the detour
       // budget of C, kept iff the round-trip detour via C' does not exceed
@@ -239,7 +243,6 @@ void MatchIndex::AggregateSupports(const RideRegistration& reg,
     best = std::min(best, eta);
   };
   for (const PassThroughCluster& pt : reg.pass_throughs) {
-    if (pt.crossed) continue;
     offer(pt.cluster, pt.eta_s);
     for (ClusterId reachable : pt.reachable) {
       offer(reachable,
@@ -298,15 +301,15 @@ MatchIndex::Rekeyed MatchIndex::Rekey(RideId ride, RideRegistration* reg) {
   return done;
 }
 
-MatchIndex::Rekeyed MatchIndex::Register(const Ride& ride) {
+MatchIndex::Rekeyed MatchIndex::Register(const Ride& ride, double now_s) {
   RideRegistration& reg = registrations_[ride.id];
-  reg.pass_throughs = ComputePassThroughs(ride);
+  reg.pass_throughs = ComputePassThroughs(ride, now_s);
   return Rekey(ride.id, &reg);
 }
 
-void MatchIndex::Insert(const Ride& ride) {
+void MatchIndex::Insert(const Ride& ride, double now_s) {
   assert(registrations_.find(ride.id) == registrations_.end());
-  Register(ride);
+  Register(ride, now_s);
   counters_.inserts.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -323,8 +326,8 @@ void MatchIndex::Remove(RideId ride) {
   counters_.removes.fetch_add(1, std::memory_order_relaxed);
 }
 
-void MatchIndex::Update(const Ride& ride) {
-  const Rekeyed done = Register(ride);
+void MatchIndex::Update(const Ride& ride, double now_s) {
+  const Rekeyed done = Register(ride, now_s);
   counters_.updates.fetch_add(1, std::memory_order_relaxed);
   counters_.update_kept.fetch_add(done.kept, std::memory_order_relaxed);
   counters_.update_moved.fetch_add(done.moved, std::memory_order_relaxed);
@@ -337,26 +340,16 @@ std::size_t MatchIndex::Advance(const Ride& ride, double now_s) {
   if (it == registrations_.end()) return 0;
   RideRegistration& reg = it->second;
 
-  // Step 1: mark newly crossed pass-throughs.
-  bool any_crossed = false;
-  for (PassThroughCluster& pt : reg.pass_throughs) {
-    if (pt.crossed || pt.eta_s >= now_s) continue;
-    pt.crossed = true;
-    any_crossed = true;
-  }
-  if (!any_crossed) return 0;
-
-  // Step 2: a cluster stays only if some valid pass-through still reaches
-  // it, re-keyed if it lost its best support; otherwise the ride is evicted
-  // from that cluster's potential list. Crossing only removes supports, so
-  // nothing enters.
+  // Drop the pass-throughs the ride has crossed. A cluster stays only if a
+  // remaining pass-through still reaches it, re-keyed if it lost its best
+  // support; otherwise the ride is evicted from that cluster's potential
+  // list. Crossing only removes supports, so nothing enters.
+  const std::size_t crossed = std::erase_if(
+      reg.pass_throughs,
+      [now_s](const PassThroughCluster& pt) { return pt.eta_s < now_s; });
+  if (crossed == 0) return 0;
   const Rekeyed done = Rekey(ride.id, &reg);
   assert(done.entered == 0);
-
-  // Step 3 (remove crossed pass-throughs) is represented by the `crossed`
-  // flag; physically erase them to keep the registration compact.
-  std::erase_if(reg.pass_throughs,
-                [](const PassThroughCluster& pt) { return pt.crossed; });
   if (done.left > 0) {
     counters_.evictions.fetch_add(done.left, std::memory_order_relaxed);
   }
@@ -373,7 +366,7 @@ double MatchIndex::NextEventTime(RideId ride) const {
   double next = std::numeric_limits<double>::infinity();
   if (reg == nullptr) return next;
   for (const PassThroughCluster& pt : reg->pass_throughs) {
-    if (!pt.crossed) next = std::min(next, pt.eta_s);
+    next = std::min(next, pt.eta_s);
   }
   return next;
 }
@@ -387,7 +380,6 @@ const PassThroughCluster* MatchIndex::BestSupport(RideId ride,
   const PassThroughCluster* best = nullptr;
   double best_detour = std::numeric_limits<double>::infinity();
   for (const PassThroughCluster& pt : reg->pass_throughs) {
-    if (pt.crossed) continue;
     double detour = std::numeric_limits<double>::infinity();
     if (pt.cluster == cluster) {
       detour = 0.0;
@@ -431,9 +423,9 @@ bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
   const double pickup_to_dropoff = dist(pickup_landmark, dropoff_landmark,
                                         source_cluster, dest_cluster);
 
-  // Pass 1, forward: each uncrossed pass-through's own terms. Inserting the
-  // pickup in its segment costs `src` (at -> pickup -> next via-point),
-  // the drop-off costs `dst`, and both in sequence cost `same`
+  // Pass 1, forward: each pass-through's own terms. Inserting the pickup
+  // in its segment costs `src` (at -> pickup -> next via-point), the
+  // drop-off costs `dst`, and both in sequence cost `same`
   // (at -> pickup -> dropoff -> next).
   std::vector<PassTerms>& terms = ThreadScratch().terms;
   terms.clear();
@@ -443,7 +435,6 @@ bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
   double pickup_to_next = 0.0;
   double dropoff_to_next = 0.0;
   for (const PassThroughCluster& pt : reg->pass_throughs) {
-    if (pt.crossed) continue;
     const bool pickup = Supports(pt, source_cluster);
     const bool dropoff = Supports(pt, dest_cluster);
     if (!pickup && !dropoff) continue;

@@ -21,13 +21,13 @@ namespace xar {
 
 /// A ride's association with one pass-through cluster (paper Section VI):
 /// the cluster a route segment drives through, its ETA, and the clusters
-/// reachable from it within the ride's remaining detour budget.
+/// reachable from it within the ride's remaining detour budget. Only
+/// pass-throughs still ahead of the clock are kept.
 struct PassThroughCluster {
   ClusterId cluster;
   LandmarkId landmark;      ///< landmark of the grid where the route entered
   double eta_s = 0.0;
   std::size_t segment = 0;  ///< which via-point segment produced it
-  bool crossed = false;     ///< tracking: the ride has already passed it
   /// Reachable clusters (paper's detour test d_CC' + d_C'v - d_Cv <= d),
   /// in increasing id order, and their cluster-level detour estimates,
   /// parallel arrays.
@@ -50,7 +50,7 @@ struct MatchCounters {
   std::uint64_t inserts = 0;         ///< rides registered
   std::uint64_t removes = 0;         ///< rides fully unregistered
   std::uint64_t updates = 0;         ///< re-registrations after bookings
-  std::uint64_t evictions = 0;       ///< cluster lists left by tracking
+  std::uint64_t evictions = 0;       ///< cluster lists left by Advance
   std::uint64_t searches = 0;        ///< Candidates() calls
   std::uint64_t empty_searches = 0;  ///< Candidates() calls returning none
   std::uint64_t candidates = 0;      ///< matches returned, total
@@ -133,9 +133,11 @@ struct MatchTuning {
 /// whose size Fig. 3c reports.
 ///
 /// Contract:
-///  - Insert/Remove/Update track ride lifecycle; Update re-derives all
-///    associations after a booking/cancellation changed the ride's shape,
-///    and touches only the list entries whose key that changed.
+///  - Insert/Remove/Update track ride lifecycle; Insert and Update
+///    register only the pass-throughs ahead of the clock they are given.
+///    Update re-derives all associations after a booking/cancellation
+///    changed the ride's shape, and touches only the list entries whose key
+///    that changed.
 ///  - Candidates returns feasible matches ranked by MatchRankLess, each
 ///    carrying the landmarks/clusters Book needs and stamped with the epoch
 ///    of the snapshot it was computed on. Each candidate ride costs one
@@ -167,26 +169,26 @@ class MatchIndex {
   MatchIndex(const MatchIndex&) = delete;
   MatchIndex& operator=(const MatchIndex&) = delete;
 
-  /// Computes `ride`'s pass-through clusters (from its current route and
-  /// via-points) and their reachable clusters (within the remaining detour
-  /// budget), then registers the ride under all of them. The ride must not
-  /// already be registered.
-  void Insert(const Ride& ride);
+  /// Computes `ride`'s pass-through clusters still ahead of `now_s` (from
+  /// its current route and via-points) and their reachable clusters (within
+  /// the remaining detour budget), then registers the ride under all of
+  /// them. The ride must not already be registered.
+  void Insert(const Ride& ride, double now_s);
 
   /// Removes the ride from every cluster list. No-op if absent.
   void Remove(RideId ride);
 
-  /// Re-derives all associations after a booking changed the ride's route,
-  /// via-points or detour budget. Entries whose (eta, ride) key is
-  /// unchanged stay put, a changed ETA moves in place, and only clusters
-  /// the ride left or entered are erased or inserted: the lists end exactly
-  /// as Remove then Insert would leave them.
-  void Update(const Ride& ride);
+  /// Re-derives all associations ahead of `now_s` after a booking changed
+  /// the ride's route, via-points or detour budget. Entries whose
+  /// (eta, ride) key is unchanged stay put, a changed ETA moves in place,
+  /// and only clusters the ride left or entered are erased or inserted: the
+  /// lists end exactly as Remove then Insert would leave them.
+  void Update(const Ride& ride, double now_s);
 
-  /// Tracking (paper Section VIII-A): marks pass-through clusters with
-  /// eta < now as crossed, and evicts the ride from clusters no longer
-  /// supported by any valid pass-through. Returns the number of clusters the
-  /// ride was evicted from.
+  /// Tracking (paper Section VIII-A): drops the pass-throughs with
+  /// eta < now and evicts the ride from clusters no longer supported by a
+  /// remaining one. Returns the number of clusters the ride was evicted
+  /// from.
   std::size_t Advance(const Ride& ride, double now_s);
 
   /// Ranked feasible matches for `request`, resolved against the snapshot
@@ -226,12 +228,12 @@ class MatchIndex {
 
   const RideRegistration* RegistrationOf(RideId ride) const;
 
-  /// Earliest ETA among the ride's uncrossed pass-through clusters — the
-  /// next moment tracking has work to do for this ride. +inf if none.
+  /// Earliest ETA among the ride's pass-through clusters — the next moment
+  /// tracking has work to do for this ride. +inf if none.
   double NextEventTime(RideId ride) const;
 
-  /// The uncrossed pass-through of `ride` that supports `cluster` (as
-  /// itself or as a reachable cluster) at the lowest detour estimate.
+  /// The pass-through of `ride` that supports `cluster` (as itself or as a
+  /// reachable cluster) at the lowest detour estimate.
   /// Returns nullptr if unsupported.
   const PassThroughCluster* BestSupport(RideId ride, ClusterId cluster) const;
 
@@ -273,23 +275,26 @@ class MatchIndex {
     std::atomic<std::uint64_t> update_entered{0};
   };
 
-  /// Computes `ride`'s pass-throughs into its registration (made if absent)
-  /// and rekeys its list entries to them.
-  Rekeyed Register(const Ride& ride);
+  /// Computes `ride`'s pass-throughs ahead of `now_s` into its registration
+  /// (made if absent) and rekeys its list entries to them.
+  Rekeyed Register(const Ride& ride, double now_s);
 
   /// Brings `ride`'s list entries from `reg`'s registered keys to the
-  /// supports of its uncrossed pass-throughs, merging the two in cluster
-  /// order: a kept key is left alone, a changed ETA is moved, a cluster no
-  /// longer supported is erased and a newly supported one inserted.
+  /// supports of its pass-throughs, merging the two in cluster order: a
+  /// kept key is left alone, a changed ETA is moved, a cluster no longer
+  /// supported is erased and a newly supported one inserted.
   Rekeyed Rekey(RideId ride, RideRegistration* reg);
 
-  /// The min ETA at which `reg`'s uncrossed pass-throughs support each
-  /// cluster, in cluster-id order, as parallel arrays.
+  /// The min ETA at which `reg`'s pass-throughs support each cluster, in
+  /// cluster-id order, as parallel arrays.
   void AggregateSupports(const RideRegistration& reg,
                          std::vector<ClusterId>* clusters,
                          std::vector<double>* eta_s);
 
-  std::vector<PassThroughCluster> ComputePassThroughs(const Ride& ride) const;
+  /// The first visit of each cluster in each route segment, dropped when
+  /// it lies behind `now_s`.
+  std::vector<PassThroughCluster> ComputePassThroughs(const Ride& ride,
+                                                      double now_s) const;
 
   void CountSearch(std::size_t returned) const;
 

@@ -8,6 +8,7 @@
 #include "graph/generator.h"
 #include "graph/oracle.h"
 #include "xar/concurrent_xar.h"
+#include "xar/world.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -342,9 +343,7 @@ void EventSim::HandleRefresh(SimTarget& target, const Event& event,
       ScaleEdgeWeights(*world_, [this, now_s](NodeId from, NodeId to) {
         return CongestionFactor(from, to, now_s);
       }));
-  auto oracle = std::make_unique<GraphOracle>(
-      *graph, /*cache_capacity=*/1 << 16, system_options_.routing_backend,
-      system_options_.BackendOptions());
+  std::unique_ptr<GraphOracle> oracle = MakeOracle(*graph, system_options_);
   GraphDelta delta;
   delta.graph = graph.get();
   delta.oracle = oracle.get();

@@ -65,11 +65,10 @@ struct XarOptions {
   std::size_t meeting_point_candidates = 4;
 
   /// Which shortest-path backend the GraphOracle serving this system runs
-  /// on cache misses. The system takes the oracle by reference, so this is
-  /// honored by whoever constructs the oracle (simulators, benches,
-  /// examples, the command-server main); contraction hierarchies are the
-  /// production default — order-of-magnitude fewer settled nodes per
-  /// booking once the lazy per-metric build has run.
+  /// on cache misses. The system takes the oracle by reference; MakeOracle
+  /// (xar/world.h, and so World) builds it from these options. Contraction
+  /// hierarchies are the production default — order-of-magnitude fewer
+  /// settled nodes per booking once the lazy per-metric build has run.
   RoutingBackendKind routing_backend = RoutingBackendKind::kCh;
 
   /// The distance cache of the GraphOracle serving this system. kClock
@@ -77,15 +76,14 @@ struct XarOptions {
   OracleCachePolicy oracle_cache = OracleCachePolicy::kClock;
 
   /// Worker threads for backend preprocessing (contraction-hierarchy
-  /// builds); 0 = hardware concurrency. Honored wherever the oracle is
-  /// constructed (see BackendOptions()), including the off-thread Prewarm a
-  /// RefreshDiscretization runs before swapping snapshots — the build is
-  /// deterministic, so thread count never changes a route.
+  /// builds); 0 = hardware concurrency. Reaches the backend through
+  /// BackendOptions(), which MakeOracle passes on, and so the off-thread
+  /// Prewarm a RefreshDiscretization runs before swapping snapshots too —
+  /// the build is deterministic, so thread count never changes a route.
   std::size_t preprocess_threads = 0;
 
-  /// RoutingBackendOptions carrying this struct's backend knobs; pass to
-  /// GraphOracle / MakeRoutingBackend so simulators, benches and servers
-  /// construct identically-configured backends.
+  /// RoutingBackendOptions carrying this struct's backend knobs, as
+  /// MakeOracle hands them to the GraphOracle.
   RoutingBackendOptions BackendOptions() const {
     RoutingBackendOptions backend_options;
     backend_options.ch.preprocess_threads = preprocess_threads;

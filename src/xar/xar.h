@@ -5,9 +5,10 @@
 /// Umbrella header for the Xhare-a-Ride library: the road-network substrate
 /// (graphs, routing engines, oracles, generators, I/O), the three-tier
 /// region discretization, the XAR run-time (create / search / book / track /
-/// cancel), and the deployment-facing façades (thread-safe wrapper, GeoJSON
-/// export). The network and text front ends live in src/serve. See README.md
-/// for a quickstart.
+/// cancel), World (the whole stack over one graph, built from XarOptions),
+/// and the deployment-facing façades (thread-safe wrapper, GeoJSON export).
+/// The network and text front ends live in src/serve. See README.md for a
+/// quickstart.
 
 #include "discretize/region_index.h"
 #include "graph/alt.h"
@@ -24,6 +25,7 @@
 #include "xar/geojson_export.h"
 #include "xar/options.h"
 #include "xar/ride.h"
+#include "xar/world.h"
 #include "xar/xar_system.h"
 
 #endif  // XAR_XAR_XAR_H_

@@ -77,9 +77,8 @@ std::size_t XarSystem::AdoptSnapshot(
 
   // Re-home every live ride into the index rebound to the new region
   // (OnEpochSwap drops all registrations). Crossed associations are not
-  // resurrected: registration recomputes them from the route, then
-  // Advance(now) retires the already-passed ones — the same end state
-  // incremental tracking maintains.
+  // resurrected: registration recomputes them from the route ahead of the
+  // clock — the same end state incremental tracking maintains.
   index_.OnEpochSwap(next, *graph_);
   const double now = clock_.Now();
   std::size_t rehomed = 0;
@@ -111,8 +110,7 @@ std::size_t XarSystem::AdoptSnapshot(
             ride.route_cum_time_s[ride.via_route_index[v]];
       }
     }
-    index_.Insert(ride);
-    index_.Advance(ride, now);
+    index_.Insert(ride, now);
     ++rehomed;
   }
 
@@ -169,10 +167,9 @@ Result<RideId> XarSystem::CreateRide(const RideOffer& offer) {
   schedules_.push_back(nullptr);  // materialized on first kinetic booking
   ++active_rides_;
   const Ride& stored = rides_.back();
-  index_.Insert(stored);
   // An offer departing before the clock has already passed its early
-  // clusters: retire them now, not at its first tracking event.
-  index_.Advance(stored, clock_.Now());
+  // clusters: they are not registered at all.
+  index_.Insert(stored, clock_.Now());
   ScheduleNextEvent(stored);
   return stored.id;
 }
@@ -370,8 +367,7 @@ Result<BookingRecord> XarSystem::Book(RideId ride_id,
   ride.detour_used_m += std::max(0.0, actual_detour);
   ride.seats_available -= request.seats;
 
-  index_.Update(ride);
-  index_.Advance(ride, clock_.Now());  // do not resurrect passed clusters
+  index_.Update(ride, clock_.Now());  // do not resurrect passed clusters
   ScheduleNextEvent(ride);
 
   BookingRecord record;
@@ -561,8 +557,7 @@ Result<BookingRecord> XarSystem::BookKinetic(Ride& ride,
       std::max(pooling_counters_.max_pooled_riders, sched->ActiveRiders());
   ride.seats_available -= request.seats;
 
-  index_.Update(ride);
-  index_.Advance(ride, clock_.Now());
+  index_.Update(ride, clock_.Now());
   ScheduleNextEvent(ride);
 
   BookingRecord record;
@@ -703,8 +698,7 @@ Status XarSystem::RemoveRider(RideId ride_id, RequestId request,
   ride.seats_available =
       std::min(ride.seats_total, ride.seats_available + seats);
 
-  index_.Update(ride);
-  index_.Advance(ride, clock_.Now());  // do not resurrect passed clusters
+  index_.Update(ride, clock_.Now());  // do not resurrect passed clusters
   ScheduleNextEvent(ride);
   return Status::OK();
 }

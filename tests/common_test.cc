@@ -209,24 +209,6 @@ TEST(PercentileTrackerTest, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(t.max(), 9.0);
 }
 
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1.0);  // clamps to bucket 0
-  h.Add(0.5);
-  h.Add(3.0);
-  h.Add(9.99);
-  h.Add(10.0);  // overflow
-  h.Add(50.0);  // overflow
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(1), 1u);
-  EXPECT_EQ(h.BucketCount(4), 1u);
-  EXPECT_EQ(h.BucketCount(h.bins()), 2u);
-  EXPECT_DOUBLE_EQ(h.BucketLow(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.BucketHigh(1), 4.0);
-  EXPECT_FALSE(h.ToString().empty());
-}
-
 // --- Heap -------------------------------------------------------------------------
 
 TEST(IndexedMinHeapTest, PopsInOrder) {

@@ -4,12 +4,14 @@
 // rebuild of the live fleet produces.
 //
 // IndexMatchesRebuild builds a fresh MatchIndex on the system's current
-// region, Inserts then Advances(now) every active ride, and compares it
-// with the live index: every cluster list in its one order, the whole
-// (eta, ride) order via EtaRange(-inf, +inf), entry by entry with eta_s
-// bitwise equal, every registration (pass-throughs with their reachable
-// detour estimates, registered clusters and their stored ETA keys), and the
-// registered-ride count. Independently of the index code, it also checks
+// region, Inserts every active ride at -inf (all its pass-throughs) and then
+// Advances it to now — the two steps the live index folds into one Insert
+// or Update at now — and compares it with the live index: every cluster
+// list in its one order, the whole (eta, ride) order via
+// EtaRange(-inf, +inf), entry by entry with eta_s bitwise equal, every
+// registration (pass-throughs with their reachable detour estimates,
+// registered clusters and their stored ETA keys), and the registered-ride
+// count. Independently of the index code, it also checks
 // each registration's stored key against the min-aggregated support ETA of
 // the ride's own pass-throughs, and that the cluster's list holds exactly
 // (ride, that eta) at that key: the key that Update's merge, Advance's
@@ -76,7 +78,7 @@ inline bool SamePassThrough(const PassThroughCluster& a,
                             const PassThroughCluster& b) {
   if (a.cluster != b.cluster || a.landmark != b.landmark ||
       !SameBits(a.eta_s, b.eta_s) || a.segment != b.segment ||
-      a.crossed != b.crossed || a.reachable != b.reachable ||
+      a.reachable != b.reachable ||
       a.reachable_detour_m.size() != b.reachable_detour_m.size()) {
     return false;
   }
@@ -93,6 +95,7 @@ inline bool SamePassThrough(const PassThroughCluster& a,
 /// unchanged by contract (GraphDelta).
 inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
                                                       const RoadGraph& graph) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const MatchIndex& live = xar.match_index();
   MatchIndex fresh(BorrowRegionSnapshot(xar.region()), graph);
   const XarOptions& options = xar.options();
@@ -104,7 +107,7 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
     const RideId id = ride_at(i);
     const Ride* ride = xar.GetRide(id);
     if (ride == nullptr || !ride->active) continue;
-    fresh.Insert(*ride);
+    fresh.Insert(*ride, -kInf);
     fresh.Advance(*ride, xar.Now());
   }
 
@@ -171,7 +174,6 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
       if (!inserted) it->second = std::min(it->second, eta);
     };
     for (const PassThroughCluster& pt : reg->pass_throughs) {
-      if (pt.crossed) continue;
       offer(pt.cluster, pt.eta_s);
       for (ClusterId reachable : pt.reachable) {
         const double travel = region.ClusterDistance(pt.cluster, reachable) /
@@ -213,7 +215,6 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
     }
   }
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (std::size_t c = 0; c < region.NumClusters(); ++c) {
     const ClusterId cluster(static_cast<ClusterId::underlying_type>(c));
     ::testing::AssertionResult same =

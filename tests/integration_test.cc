@@ -8,13 +8,11 @@
 #include <cmath>
 #include <string>
 
-#include "discretize/region_index.h"
 #include "graph/generator.h"
-#include "graph/oracle.h"
-#include "graph/spatial_index.h"
 #include "sim/event_sim.h"
 #include "tests/index_checkers.h"
 #include "workload/trip_generator.h"
+#include "xar/world.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -28,24 +26,22 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
     copt.rows = 16;
     copt.cols = 16;
     copt.seed = GetParam();
-    graph_ = GenerateCity(copt);
-    spatial_ = std::make_unique<SpatialNodeIndex>(graph_);
     DiscretizationOptions dopt;
     dopt.landmarks.num_candidates = 300;
     dopt.landmarks.seed = GetParam() + 1;
-    region_ = std::make_unique<RegionIndex>(
-        RegionIndex::Build(graph_, *spatial_, dopt));
-    oracle_ = std::make_unique<GraphOracle>(graph_);
-    xar_ = std::make_unique<XarSystem>(graph_, *spatial_, *region_, *oracle_);
+    world_ = std::make_unique<World>(GenerateCity(copt), dopt);
+    const RoadGraph& graph = world_->graph;
+    xar_ = std::make_unique<XarSystem>(graph, *world_->spatial,
+                                       *world_->region, *world_->oracle);
 
     WorkloadOptions wopt;
     wopt.num_trips = 2500;
     wopt.seed = GetParam() + 2;
-    trips_ = GenerateTrips(graph_.bounds(), wopt);
-    EventSim sim(graph_, xar_->options(), ScenarioConfig{});
+    trips_ = GenerateTrips(graph.bounds(), wopt);
+    EventSim sim(graph, xar_->options(), ScenarioConfig{});
     // Check the index against a rebuild once per sim-hour: the day ends
     // with every vehicle arrived and the index empty.
-    testing::RebuildCheckingTarget target(*xar_, graph_,
+    testing::RebuildCheckingTarget target(*xar_, graph,
                                           /*check_every_s=*/3600.0);
     result_ = sim.Run(target, trips_);
     index_checks_ = target.checks;
@@ -53,10 +49,7 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
     index_failure_ = target.first_failure;
   }
 
-  RoadGraph graph_;
-  std::unique_ptr<SpatialNodeIndex> spatial_;
-  std::unique_ptr<RegionIndex> region_;
-  std::unique_ptr<GraphOracle> oracle_;
+  std::unique_ptr<World> world_;
   std::unique_ptr<XarSystem> xar_;
   std::vector<TaxiTrip> trips_;
   EventSimResult result_;
@@ -75,8 +68,8 @@ TEST_P(PipelineTest, DetourGuaranteeAcrossAllBookings) {
   // Section V guarantee: a booking admitted by the (approximate) search can
   // overrun the ride's detour budget by at most 4*epsilon; the grid->landmark
   // association adds at most 2*Delta of slack on top in this implementation.
-  double bound = 4 * region_->epsilon() +
-                 2 * region_->options().max_drive_to_landmark_m;
+  double bound = 4 * world_->region->epsilon() +
+                 2 * world_->region->options().max_drive_to_landmark_m;
   for (const BookingRecord& b : result_.bookings) {
     double excess = b.actual_detour_m - b.budget_before_m;
     EXPECT_LE(excess, bound + 1e-6)
@@ -130,7 +123,7 @@ TEST_P(PipelineTest, IndexListsConsistentWithRegistrations) {
   EXPECT_GT(index_checks_, 12u);
   EXPECT_GT(index_max_registered_, 0u);
   EXPECT_TRUE(index_failure_.empty()) << index_failure_;
-  EXPECT_TRUE(testing::IndexMatchesRebuild(*xar_, graph_));
+  EXPECT_TRUE(testing::IndexMatchesRebuild(*xar_, world_->graph));
 }
 
 TEST_P(PipelineTest, SearchResultsAreBookableRightAway) {
@@ -140,7 +133,7 @@ TEST_P(PipelineTest, SearchResultsAreBookableRightAway) {
   wopt.num_trips = 150;
   wopt.seed = GetParam() + 9;
   std::size_t attempted = 0;
-  for (const TaxiTrip& t : GenerateTrips(graph_.bounds(), wopt)) {
+  for (const TaxiTrip& t : GenerateTrips(world_->graph.bounds(), wopt)) {
     RideRequest req;
     req.id = RequestId(1000000 + attempted);
     req.source = t.pickup;

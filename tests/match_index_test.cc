@@ -235,9 +235,9 @@ TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
 // --- Bit-equality against the meeting-points search ------------------------
 
 /// Reference joint insertion estimate: every segment-ordered pair of
-/// uncrossed pass-throughs that support the two clusters is scored on the
-/// landmark metric, and the first strict minimum in (pickup, drop-off)
-/// pass-through order wins.
+/// pass-throughs that support the two clusters is scored on the landmark
+/// metric, and the first strict minimum in (pickup, drop-off) pass-through
+/// order wins.
 bool RefChooseInsertionSegments(const XarSystem& xar, const RoadGraph& graph,
                                 const Ride& ride, ClusterId source_cluster,
                                 LandmarkId pickup_landmark,
@@ -269,10 +269,10 @@ bool RefChooseInsertionSegments(const XarSystem& xar, const RoadGraph& graph,
 
   double best = std::numeric_limits<double>::infinity();
   for (const PassThroughCluster& ps : reg->pass_throughs) {
-    if (ps.crossed || !supports(ps, source_cluster)) continue;
+    if (!supports(ps, source_cluster)) continue;
     LandmarkId next_s = via_landmark(ps.segment);
     for (const PassThroughCluster& pd : reg->pass_throughs) {
-      if (pd.crossed || pd.segment < ps.segment) continue;
+      if (pd.segment < ps.segment) continue;
       if (!supports(pd, dest_cluster)) continue;
       double est;
       if (ps.segment == pd.segment) {

@@ -5,13 +5,11 @@
 
 #include <limits>
 
-#include "discretize/region_index.h"
 #include "graph/dijkstra.h"
 #include "graph/generator.h"
-#include "graph/oracle.h"
-#include "graph/spatial_index.h"
 #include "sim/event_sim.h"
 #include "workload/trip_generator.h"
+#include "xar/world.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -65,20 +63,17 @@ TEST(RadialCityTest2, FullXarStackRunsOnRadialTopology) {
   copt.rings = 6;
   copt.spokes = 14;
   copt.seed = 3;
-  RoadGraph graph = GenerateRadialCity(copt);
-  SpatialNodeIndex spatial(graph);
   DiscretizationOptions dopt;
   dopt.landmarks.num_candidates = 250;
-  RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
-  ASSERT_GT(region.NumClusters(), 3u);
-  GraphOracle oracle(graph);
-  XarSystem xar(graph, spatial, region, oracle);
+  World world(GenerateRadialCity(copt), dopt);
+  ASSERT_GT(world.region->NumClusters(), 3u);
+  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
 
   WorkloadOptions wopt;
   wopt.num_trips = 1500;
   wopt.seed = 4;
-  std::vector<TaxiTrip> trips = GenerateTrips(graph.bounds(), wopt);
-  EventSim sim(graph, xar.options(), ScenarioConfig{});
+  std::vector<TaxiTrip> trips = GenerateTrips(world.graph.bounds(), wopt);
+  EventSim sim(world.graph, xar.options(), ScenarioConfig{});
   EventSimResult result = RunEventSim(xar, sim, trips);
   EXPECT_EQ(result.requests, trips.size());
   EXPECT_GT(result.matched, 0u);

@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "tests/index_checkers.h"
 #include "tests/test_helpers.h"
 #include "xar/route_utils.h"
 #include "xar/xar_system.h"
@@ -18,6 +19,10 @@ namespace {
 using testing::FindEntry;
 using testing::SharedCity;
 using testing::TestCity;
+
+/// The clock the standalone index registers at: midnight, before every ride
+/// here departs, so Insert and Update keep every pass-through.
+constexpr double kMidnight = 0.0;
 
 /// Builds a standalone Ride along the city diagonal (without a XarSystem).
 Ride MakeDiagonalRide(TestCity& city, double departure_s,
@@ -59,7 +64,7 @@ class RideIndexTest : public ::testing::Test {
 
 TEST_F(RideIndexTest, RegistrationBasics) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
   ASSERT_NE(reg, nullptr);
   EXPECT_FALSE(reg->pass_throughs.empty());
@@ -71,20 +76,19 @@ TEST_F(RideIndexTest, RegistrationBasics) {
 
 TEST_F(RideIndexTest, PassThroughEtasWithinRideSpan) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   double arrival = ride.ArrivalTimeS();
   for (const PassThroughCluster& pt :
        index_.RegistrationOf(ride.id)->pass_throughs) {
     EXPECT_GE(pt.eta_s, ride.departure_time_s - 1e-9);
     EXPECT_LE(pt.eta_s, arrival + 1e-9);
     EXPECT_EQ(pt.segment, 0u);  // fresh ride: a single segment
-    EXPECT_FALSE(pt.crossed);
   }
 }
 
 TEST_F(RideIndexTest, ReachableClustersRespectDetourBudget) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600, /*detour_limit_m=*/2000);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   const RegionIndex& region = *city_.region;
   for (const PassThroughCluster& pt :
        index_.RegistrationOf(ride.id)->pass_throughs) {
@@ -104,15 +108,15 @@ TEST_F(RideIndexTest, SmallerBudgetNeverReachesMore) {
   Ride wide = MakeDiagonalRide(city_, 8 * 3600, 4000);
   Ride narrow = MakeDiagonalRide(city_, 8 * 3600, 500);
   narrow.id = RideId(1);
-  index_.Insert(wide);
-  index_.Insert(narrow);
+  index_.Insert(wide, kMidnight);
+  index_.Insert(narrow, kMidnight);
   EXPECT_GE(index_.RegistrationOf(wide.id)->registered_clusters.size(),
             index_.RegistrationOf(narrow.id)->registered_clusters.size());
 }
 
 TEST_F(RideIndexTest, ListsMatchRegisteredClusters) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
   // The ride appears in exactly the clusters it claims, nowhere else.
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
@@ -127,7 +131,7 @@ TEST_F(RideIndexTest, ListsMatchRegisteredClusters) {
 
 TEST_F(RideIndexTest, UnregisterRemovesEverywhere) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   index_.Remove(ride.id);
   EXPECT_EQ(index_.RegistrationOf(ride.id), nullptr);
   for (std::size_t c = 0; c < city_.region->NumClusters(); ++c) {
@@ -142,7 +146,7 @@ TEST_F(RideIndexTest, UnregisterRemovesEverywhere) {
 
 TEST_F(RideIndexTest, AdvanceCrossesOnlyPastClusters) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   double mid = ride.departure_time_s + ride.route.time_s / 2;
   index_.Advance(ride, mid);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
@@ -164,7 +168,7 @@ TEST_F(RideIndexTest, AdvanceCrossesOnlyPastClusters) {
 
 TEST_F(RideIndexTest, AdvancePastArrivalEvictsAll) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   std::size_t listed_before =
       index_.RegistrationOf(ride.id)->registered_clusters.size();
   std::size_t evicted = index_.Advance(ride, ride.ArrivalTimeS() + 10);
@@ -174,7 +178,7 @@ TEST_F(RideIndexTest, AdvancePastArrivalEvictsAll) {
 
 TEST_F(RideIndexTest, AdvanceIsIncremental) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   double t1 = ride.departure_time_s + ride.route.time_s * 0.3;
   double t2 = ride.departure_time_s + ride.route.time_s * 0.6;
   index_.Advance(ride, t1);
@@ -185,9 +189,30 @@ TEST_F(RideIndexTest, AdvanceIsIncremental) {
   EXPECT_LE(index_.RegistrationOf(ride.id)->pass_throughs.size(), after_t1);
 }
 
+TEST_F(RideIndexTest, InsertAtTheClockEqualsInsertThenAdvance) {
+  Ride ride = MakeDiagonalRide(city_, 8 * 3600);
+  const double mid = ride.departure_time_s + ride.route.time_s / 2;
+  index_.Insert(ride, kMidnight);
+  index_.Advance(ride, mid);
+  MatchIndex at_mid(BorrowRegionSnapshot(*city_.region), city_.graph);
+  at_mid.Insert(ride, mid);
+
+  const RideRegistration* want = index_.RegistrationOf(ride.id);
+  const RideRegistration* got = at_mid.RegistrationOf(ride.id);
+  EXPECT_EQ(got->registered_clusters, want->registered_clusters);
+  EXPECT_EQ(got->registered_eta_s, want->registered_eta_s);
+  ASSERT_EQ(got->pass_throughs.size(), want->pass_throughs.size());
+  for (std::size_t p = 0; p < want->pass_throughs.size(); ++p) {
+    EXPECT_EQ(got->pass_throughs[p].cluster, want->pass_throughs[p].cluster);
+    EXPECT_EQ(got->pass_throughs[p].eta_s, want->pass_throughs[p].eta_s);
+    EXPECT_GE(got->pass_throughs[p].eta_s, mid);
+  }
+  EXPECT_EQ(at_mid.counters().evictions, 0u);
+}
+
 TEST_F(RideIndexTest, NextEventTimeIsEarliestUncrossed) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   double next = index_.NextEventTime(ride.id);
   EXPECT_GE(next, ride.departure_time_s);
   double min_eta = std::numeric_limits<double>::infinity();
@@ -202,7 +227,7 @@ TEST_F(RideIndexTest, NextEventTimeIsEarliestUncrossed) {
 
 TEST_F(RideIndexTest, BestSupportAndJointChooserAgreeOnOrdering) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
   ASSERT_GE(reg->pass_throughs.size(), 2u);
   ClusterId c_early = reg->pass_throughs.front().cluster;
@@ -227,10 +252,10 @@ TEST_F(RideIndexTest, BestSupportAndJointChooserAgreeOnOrdering) {
 
 TEST_F(RideIndexTest, ReregisterReflectsNewBudget) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600, 4000);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   std::size_t wide = index_.RegistrationOf(ride.id)->registered_clusters.size();
   ride.detour_used_m = 3600;  // only 400 m of budget left
-  index_.Update(ride);
+  index_.Update(ride, kMidnight);
   std::size_t narrow =
       index_.RegistrationOf(ride.id)->registered_clusters.size();
   EXPECT_LT(narrow, wide);
@@ -268,9 +293,9 @@ TEST_F(RideIndexTest, UpdateOfUnchangedRideKeepsEveryEntry) {
   for (std::uint32_t k = 1; k < 4; ++k) {
     Ride other = MakeDiagonalRide(city_, 8 * 3600 + 30.0 * k);
     other.id = RideId(k);
-    index_.Insert(other);
+    index_.Insert(other, kMidnight);
   }
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   const std::size_t clusters = city_.region->NumClusters();
   const auto lists_before = ListBits(index_, clusters);
   const std::size_t listed =
@@ -278,7 +303,7 @@ TEST_F(RideIndexTest, UpdateOfUnchangedRideKeepsEveryEntry) {
   ASSERT_GT(listed, 0u);
   const MatchCounters before = index_.counters();
 
-  index_.Update(ride);
+  index_.Update(ride, kMidnight);
   EXPECT_EQ(ListBits(index_, clusters), lists_before);
   const MatchCounters d = UpdateDelta(before, index_.counters());
   EXPECT_EQ(d.update_kept, listed);
@@ -288,9 +313,8 @@ TEST_F(RideIndexTest, UpdateOfUnchangedRideKeepsEveryEntry) {
 }
 
 /// A ride across the city diagonal and a rider along its middle, on a
-/// XarSystem whose clock stands before the ride departs: Book and
-/// CancelBooking re-derive the ride with Update, and the Advance after it
-/// evicts nothing.
+/// XarSystem whose clock stands before the ride departs unless a test moves
+/// it: Book and CancelBooking re-derive the ride with Update.
 class IndexUpdateCountsTest : public RideIndexTest {
  protected:
   IndexUpdateCountsTest()
@@ -302,11 +326,12 @@ class IndexUpdateCountsTest : public RideIndexTest {
             b.min_lng + f * (b.max_lng - b.min_lng)};
   }
 
-  RideId CreateRide() {
+  RideId CreateRide(double detour_limit_m = -1.0) {
     RideOffer offer;
     offer.source = Along(0.1);
     offer.destination = Along(0.9);
     offer.departure_time_s = 8 * 3600.0;
+    offer.detour_limit_m = detour_limit_m;
     Result<RideId> ride = xar_.CreateRide(offer);
     EXPECT_TRUE(ride.ok()) << ride.status().ToString();
     return *ride;
@@ -350,6 +375,31 @@ TEST_F(IndexUpdateCountsTest, SpliceBookingSplitsOldAndNewRegistrations) {
   EXPECT_GT(d.update_moved, 0u);
 }
 
+TEST_F(IndexUpdateCountsTest, SpliceBookingPastDepartureRegistersOnlyAhead) {
+  // A tight budget keeps each pass-through's reachable clusters local, so
+  // the clusters behind the vehicle are supported by nothing ahead of it.
+  const RideId ride = CreateRide(/*detour_limit_m=*/1000.0);
+  const Ride& driving = *xar_.GetRide(ride);
+  // A fifth of the way along: tracking has retired the clusters behind.
+  xar_.AdvanceTime(driving.departure_time_s + 0.2 * driving.route.time_s);
+  const std::size_t listed_before = Listed(ride);
+  const MatchCounters before = xar_.match_index().counters();
+  ASSERT_GT(before.evictions, 0u);
+
+  const RideRequest req = MidRequest();
+  std::vector<RideMatch> matches = xar_.Search(req);
+  ASSERT_FALSE(matches.empty());
+  ASSERT_TRUE(xar_.Book(ride, req, matches[0]).ok());
+  const MatchCounters after = xar_.match_index().counters();
+  ASSERT_EQ(after.updates, before.updates + 1);
+  // The Update registers nothing behind the clock, so nothing is evicted.
+  EXPECT_EQ(after.evictions, before.evictions);
+  const MatchCounters d = UpdateDelta(before, after);
+  EXPECT_EQ(d.update_kept + d.update_moved + d.update_left, listed_before);
+  EXPECT_EQ(d.update_kept + d.update_moved + d.update_entered, Listed(ride));
+  EXPECT_TRUE(testing::IndexMatchesRebuild(xar_, city_.graph));
+}
+
 TEST_F(IndexUpdateCountsTest, CancelGrowsTheBudgetAndEntersClusters) {
   const RideId ride = CreateRide();
   const RideRequest req = MidRequest();
@@ -369,7 +419,7 @@ TEST_F(IndexUpdateCountsTest, CancelGrowsTheBudgetAndEntersClusters) {
 TEST_F(RideIndexTest, MemoryFootprintTracksRegistrations) {
   std::size_t empty = index_.MemoryFootprint();
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
-  index_.Insert(ride);
+  index_.Insert(ride, kMidnight);
   std::size_t loaded = index_.MemoryFootprint();
   EXPECT_GT(loaded, empty);
   index_.Remove(ride.id);

@@ -7,13 +7,11 @@
 
 #include "common/clock.h"
 #include "common/stats.h"
-#include "discretize/region_index.h"
 #include "graph/generator.h"
-#include "graph/oracle.h"
-#include "graph/spatial_index.h"
 #include "sim/event_sim.h"
 #include "tests/index_checkers.h"
 #include "workload/trip_generator.h"
+#include "xar/world.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -65,13 +63,12 @@ TEST(StressTest, ThirtyThousandRequestsThroughTheFullStack) {
   copt.rows = 24;
   copt.cols = 24;
   copt.seed = 77;
-  RoadGraph graph = GenerateCity(copt);
-  SpatialNodeIndex spatial(graph);
   DiscretizationOptions dopt;
   dopt.landmarks.num_candidates = 450;
-  RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
-  GraphOracle oracle(graph);
-  XarSystem xar(graph, spatial, region, oracle);
+  World world(GenerateCity(copt), dopt);
+  const RoadGraph& graph = world.graph;
+  const RegionIndex& region = *world.region;
+  XarSystem xar(graph, *world.spatial, region, *world.oracle);
 
   WorkloadOptions wopt;
   wopt.num_trips = 30000;
