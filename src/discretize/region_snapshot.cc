@@ -4,6 +4,9 @@
 #include <string>
 #include <utility>
 
+#include "common/clock.h"
+#include "graph/oracle.h"
+
 namespace xar {
 
 std::shared_ptr<const RegionSnapshot> BorrowRegionSnapshot(
@@ -26,6 +29,33 @@ std::shared_ptr<const RegionSnapshot> BuildRegionSnapshot(
       RegionIndex::Build(graph, spatial, options, backend));
   snapshot->epoch = epoch;
   return snapshot;
+}
+
+RefreshBuild BuildRefreshSnapshot(const RegionSnapshot& current,
+                                  const GraphDelta& delta,
+                                  const RoadGraph& graph,
+                                  const SpatialNodeIndex& spatial,
+                                  const DistanceOracle& oracle) {
+  RefreshBuild build;
+  // Ready the incoming oracle's backend preprocessing (per-metric
+  // hierarchies) first, inheriting what the current oracle's still holds:
+  // the rebuild below batches its landmark metric on that backend, and the
+  // swap installs a ready oracle, so no post-refresh query pays the build.
+  Stopwatch prewarm_timer;
+  if (delta.oracle != nullptr) PrewarmFrom(*delta.oracle, oracle);
+  build.prewarm_ms = prewarm_timer.ElapsedMillis();
+  // The incoming oracle routes over the incoming graph, so its backend can
+  // batch the landmark rows; a delta without an oracle keeps the internal
+  // Dijkstra build (the current oracle may still route the old weights).
+  RoutingBackend* matrix_backend =
+      delta.oracle != nullptr ? delta.oracle->mutable_routing_backend()
+                              : nullptr;
+  build.snapshot = BuildRegionSnapshot(
+      delta.graph != nullptr ? *delta.graph : graph, spatial,
+      delta.options.has_value() ? *delta.options : current.index->options(),
+      current.epoch + 1, matrix_backend);
+  build.matrix_ms = build.snapshot->index->landmark_metric().build_millis();
+  return build;
 }
 
 StatsSection RefreshStatsSection(const RefreshStats& stats) {

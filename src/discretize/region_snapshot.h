@@ -74,6 +74,25 @@ struct RefreshStats {
   std::size_t total_rides_rehomed = 0;
 };
 
+/// The snapshot a refresh adopts, with the build timings RefreshStats
+/// reports.
+struct RefreshBuild {
+  std::shared_ptr<const RegionSnapshot> snapshot;
+  double prewarm_ms = 0.0;  ///< RefreshStats::last_prewarm_ms
+  double matrix_ms = 0.0;   ///< RefreshStats::last_matrix_ms
+};
+
+/// The build step of every RefreshDiscretization: readies `delta`'s oracle
+/// (PrewarmFrom `oracle`, the current one), then rebuilds the region over
+/// the delta's graph and options — `graph` and `current`'s options where
+/// the delta keeps them — as epoch `current.epoch + 1`. Runs with no system
+/// locks held; the caller adopts the snapshot.
+RefreshBuild BuildRefreshSnapshot(const RegionSnapshot& current,
+                                  const GraphDelta& delta,
+                                  const RoadGraph& graph,
+                                  const SpatialNodeIndex& spatial,
+                                  const DistanceOracle& oracle);
+
 /// "refresh" stats section for the unified StatsRegistry surface.
 StatsSection RefreshStatsSection(const RefreshStats& stats);
 

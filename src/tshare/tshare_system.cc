@@ -1,8 +1,6 @@
 #include "tshare/tshare_system.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "xar/route_utils.h"
@@ -59,35 +57,11 @@ void TShareSystem::DeindexRideCells(const Ride& ride) {
 }
 
 Result<RideId> TShareSystem::CreateRide(const RideOffer& offer) {
-  NodeId src = spatial_.NearestNode(offer.source);
-  NodeId dst = spatial_.NearestNode(offer.destination);
-  if (src == dst) {
-    return Status::InvalidArgument("ride source and destination coincide");
-  }
-  Path route = oracle_.DriveRoute(src, dst);
-  if (!route.Found()) {
-    return Status::NotFound("no drivable route between offer endpoints");
-  }
-
-  Ride ride;
+  XAR_ASSIGN_OR_RETURN(Ride ride,
+                       PlanRide(graph_, spatial_, oracle_, offer,
+                                options_.default_seats,
+                                options_.default_detour_limit_m));
   ride.id = RideId(static_cast<RideId::underlying_type>(rides_.size()));
-  ride.source = src;
-  ride.destination = dst;
-  ride.departure_time_s = offer.departure_time_s;
-  ride.seats_total = offer.seats >= 0 ? offer.seats : options_.default_seats;
-  ride.seats_available = ride.seats_total;
-  ride.detour_limit_m = offer.detour_limit_m >= 0
-                            ? offer.detour_limit_m
-                            : options_.default_detour_limit_m;
-  ride.route = std::move(route);
-  BuildCumulativeProfiles(graph_, ride.route.nodes, &ride.route_cum_time_s,
-                          &ride.route_cum_dist_m);
-  ride.via_points = {
-      ViaPoint{src, offer.departure_time_s, RequestId::Invalid(), false},
-      ViaPoint{dst, offer.departure_time_s + ride.route_cum_time_s.back(),
-               RequestId::Invalid(), false}};
-  ride.via_route_index = {0, ride.route.nodes.size() - 1};
-
   rides_.push_back(std::move(ride));
   ++active_rides_;
   const Ride& stored = rides_.back();
@@ -204,123 +178,16 @@ Result<BookingRecord> TShareSystem::Book(RideId ride_id,
   if (d < s) d = s;
 
   DeindexRideCells(ride);
-
-  double old_length = ride.route_cum_dist_m.back();
-  std::size_t sp_count = 0;
-  bool ok = true;
-  std::vector<NodeId> new_nodes;
-  std::vector<ViaPoint> new_vias;
-  std::vector<std::size_t> new_via_idx;
-
-  auto copy_route_span = [&](std::size_t from_idx, std::size_t to_idx) {
-    for (std::size_t r = from_idx; r <= to_idx; ++r) {
-      if (!new_nodes.empty() && new_nodes.back() == ride.route.nodes[r])
-        continue;
-      new_nodes.push_back(ride.route.nodes[r]);
-    }
-  };
-  auto splice_leg = [&](NodeId from, NodeId to) {
-    if (from == to) return;
-    ++sp_count;
-    Path leg = oracle_.DriveRoute(from, to);
-    if (!leg.Found()) {
-      ok = false;
-      return;
-    }
-    AppendPathNodes(&new_nodes, leg.nodes);
-  };
-
-  ViaPoint pickup_via{match.pickup_node, 0.0, request.id, true};
-  ViaPoint dropoff_via{match.dropoff_node, 0.0, request.id, false};
-
-  if (s == d) {
-    copy_route_span(0, ride.via_route_index[s]);
-    for (std::size_t v = 0; v <= s; ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(ride.via_route_index[v]);
-    }
-    splice_leg(ride.via_points[s].node, match.pickup_node);
-    new_vias.push_back(pickup_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(match.pickup_node, match.dropoff_node);
-    new_vias.push_back(dropoff_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(match.dropoff_node, ride.via_points[s + 1].node);
-    std::size_t resume = new_nodes.size() - 1;
-    copy_route_span(ride.via_route_index[s + 1], ride.route.nodes.size() - 1);
-    for (std::size_t v = s + 1; v < ride.via_points.size(); ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(resume + (ride.via_route_index[v] -
-                                      ride.via_route_index[s + 1]));
-    }
-  } else {
-    copy_route_span(0, ride.via_route_index[s]);
-    for (std::size_t v = 0; v <= s; ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(ride.via_route_index[v]);
-    }
-    splice_leg(ride.via_points[s].node, match.pickup_node);
-    new_vias.push_back(pickup_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(match.pickup_node, ride.via_points[s + 1].node);
-    std::size_t anchor = new_nodes.size() - 1;
-    copy_route_span(ride.via_route_index[s + 1], ride.via_route_index[d]);
-    for (std::size_t v = s + 1; v <= d; ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(anchor + (ride.via_route_index[v] -
-                                      ride.via_route_index[s + 1]));
-    }
-    splice_leg(ride.via_points[d].node, match.dropoff_node);
-    new_vias.push_back(dropoff_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(match.dropoff_node, ride.via_points[d + 1].node);
-    std::size_t resume = new_nodes.size() - 1;
-    copy_route_span(ride.via_route_index[d + 1], ride.route.nodes.size() - 1);
-    for (std::size_t v = d + 1; v < ride.via_points.size(); ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(resume + (ride.via_route_index[v] -
-                                      ride.via_route_index[d + 1]));
-    }
-  }
-
-  if (!ok) {
-    IndexRideCells(ride);  // restore the old index entries
-    return Status::Internal("booking splice found an unreachable leg");
-  }
-
-  ride.route.nodes = std::move(new_nodes);
-  BuildCumulativeProfiles(graph_, ride.route.nodes, &ride.route_cum_time_s,
-                          &ride.route_cum_dist_m);
-  ride.route.length_m = ride.route_cum_dist_m.back();
-  ride.route.time_s = ride.route_cum_time_s.back();
-  ride.via_points = std::move(new_vias);
-  ride.via_route_index = std::move(new_via_idx);
-  for (std::size_t v = 0; v < ride.via_points.size(); ++v) {
-    ride.via_points[v].eta_s =
-        ride.departure_time_s + ride.route_cum_time_s[ride.via_route_index[v]];
-  }
-
-  double actual_detour = ride.route_cum_dist_m.back() - old_length;
-  ride.detour_used_m += std::max(0.0, actual_detour);
-  ride.seats_available -= request.seats;
-  IndexRideCells(ride);
+  Result<BookingRecord> record =
+      SpliceRider(graph_, oracle_, &ride, s, d, match.pickup_node,
+                  match.dropoff_node, request);
+  IndexRideCells(ride);  // the new route's cells, or the old on failure
+  if (!record.ok()) return record;
   events_.emplace(ride.ArrivalTimeS(), ride.id);
 
-  BookingRecord record;
-  record.request = request.id;
-  record.ride = ride_id;
-  record.pickup_node = match.pickup_node;
-  record.dropoff_node = match.dropoff_node;
-  record.actual_detour_m = std::max(0.0, actual_detour);
-  record.estimated_detour_m = match.detour_m;
-  record.walk_m = 0.0;  // T-Share detours to the door
-  record.shortest_path_computations = sp_count;
-  for (const ViaPoint& vp : ride.via_points) {
-    if (vp.request == request.id) {
-      (vp.is_pickup ? record.pickup_eta_s : record.dropoff_eta_s) = vp.eta_s;
-    }
-  }
-  bookings_.push_back(record);
+  record->estimated_detour_m = match.detour_m;
+  record->walk_m = 0.0;  // T-Share detours to the door
+  bookings_.push_back(*record);
   return record;
 }
 

@@ -252,42 +252,29 @@ class ConcurrentXarSystem {
   RefreshStats RefreshDiscretization(const GraphDelta& delta = {}) {
     std::lock_guard<std::mutex> refresh_lock(refresh_mutex_);
     Stopwatch timer;
-    const RoadGraph& build_graph =
-        delta.graph != nullptr ? *delta.graph : *graph_;
-    const DiscretizationOptions& build_options =
-        delta.options.has_value() ? *delta.options : head_->index->options();
-    // Backend preprocessing for the incoming oracle (per-metric contraction
-    // hierarchies, inherited from the current oracle's where they still
-    // hold) runs first, off-thread with no shard locks held: the snapshot
-    // rebuild batches its landmark metric on that backend, and the per-shard
-    // swap below adopts snapshot AND ready oracle together — no post-refresh
-    // query ever sees a stale hierarchy or pays a build.
-    Stopwatch prewarm_timer;
-    if (delta.oracle != nullptr) PrewarmFrom(*delta.oracle, *oracle_);
-    const double prewarm_ms = prewarm_timer.ElapsedMillis();
-    RoutingBackend* matrix_backend =
-        delta.oracle != nullptr ? delta.oracle->mutable_routing_backend()
-                                : nullptr;
-    std::shared_ptr<const RegionSnapshot> next =
-        BuildRegionSnapshot(build_graph, *spatial_, build_options,
-                            head_->epoch + 1, matrix_backend);
+    // The build (oracle prewarm, then the region) runs with no shard locks
+    // held; the per-shard swap below adopts snapshot AND ready oracle
+    // together — no post-refresh query ever sees a stale hierarchy or pays
+    // a build.
+    RefreshBuild build =
+        BuildRefreshSnapshot(*head_, delta, *graph_, *spatial_, *oracle_);
 
     std::size_t rehomed = 0;
     for (const std::unique_ptr<Shard>& shard : shards_) {
       std::unique_lock lock(shard->mutex);
-      rehomed += shard->system.AdoptSnapshot(next, delta.graph, delta.oracle);
+      rehomed += shard->system.AdoptSnapshot(build.snapshot, delta.graph,
+                                             delta.oracle);
     }
     if (delta.graph != nullptr) graph_ = delta.graph;
     if (delta.oracle != nullptr) oracle_ = delta.oracle;
-    head_ = std::move(next);
+    head_ = std::move(build.snapshot);
     epoch_.store(head_->epoch, std::memory_order_release);
 
     refresh_stats_.epoch = head_->epoch;
     refresh_stats_.refreshes += 1;
     refresh_stats_.last_rebuild_ms = timer.ElapsedMillis();
-    refresh_stats_.last_prewarm_ms = prewarm_ms;
-    refresh_stats_.last_matrix_ms =
-        head_->index->landmark_metric().build_millis();
+    refresh_stats_.last_prewarm_ms = build.prewarm_ms;
+    refresh_stats_.last_matrix_ms = build.matrix_ms;
     refresh_stats_.last_rides_rehomed = rehomed;
     refresh_stats_.total_rides_rehomed += rehomed;
     return refresh_stats_;

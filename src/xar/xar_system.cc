@@ -1,7 +1,6 @@
 #include "xar/xar_system.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -37,31 +36,12 @@ XarSystem::XarSystem(const RoadGraph& graph, const SpatialNodeIndex& spatial,
 
 RefreshStats XarSystem::RefreshDiscretization(const GraphDelta& delta) {
   Stopwatch timer;
-  std::shared_ptr<const RegionSnapshot> current =
-      snapshot_.load(std::memory_order_acquire);
-  const RoadGraph& build_graph =
-      delta.graph != nullptr ? *delta.graph : *graph_;
-  const DiscretizationOptions& build_options =
-      delta.options.has_value() ? *delta.options : current->index->options();
-  // Ready the incoming oracle's backend preprocessing (per-metric
-  // hierarchies) first, inheriting what the current oracle's still holds:
-  // the snapshot rebuild below batches its landmark metric on that backend,
-  // and the swap installs a ready oracle so no post-refresh query pays the
-  // build.
-  Stopwatch prewarm_timer;
-  if (delta.oracle != nullptr) PrewarmFrom(*delta.oracle, *oracle_);
-  refresh_stats_.last_prewarm_ms = prewarm_timer.ElapsedMillis();
-  // The incoming oracle routes over the incoming graph, so its backend can
-  // batch the landmark rows; a delta without an oracle keeps the internal
-  // Dijkstra build (the current oracle may still route the old weights).
-  RoutingBackend* matrix_backend =
-      delta.oracle != nullptr ? delta.oracle->mutable_routing_backend()
-                              : nullptr;
-  std::shared_ptr<const RegionSnapshot> next =
-      BuildRegionSnapshot(build_graph, spatial_, build_options,
-                          current->epoch + 1, matrix_backend);
-  refresh_stats_.last_matrix_ms = next->index->landmark_metric().build_millis();
-  AdoptSnapshot(std::move(next), delta.graph, delta.oracle);
+  RefreshBuild build =
+      BuildRefreshSnapshot(*snapshot_.load(std::memory_order_acquire), delta,
+                           *graph_, spatial_, *oracle_);
+  refresh_stats_.last_prewarm_ms = build.prewarm_ms;
+  refresh_stats_.last_matrix_ms = build.matrix_ms;
+  AdoptSnapshot(std::move(build.snapshot), delta.graph, delta.oracle);
   refresh_stats_.last_rebuild_ms = timer.ElapsedMillis();
   return refresh_stats_;
 }
@@ -100,15 +80,12 @@ std::size_t XarSystem::AdoptSnapshot(
     if (!replanned && graph_changed) {
       // Same nodes, new weights: re-profile the existing route so index ETAs
       // and detour accounting reflect the new travel times.
-      BuildCumulativeProfiles(*graph_, ride.route.nodes,
-                              &ride.route_cum_time_s, &ride.route_cum_dist_m);
-      ride.route.length_m = ride.route_cum_dist_m.back();
-      ride.route.time_s = ride.route_cum_time_s.back();
+      std::vector<RouteStop> stops;
+      stops.reserve(ride.via_points.size());
       for (std::size_t v = 0; v < ride.via_points.size(); ++v) {
-        ride.via_points[v].eta_s =
-            ride.departure_time_s +
-            ride.route_cum_time_s[ride.via_route_index[v]];
+        stops.push_back({ride.via_points[v], v});
       }
+      CommitRoute(*RewriteRoute(*graph_, *oracle_, ride, stops), &ride);
     }
     index_.Insert(ride, now);
     ++rehomed;
@@ -130,38 +107,13 @@ std::size_t XarSystem::AdoptSnapshot(
 }
 
 Result<RideId> XarSystem::CreateRide(const RideOffer& offer) {
-  NodeId src = spatial_.NearestNode(offer.source);
-  NodeId dst = spatial_.NearestNode(offer.destination);
-  if (src == dst) {
-    return Status::InvalidArgument("ride source and destination coincide");
-  }
-  Path route = oracle_->DriveRoute(src, dst);
-  if (!route.Found()) {
-    return Status::NotFound("no drivable route between offer endpoints");
-  }
-
-  Ride ride;
+  XAR_ASSIGN_OR_RETURN(Ride ride,
+                       PlanRide(*graph_, spatial_, *oracle_, offer,
+                                options_.default_seats,
+                                options_.default_detour_limit_m));
   ride.id = RideId(options_.ride_id_offset +
                    static_cast<RideId::underlying_type>(rides_.size()) *
                        options_.ride_id_stride);
-  ride.source = src;
-  ride.destination = dst;
-  ride.departure_time_s = offer.departure_time_s;
-  ride.seats_total =
-      offer.seats >= 0 ? offer.seats : options_.default_seats;
-  ride.seats_available = ride.seats_total;
-  ride.detour_limit_m = offer.detour_limit_m >= 0
-                            ? offer.detour_limit_m
-                            : options_.default_detour_limit_m;
-  ride.route = std::move(route);
-  BuildCumulativeProfiles(*graph_, ride.route.nodes, &ride.route_cum_time_s,
-                          &ride.route_cum_dist_m);
-
-  ViaPoint start{src, offer.departure_time_s, RequestId::Invalid(), false};
-  ViaPoint end{dst, offer.departure_time_s + ride.route_cum_time_s.back(),
-               RequestId::Invalid(), false};
-  ride.via_points = {start, end};
-  ride.via_route_index = {0, ride.route.nodes.size() - 1};
 
   rides_.push_back(std::move(ride));
   schedules_.push_back(nullptr);  // materialized on first kinetic booking
@@ -243,150 +195,23 @@ Result<BookingRecord> XarSystem::Book(RideId ride_id,
   NodeId pickup = pinned->index->GetLandmark(match.pickup_landmark).node;
   NodeId dropoff = pinned->index->GetLandmark(match.dropoff_landmark).node;
 
-  if (options_.kinetic_booking) {
-    // Persistent schedules accept riders onto in-progress rides too: the
-    // tree is rooted at the last stop the vehicle passed.
-    return BookKinetic(ride, request, match, pickup, dropoff);
-  }
-
-  double old_length = ride.route_cum_dist_m.back();
-  double budget_before = ride.RemainingDetourBudget();
-
-  // Splice the route (paper Section VIII-B): the only shortest-path
-  // computations of the booking path, at most four.
-  std::size_t sp_count = 0;
-  auto sp = [&](NodeId a, NodeId b) -> Path {
-    ++sp_count;
-    return oracle_->DriveRoute(a, b);
-  };
-
-  std::vector<NodeId> new_nodes;
-  std::vector<ViaPoint> new_vias;
-  std::vector<std::size_t> new_via_idx;
-
-  auto copy_route_span = [&](std::size_t from_idx, std::size_t to_idx) {
-    for (std::size_t r = from_idx; r <= to_idx; ++r) {
-      if (!new_nodes.empty() && new_nodes.back() == ride.route.nodes[r])
-        continue;
-      new_nodes.push_back(ride.route.nodes[r]);
-    }
-  };
-
-  ViaPoint pickup_via{pickup, 0.0, request.id, true};
-  ViaPoint dropoff_via{dropoff, 0.0, request.id, false};
-
-  bool ok = true;
-  auto splice_leg = [&](NodeId from, NodeId to) {
-    if (from == to) return;  // nothing to add
-    Path leg = sp(from, to);
-    if (!leg.Found()) {
-      ok = false;
-      return;
-    }
-    AppendPathNodes(&new_nodes, leg.nodes);
-  };
-
-  if (s == d) {
-    // v_s -> pickup -> dropoff -> v_{s+1}; 3 shortest paths.
-    copy_route_span(0, ride.via_route_index[s]);
-    // Via list: all vias up to s (prefix indices unchanged), then pickup and
-    // dropoff, then the rest.
-    for (std::size_t v = 0; v <= s; ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(ride.via_route_index[v]);
-    }
-    splice_leg(ride.via_points[s].node, pickup);
-    new_vias.push_back(pickup_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(pickup, dropoff);
-    new_vias.push_back(dropoff_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(dropoff, ride.via_points[s + 1].node);
-    std::size_t resume = new_nodes.size() - 1;
-    copy_route_span(ride.via_route_index[s + 1], ride.route.nodes.size() - 1);
-    for (std::size_t v = s + 1; v < ride.via_points.size(); ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(resume + (ride.via_route_index[v] -
-                                      ride.via_route_index[s + 1]));
-    }
-  } else {
-    // v_s -> pickup -> v_{s+1} ... v_d -> dropoff -> v_{d+1}; 4 paths.
-    for (std::size_t v = 0; v <= s; ++v) {
-      new_vias.push_back(ride.via_points[v]);
-    }
-    copy_route_span(0, ride.via_route_index[s]);
-    for (std::size_t v = 0; v <= s; ++v) {
-      new_via_idx.push_back(ride.via_route_index[v]);
-    }
-    splice_leg(ride.via_points[s].node, pickup);
-    new_vias.push_back(pickup_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(pickup, ride.via_points[s + 1].node);
-
-    // Middle untouched portion: vias s+1 .. d, route up to via d.
-    std::size_t anchor = new_nodes.size() - 1;
-    copy_route_span(ride.via_route_index[s + 1], ride.via_route_index[d]);
-    for (std::size_t v = s + 1; v <= d; ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(anchor + (ride.via_route_index[v] -
-                                      ride.via_route_index[s + 1]));
-    }
-    splice_leg(ride.via_points[d].node, dropoff);
-    new_vias.push_back(dropoff_via);
-    new_via_idx.push_back(new_nodes.size() - 1);
-    splice_leg(dropoff, ride.via_points[d + 1].node);
-
-    std::size_t resume = new_nodes.size() - 1;
-    copy_route_span(ride.via_route_index[d + 1], ride.route.nodes.size() - 1);
-    for (std::size_t v = d + 1; v < ride.via_points.size(); ++v) {
-      new_vias.push_back(ride.via_points[v]);
-      new_via_idx.push_back(resume + (ride.via_route_index[v] -
-                                      ride.via_route_index[d + 1]));
-    }
-  }
-
-  if (!ok) {
-    return Status::Internal("booking splice found an unreachable leg");
-  }
-  assert(sp_count <= 4);
-
-  // Commit the new shape.
-  ride.route.nodes = std::move(new_nodes);
-  BuildCumulativeProfiles(*graph_, ride.route.nodes, &ride.route_cum_time_s,
-                          &ride.route_cum_dist_m);
-  ride.route.length_m = ride.route_cum_dist_m.back();
-  ride.route.time_s = ride.route_cum_time_s.back();
-  ride.via_points = std::move(new_vias);
-  ride.via_route_index = std::move(new_via_idx);
-  for (std::size_t v = 0; v < ride.via_points.size(); ++v) {
-    ride.via_points[v].eta_s =
-        ride.departure_time_s + ride.route_cum_time_s[ride.via_route_index[v]];
-  }
-
-  double actual_detour = ride.route_cum_dist_m.back() - old_length;
-  ride.detour_used_m += std::max(0.0, actual_detour);
-  ride.seats_available -= request.seats;
+  // Splice the route (paper Section VIII-B) — the only shortest-path
+  // computations of the booking path, at most four — or, with kinetic
+  // booking, insert into the ride's persistent schedule, which accepts
+  // riders onto in-progress rides too: the tree is rooted at the last stop
+  // the vehicle passed.
+  Result<BookingRecord> record =
+      options_.kinetic_booking
+          ? BookKinetic(ride, request, match, pickup, dropoff)
+          : SpliceRider(*graph_, *oracle_, &ride, s, d, pickup, dropoff,
+                        request);
+  if (!record.ok()) return record;
+  record->estimated_detour_m = match.detour_estimate_m;
+  record->walk_m = match.TotalWalkM();
 
   index_.Update(ride, clock_.Now());  // do not resurrect passed clusters
   ScheduleNextEvent(ride);
-
-  BookingRecord record;
-  record.request = request.id;
-  record.ride = ride_id;
-  record.seats = request.seats;
-  record.pickup_node = pickup;
-  record.dropoff_node = dropoff;
-  record.actual_detour_m = std::max(0.0, actual_detour);
-  record.estimated_detour_m = match.detour_estimate_m;
-  record.budget_before_m = budget_before;
-  record.walk_m = match.TotalWalkM();
-  record.shortest_path_computations = sp_count;
-  for (const ViaPoint& vp : ride.via_points) {
-    if (vp.request == request.id) {
-      (vp.is_pickup ? record.pickup_eta_s : record.dropoff_eta_s) = vp.eta_s;
-    }
-  }
-  bookings_.push_back(record);
+  bookings_.push_back(*record);
   return record;
 }
 
@@ -446,69 +271,36 @@ RideSchedule* XarSystem::EnsureKineticSchedule(Ride& ride) {
 Status XarSystem::ApplyKineticPlan(Ride& ride, const RideSchedule& schedule,
                                    bool enforce_budget,
                                    std::size_t* sp_count) {
-  // Node order: source, committed stops (already passed — re-threaded so the
-  // profile spans the whole ride), remaining stops best-first, destination.
-  Schedule best = schedule.Best();
-  std::vector<ScheduleStop> stops(schedule.committed());
-  stops.insert(stops.end(), best.stops.begin(), best.stops.end());
-
-  std::vector<NodeId> order = {ride.source};
-  for (const ScheduleStop& stop : stops) order.push_back(stop.node);
-  order.push_back(ride.destination);
-
-  std::size_t legs = 0;
-  std::vector<NodeId> new_nodes = {order.front()};
-  std::vector<std::size_t> stop_route_idx = {0};
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    if (order[i] != new_nodes.back()) {
-      ++legs;
-      Path leg = oracle_->DriveRoute(new_nodes.back(), order[i]);
-      if (!leg.Found()) {
-        return Status::Internal("kinetic re-route found an unreachable leg");
-      }
-      AppendPathNodes(&new_nodes, leg.nodes);
-    }
-    stop_route_idx.push_back(new_nodes.size() - 1);
+  // Via order: source, committed stops (already passed — re-threaded so the
+  // profile spans the whole ride), remaining stops best-first, destination;
+  // every leg routed afresh.
+  std::vector<RouteStop> stops = {
+      {ViaPoint{ride.source, 0.0, RequestId::Invalid(), false}}};
+  auto add = [&stops](const ScheduleStop& stop) {
+    stops.push_back({ViaPoint{stop.node, 0.0, stop.request, stop.is_pickup}});
+  };
+  for (const ScheduleStop& stop : schedule.committed()) add(stop);
+  for (const ScheduleStop& stop : schedule.Best().stops) add(stop);
+  stops.push_back(
+      {ViaPoint{ride.destination, 0.0, RequestId::Invalid(), false}});
+  std::optional<RouteRewrite> rewrite =
+      RewriteRoute(*graph_, *oracle_, ride, stops);
+  if (!rewrite) {
+    return Status::Internal("kinetic re-route found an unreachable leg");
   }
 
   // Exact budget check before anything is committed. Detour accounting is
   // global on the kinetic path: everything beyond the driver's own shortest
   // path is shared detour (which forfeits the splice path's 4ε bound — see
   // DESIGN.md §14).
-  std::vector<double> cum_time, cum_dist;
-  BuildCumulativeProfiles(*graph_, new_nodes, &cum_time, &cum_dist);
   double base_length = oracle_->DriveDistance(ride.source, ride.destination);
-  double detour_used = std::max(0.0, cum_dist.back() - base_length);
+  double detour_used = std::max(0.0, rewrite->route.length_m - base_length);
   if (enforce_budget && detour_used > ride.detour_limit_m) {
     return Status::FailedPrecondition("kinetic detour exceeds driver budget");
   }
-
-  ride.route.nodes = std::move(new_nodes);
-  ride.route_cum_time_s = std::move(cum_time);
-  ride.route_cum_dist_m = std::move(cum_dist);
-  ride.route.length_m = ride.route_cum_dist_m.back();
-  ride.route.time_s = ride.route_cum_time_s.back();
-
-  std::vector<ViaPoint> vias;
-  std::vector<std::size_t> via_idx;
-  vias.push_back(ViaPoint{ride.source, ride.departure_time_s,
-                          RequestId::Invalid(), false});
-  via_idx.push_back(0);
-  for (std::size_t i = 0; i < stops.size(); ++i) {
-    vias.push_back(
-        ViaPoint{stops[i].node, 0.0, stops[i].request, stops[i].is_pickup});
-    via_idx.push_back(stop_route_idx[i + 1]);
-  }
-  vias.push_back(ViaPoint{ride.destination, 0.0, RequestId::Invalid(), false});
-  via_idx.push_back(ride.route.nodes.size() - 1);
-  ride.via_points = std::move(vias);
-  ride.via_route_index = std::move(via_idx);
-  for (std::size_t v = 0; v < ride.via_points.size(); ++v) {
-    ride.via_points[v].eta_s =
-        ride.departure_time_s + ride.route_cum_time_s[ride.via_route_index[v]];
-  }
+  if (sp_count != nullptr) *sp_count = rewrite->shortest_paths;
+  CommitRoute(std::move(*rewrite), &ride);
   ride.detour_used_m = detour_used;
-  if (sp_count != nullptr) *sp_count = legs;
   return Status::OK();
 }
 
@@ -540,7 +332,7 @@ Result<BookingRecord> XarSystem::BookKinetic(Ride& ride,
   }
 
   double budget_before = ride.RemainingDetourBudget();
-  double old_total = ride.route_cum_dist_m.back();
+  double old_length = ride.route.length_m;
   std::size_t sp_count = 0;
   Status applied =
       ApplyKineticPlan(ride, *sched, /*enforce_budget=*/true, &sp_count);
@@ -556,28 +348,7 @@ Result<BookingRecord> XarSystem::BookKinetic(Ride& ride,
   pooling_counters_.max_pooled_riders =
       std::max(pooling_counters_.max_pooled_riders, sched->ActiveRiders());
   ride.seats_available -= request.seats;
-
-  index_.Update(ride, clock_.Now());
-  ScheduleNextEvent(ride);
-
-  BookingRecord record;
-  record.request = request.id;
-  record.ride = ride.id;
-  record.seats = request.seats;
-  record.pickup_node = pickup;
-  record.dropoff_node = dropoff;
-  record.actual_detour_m = std::max(0.0, ride.route.length_m - old_total);
-  record.estimated_detour_m = match.detour_estimate_m;
-  record.budget_before_m = budget_before;
-  record.walk_m = match.TotalWalkM();
-  record.shortest_path_computations = sp_count;
-  for (const ViaPoint& vp : ride.via_points) {
-    if (vp.request == request.id) {
-      (vp.is_pickup ? record.pickup_eta_s : record.dropoff_eta_s) = vp.eta_s;
-    }
-  }
-  bookings_.push_back(record);
-  return record;
+  return MakeBookingRecord(ride, request, old_length, budget_before, sp_count);
 }
 
 Status XarSystem::CancelBooking(RideId ride_id, RequestId request) {
@@ -652,42 +423,17 @@ Status XarSystem::RemoveRider(RideId ride_id, RequestId request,
     if (!applied.ok()) return applied;
     pooling_counters_.removals += 1;
   } else {
-    // Splice-path unwinding: remaining via-points, in order, without this
-    // rider's pair.
-    std::vector<ViaPoint> kept;
+    // Splice-path unwinding: re-route through the remaining via-points, in
+    // order, without this rider's pair, every leg afresh.
+    std::vector<RouteStop> kept;
     for (const ViaPoint& vp : ride.via_points) {
-      if (vp.request != request) kept.push_back(vp);
+      if (vp.request != request) kept.push_back({vp});
     }
-
-    // Re-route through the kept via-points (back-end shortest paths).
-    std::vector<NodeId> new_nodes;
-    std::vector<std::size_t> new_via_idx;
-    for (std::size_t v = 0; v < kept.size(); ++v) {
-      if (v == 0) {
-        new_nodes.push_back(kept[0].node);
-      } else if (kept[v].node != new_nodes.back()) {
-        Path leg = oracle_->DriveRoute(new_nodes.back(), kept[v].node);
-        if (!leg.Found()) {
-          return Status::Internal("cancellation re-route failed");
-        }
-        AppendPathNodes(&new_nodes, leg.nodes);
-      }
-      new_via_idx.push_back(new_nodes.size() - 1);
-    }
-
-    double old_length = ride.route_cum_dist_m.back();
-    ride.route.nodes = std::move(new_nodes);
-    BuildCumulativeProfiles(*graph_, ride.route.nodes, &ride.route_cum_time_s,
-                            &ride.route_cum_dist_m);
-    ride.route.length_m = ride.route_cum_dist_m.back();
-    ride.route.time_s = ride.route_cum_time_s.back();
-    ride.via_points = std::move(kept);
-    ride.via_route_index = std::move(new_via_idx);
-    for (std::size_t v = 0; v < ride.via_points.size(); ++v) {
-      ride.via_points[v].eta_s =
-          ride.departure_time_s +
-          ride.route_cum_time_s[ride.via_route_index[v]];
-    }
+    std::optional<RouteRewrite> rewrite =
+        RewriteRoute(*graph_, *oracle_, ride, kept);
+    if (!rewrite) return Status::Internal("cancellation re-route failed");
+    double old_length = ride.route.length_m;
+    CommitRoute(std::move(*rewrite), &ride);
 
     // Refund the freed detour budget.
     double freed = std::max(0.0, old_length - ride.route.length_m);

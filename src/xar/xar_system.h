@@ -268,7 +268,8 @@ class XarSystem {
   /// via list on first use — and rebuilds the route stop-to-stop from the
   /// committed prefix plus the best remaining ordering. Works on departed
   /// (in-progress) rides: the tree is rooted at the last passed stop.
-  /// Returns NotFound if no feasible ordering exists.
+  /// Returns the booking's record for Book to finish (index, search-side
+  /// fields, ledger), or NotFound if no feasible ordering exists.
   Result<BookingRecord> BookKinetic(Ride& ride, const RideRequest& request,
                                     const RideMatch& match, NodeId pickup,
                                     NodeId dropoff);

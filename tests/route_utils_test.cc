@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "graph/dijkstra.h"
+#include "graph/oracle.h"
 #include "tests/test_helpers.h"
 
 namespace xar {
@@ -29,6 +33,33 @@ TEST(RouteUtilsTest, CumulativeProfilesMatchPathTotals) {
   for (std::size_t i = 1; i < cum_dist.size(); ++i) {
     EXPECT_GT(cum_dist[i], cum_dist[i - 1]);
     EXPECT_GT(cum_time[i], cum_time[i - 1]);
+  }
+}
+
+// A route's totals are its profile's last entries: every backend's
+// DriveRoute sums the same best drivable edges in the same order, so a
+// ride created from one DriveRoute keeps the oracle Path's own totals.
+TEST(RouteUtilsTest, DriveRouteTotalsBitEqualProfileTotals) {
+  auto& city = SharedCity();
+  const auto n = static_cast<NodeId::underlying_type>(city.graph.NumNodes());
+  for (RoutingBackendKind kind :
+       {RoutingBackendKind::kDijkstra, RoutingBackendKind::kAlt,
+        RoutingBackendKind::kCh}) {
+    SCOPED_TRACE(RoutingBackendName(kind));
+    GraphOracle oracle(city.graph, 0, kind);
+    for (NodeId::underlying_type i = 0; i < 60; ++i) {
+      const NodeId from((i * 7919u) % n);
+      const NodeId to((i * 104729u + 13u) % n);
+      if (from == to) continue;
+      Path path = oracle.DriveRoute(from, to);
+      ASSERT_TRUE(path.Found());
+      std::vector<double> cum_time, cum_dist;
+      BuildCumulativeProfiles(city.graph, path.nodes, &cum_time, &cum_dist);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cum_dist.back()),
+                std::bit_cast<std::uint64_t>(path.length_m));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cum_time.back()),
+                std::bit_cast<std::uint64_t>(path.time_s));
+    }
   }
 }
 

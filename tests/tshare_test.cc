@@ -157,6 +157,34 @@ TEST_F(TShareTest, BookingConsumesSeatAndBudget) {
   }
 }
 
+// T-Share shares XAR's booking record: it carries the request's seats and
+// the ride's remaining detour budget before the booking.
+TEST_F(TShareTest, RecordCarriesSeatsAndBudgetBefore) {
+  Result<RideId> ride = tshare_.CreateRide(DiagonalOffer());
+  ASSERT_TRUE(ride.ok());
+  // A first rider spends part of the budget, so "before" is not the limit.
+  RideRequest first = MidRequest();
+  std::vector<TShareMatch> matches = tshare_.Search(first);
+  ASSERT_FALSE(matches.empty());
+  ASSERT_TRUE(tshare_.Book(matches.front().ride, first, matches.front()).ok());
+
+  RideRequest pair = MidRequest();
+  pair.id = RequestId(2);
+  pair.seats = 2;
+  matches = tshare_.Search(pair);
+  ASSERT_FALSE(matches.empty());
+  ASSERT_EQ(matches.front().ride, *ride);
+  const double budget_before = tshare_.GetRide(*ride)->RemainingDetourBudget();
+  const int seats_before = tshare_.GetRide(*ride)->seats_available;
+  Result<BookingRecord> booking =
+      tshare_.Book(matches.front().ride, pair, matches.front());
+  ASSERT_TRUE(booking.ok());
+  EXPECT_EQ(booking->seats, 2);
+  EXPECT_LT(budget_before, tshare_.GetRide(*ride)->detour_limit_m);
+  EXPECT_EQ(booking->budget_before_m, budget_before);
+  EXPECT_EQ(tshare_.GetRide(*ride)->seats_available, seats_before - 2);
+}
+
 TEST_F(TShareTest, LazySearchCountsShortestPaths) {
   ASSERT_TRUE(tshare_.CreateRide(DiagonalOffer()).ok());
   std::size_t before = tshare_.search_sp_count();
