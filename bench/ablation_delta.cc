@@ -11,7 +11,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "sim/event_sim.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace {
@@ -42,7 +42,8 @@ void Run() {
     dopt.landmarks.seed = 43;
     RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
     GraphOracle oracle(graph);
-    XarSystem xar(graph, spatial, region, oracle);
+    ConcurrentXarSystem xar(graph, spatial, region, oracle, {},
+                            /*num_shards=*/1);
     EventSim event_sim(graph, xar.options(), ScenarioConfig{});
     EventSimResult sim = RunEventSim(xar, event_sim, trips);
 

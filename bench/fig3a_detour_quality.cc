@@ -14,7 +14,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "sim/event_sim.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace {
@@ -26,7 +26,8 @@ void Run() {
   bench::BenchWorld world(wopt);
   double epsilon = world.region->epsilon();
 
-  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
+  ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                          *world.oracle, {}, /*num_shards=*/1);
   EventSim event_sim(world.graph, xar.options(), ScenarioConfig{});
   EventSimResult sim = RunEventSim(xar, event_sim, world.trips);
 

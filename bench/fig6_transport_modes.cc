@@ -54,7 +54,8 @@ void Run() {
 
   // Mode 3: stand-alone ride sharing.
   GraphOracle rs_oracle(world.graph);
-  XarSystem rs_xar(world.graph, *world.spatial, *world.region, rs_oracle);
+  ConcurrentXarSystem rs_xar(world.graph, *world.spatial, *world.region,
+                             rs_oracle, {}, /*num_shards=*/1);
   ModeMetrics rs = EvaluateRideShareMode(world.graph, rs_xar, world.trips);
 
   // Mode 4: PT + XAR in Aider mode.

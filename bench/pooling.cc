@@ -15,7 +15,7 @@
 #include "bench/bench_common.h"
 #include "sim/event_sim.h"
 #include "workload/trip_generator.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace bench {
@@ -91,8 +91,8 @@ int main() {
       opt.kinetic_booking = true;
       opt.default_seats = seats;
       opt.default_detour_limit_m = 6000.0;
-      XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle,
-                    opt);
+      ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                              *world.oracle, opt, /*num_shards=*/1);
       ScenarioConfig config = base;
       config.fleet = fleet;
       EventSim sim(world.graph, xar.options(), config);

@@ -17,7 +17,7 @@
 #include "common/stats.h"
 #include "sim/event_sim.h"
 #include "workload/trip_generator.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace bench {
@@ -117,7 +117,8 @@ int main() {
               "walk_m", "cancels", "noshows", "refresh_ms", "prewarm_ms");
   std::vector<CadencePoint> points;
   for (double period : periods) {
-    XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
+    ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                            *world.oracle, {}, /*num_shards=*/1);
     ScenarioConfig config = base;
     config.refresh_period_s = period;
     EventSim sim(world.graph, xar.options(), config);

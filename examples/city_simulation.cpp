@@ -27,8 +27,8 @@ int main() {
   DiscretizationOptions disc;
   disc.landmarks.num_candidates = 500;
   World world(GenerateCity(city_options), disc, options);
-  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle,
-                options);
+  ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                          *world.oracle, options, /*num_shards=*/1);
 
   WorkloadOptions workload;
   workload.num_trips = 15000;
@@ -64,7 +64,8 @@ int main() {
 
   std::printf("\nin-memory index: %.1f MB (region) + %.1f MB (rides)\n",
               static_cast<double>(world.region->MemoryFootprint()) / 1048576.0,
-              static_cast<double>(xar.MemoryFootprint()) / 1048576.0);
+              static_cast<double>(xar.shard_system(0).MemoryFootprint()) /
+                  1048576.0);
 
   StatsRegistry registry;
   registry.Register("oracle",

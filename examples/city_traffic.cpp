@@ -26,8 +26,8 @@ int main() {
   DiscretizationOptions disc;
   disc.landmarks.num_candidates = 400;
   World world(GenerateCity(city_options), disc, options);
-  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle,
-                options);
+  ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                          *world.oracle, options, /*num_shards=*/1);
 
   WorkloadOptions workload;
   workload.num_trips = 10000;

@@ -13,7 +13,7 @@ std::shared_ptr<const RegionSnapshot> BorrowRegionSnapshot(
     const RegionIndex& index) {
   auto snapshot = std::make_shared<RegionSnapshot>();
   // Aliasing a caller-owned index: the deleter is a no-op because the caller
-  // keeps ownership (the legacy XarSystem constructor contract).
+  // keeps ownership (the region-borrowing constructors' contract).
   snapshot->index =
       std::shared_ptr<const RegionIndex>(&index, [](const RegionIndex*) {});
   snapshot->epoch = 0;

@@ -82,7 +82,7 @@ struct RefreshBuild {
   double matrix_ms = 0.0;   ///< RefreshStats::last_matrix_ms
 };
 
-/// The build step of every RefreshDiscretization: readies `delta`'s oracle
+/// The build step of ConcurrentXarSystem::RefreshDiscretization: readies `delta`'s oracle
 /// (PrewarmFrom `oracle`, the current one), then rebuilds the region over
 /// the delta's graph and options — `graph` and `current`'s options where
 /// the delta keeps them — as epoch `current.epoch + 1`. Runs with no system

@@ -90,15 +90,15 @@ class EnginePool {
   class Lease {
    public:
     Lease(EnginePool& pool, std::unique_ptr<Engine> engine)
-        : pool_(pool), engine_(std::move(engine)) {}
-    ~Lease() { pool_.Release(std::move(engine_)); }
+        : owner_(pool), engine_(std::move(engine)) {}
+    ~Lease() { owner_.Release(std::move(engine_)); }
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
     Engine& operator*() { return *engine_; }
     Engine* operator->() { return engine_.get(); }
 
    private:
-    EnginePool& pool_;
+    EnginePool& owner_;
     std::unique_ptr<Engine> engine_;
   };
 
@@ -189,14 +189,14 @@ class DijkstraBackend final : public RoutingBackend {
     return queries_.load(std::memory_order_relaxed);
   }
   std::size_t MemoryFootprint() const override {
-    return sizeof(*this) + pool_.IdleFootprint([](const DijkstraEngine& e) {
+    return sizeof(*this) + engines_.IdleFootprint([](const DijkstraEngine& e) {
       return e.MemoryFootprint();
     });
   }
 
  private:
   EnginePool<DijkstraEngine>::Lease AcquireEngine() {
-    return pool_.Acquire(
+    return engines_.Acquire(
         [this] { return std::make_unique<DijkstraEngine>(graph_); });
   }
   void Account(std::size_t settled) {
@@ -205,7 +205,7 @@ class DijkstraBackend final : public RoutingBackend {
   }
 
   const RoadGraph& graph_;
-  EnginePool<DijkstraEngine> pool_;
+  EnginePool<DijkstraEngine> engines_;
   std::atomic<std::size_t> settled_{0};
   std::atomic<std::size_t> queries_{0};
 };

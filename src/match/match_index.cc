@@ -371,35 +371,6 @@ double MatchIndex::NextEventTime(RideId ride) const {
   return next;
 }
 
-const PassThroughCluster* MatchIndex::BestSupport(RideId ride,
-                                                 ClusterId cluster) const {
-  const RideRegistration* reg = RegistrationOf(ride);
-  if (reg == nullptr) return nullptr;
-  // Pick the support with the smallest detour contribution (ETA breaks
-  // ties) so that booking inserts where the search-time estimate assumed.
-  const PassThroughCluster* best = nullptr;
-  double best_detour = std::numeric_limits<double>::infinity();
-  for (const PassThroughCluster& pt : reg->pass_throughs) {
-    double detour = std::numeric_limits<double>::infinity();
-    if (pt.cluster == cluster) {
-      detour = 0.0;
-    } else {
-      auto it = std::find(pt.reachable.begin(), pt.reachable.end(), cluster);
-      if (it != pt.reachable.end()) {
-        detour = pt.reachable_detour_m[static_cast<std::size_t>(
-            it - pt.reachable.begin())];
-      }
-    }
-    if (detour == std::numeric_limits<double>::infinity()) continue;
-    if (best == nullptr || detour < best_detour ||
-        (detour == best_detour && pt.eta_s < best->eta_s)) {
-      best = &pt;
-      best_detour = detour;
-    }
-  }
-  return best;
-}
-
 bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
                                         ClusterId source_cluster,
                                         LandmarkId pickup_landmark,

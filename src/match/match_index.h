@@ -232,11 +232,6 @@ class MatchIndex {
   /// tracking has work to do for this ride. +inf if none.
   double NextEventTime(RideId ride) const;
 
-  /// The pass-through of `ride` that supports `cluster` (as itself or as a
-  /// reachable cluster) at the lowest detour estimate.
-  /// Returns nullptr if unsupported.
-  const PassThroughCluster* BestSupport(RideId ride, ClusterId cluster) const;
-
   std::size_t NumRegisteredRides() const { return registrations_.size(); }
 
   /// Bytes held by the index: all cluster lists and registrations (Fig. 3c).

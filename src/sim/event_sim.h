@@ -21,13 +21,12 @@
 
 namespace xar {
 
-class XarSystem;
 class ConcurrentXarSystem;
 class GraphOracle;
 
-/// The slice of the XAR surface the event sim drives, implemented over both
-/// XarSystem and ConcurrentXarSystem (MakeSimTarget below) so one simulator
-/// exercises the serial paths and the sharded/locking ones identically.
+/// The slice of the XAR surface the event sim drives. MakeSimTarget wraps a
+/// ConcurrentXarSystem (one shard for a serial run); decorators that time or
+/// check each call wrap a SimTarget in turn.
 class SimTarget {
  public:
   virtual ~SimTarget() = default;
@@ -45,7 +44,6 @@ class SimTarget {
   virtual std::uint64_t epoch() const = 0;
 };
 
-std::unique_ptr<SimTarget> MakeSimTarget(XarSystem& xar);
 std::unique_ptr<SimTarget> MakeSimTarget(ConcurrentXarSystem& xar);
 
 /// Outcome of one event-sim run: protocol counts, event counts, refresh
@@ -211,8 +209,6 @@ class EventSim {
 };
 
 /// Convenience: builds the target adapter and runs one scenario.
-EventSimResult RunEventSim(XarSystem& xar, EventSim& sim,
-                           const std::vector<TaxiTrip>& trips);
 EventSimResult RunEventSim(ConcurrentXarSystem& xar, EventSim& sim,
                            const std::vector<TaxiTrip>& trips);
 

@@ -55,7 +55,8 @@ ModeMetrics EvaluatePublicTransportMode(const TripPlanner& planner,
   return metrics;
 }
 
-ModeMetrics EvaluateRideShareMode(const RoadGraph& world, XarSystem& xar,
+ModeMetrics EvaluateRideShareMode(const RoadGraph& world,
+                                  ConcurrentXarSystem& xar,
                                   const std::vector<TaxiTrip>& trips,
                                   const SimOptions& options) {
   ScenarioConfig config;

@@ -10,6 +10,7 @@
 #include "sim/metrics.h"
 #include "sim/scenario.h"
 #include "workload/taxi_trip.h"
+#include "xar/concurrent_xar.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -28,7 +29,8 @@ ModeMetrics EvaluatePublicTransportMode(const TripPlanner& planner,
 /// Fig. 6 mode 3 — stand-alone ride sharing (the Section X-A.2 simulation),
 /// replayed by the event sim with traffic and events inert. `world` is the
 /// graph `xar` was built on.
-ModeMetrics EvaluateRideShareMode(const RoadGraph& world, XarSystem& xar,
+ModeMetrics EvaluateRideShareMode(const RoadGraph& world,
+                                  ConcurrentXarSystem& xar,
                                   const std::vector<TaxiTrip>& trips,
                                   const SimOptions& options = {});
 

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "common/stats_registry.h"
-#include "common/thread_pool.h"
 #include "discretize/region_snapshot.h"
 #include "xar/xar_system.h"
 
@@ -49,7 +47,10 @@ inline StatsSection RetryStatsSection(const RetryStats& stats) {
   return section;
 }
 
-/// Thread-safe sharded deployment of XarSystem.
+/// Thread-safe sharded deployment of XarSystem, and the one facade every
+/// driver runs: it owns the compound operations (SearchAndBook with its
+/// re-search rounds, RefreshDiscretization with its epoch swap) that a shard
+/// does not have. A single-threaded caller builds it with num_shards = 1.
 ///
 /// The paper's search touches only precomputed sorted lists, which makes the
 /// read path embarrassingly parallel; the earlier facade nevertheless pushed
@@ -94,11 +95,9 @@ class ConcurrentXarSystem {
       : graph_(&graph),
         spatial_(&spatial),
         num_shards_(ResolveShardCount(num_shards)),
-        max_results_(options.max_results),
-        book_rounds_(options.search_and_book_rounds),
+        options_(options),
         head_(BorrowRegionSnapshot(region)),
-        oracle_(&oracle),
-        pool_(num_shards_) {
+        oracle_(&oracle) {
     shards_.reserve(num_shards_);
     for (std::size_t s = 0; s < num_shards_; ++s) {
       XarOptions shard_options = options;
@@ -113,6 +112,9 @@ class ConcurrentXarSystem {
   ConcurrentXarSystem& operator=(const ConcurrentXarSystem&) = delete;
 
   std::size_t num_shards() const { return num_shards_; }
+  /// The options every shard was built with (each shard's own copy differs
+  /// only in its ride-id offset/stride).
+  const XarOptions& options() const { return options_; }
 
   /// Shard `s`'s system, read without its lock: for single-threaded callers
   /// on a quiescent system only (tests that inspect one shard's index).
@@ -123,7 +125,7 @@ class ConcurrentXarSystem {
   // --- Read path (per-shard shared locks, concurrent) ---------------------
 
   std::vector<RideMatch> Search(const RideRequest& request) const {
-    return SearchTopK(request, max_results_);
+    return SearchTopK(request, options_.max_results);
   }
 
   /// As Search, with an explicit top-k override (0 = all). Per-shard results
@@ -141,18 +143,6 @@ class ConcurrentXarSystem {
     std::sort(merged.begin(), merged.end(), MatchRankLess);
     if (k > 0 && merged.size() > k) merged.resize(k);
     return merged;
-  }
-
-  /// Fans the searches across the internal thread pool and returns results
-  /// in input order. Results are deterministic: identical to calling
-  /// Search/SearchTopK serially on a quiescent system.
-  std::vector<std::vector<RideMatch>> SearchBatch(
-      const std::vector<RideRequest>& requests, std::size_t k = 0) const {
-    std::vector<std::vector<RideMatch>> results(requests.size());
-    pool_.ParallelFor(requests.size(), [&](std::size_t i) {
-      results[i] = k > 0 ? SearchTopK(requests[i], k) : Search(requests[i]);
-    });
-    return results;
   }
 
   std::size_t NumActiveRides() const {
@@ -280,13 +270,6 @@ class ConcurrentXarSystem {
     return refresh_stats_;
   }
 
-  /// Runs RefreshDiscretization on a background thread. The delta's graph /
-  /// oracle / options must outlive the returned future's completion.
-  std::future<RefreshStats> RefreshDiscretizationAsync(GraphDelta delta = {}) {
-    return std::async(std::launch::async,
-                      [this, delta] { return RefreshDiscretization(delta); });
-  }
-
   RefreshStats refresh_stats() const {
     std::lock_guard<std::mutex> lock(refresh_mutex_);
     return refresh_stats_;
@@ -357,7 +340,8 @@ class ConcurrentXarSystem {
   /// a refresh moved the epoch mid-flight — the next round re-searches the
   /// new state, up to XarOptions::search_and_book_rounds rounds total.
   Result<BookingRecord> SearchAndBook(const RideRequest& request) {
-    const std::size_t rounds = std::max<std::size_t>(1, book_rounds_);
+    const std::size_t rounds =
+        std::max<std::size_t>(1, options_.search_and_book_rounds);
     for (std::size_t round = 0; round < rounds; ++round) {
       const std::uint64_t pinned_epoch = epoch();
       std::vector<RideMatch> matches = Search(request);
@@ -407,8 +391,7 @@ class ConcurrentXarSystem {
   const RoadGraph* graph_;            ///< swapped by refresh graph deltas
   const SpatialNodeIndex* spatial_;
   std::size_t num_shards_;
-  std::size_t max_results_;
-  std::size_t book_rounds_;
+  XarOptions options_;
   /// Last fully adopted snapshot; guarded by refresh_mutex_. Shards on an
   /// older epoch keep their snapshot alive independently via shared_ptr.
   std::shared_ptr<const RegionSnapshot> head_;
@@ -427,7 +410,6 @@ class ConcurrentXarSystem {
   std::atomic<std::size_t> stale_rejections_{0};
   std::atomic<std::size_t> unmatched_{0};
   std::function<void(const RideRequest&, std::size_t)> post_search_hook_;
-  mutable ThreadPool pool_;
 };
 
 }  // namespace xar

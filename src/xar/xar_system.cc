@@ -31,19 +31,6 @@ XarSystem::XarSystem(const RoadGraph& graph, const SpatialNodeIndex& spatial,
       options_(options),
       index_(snapshot, graph) {
   if (options_.ride_id_stride == 0) options_.ride_id_stride = 1;
-  refresh_stats_.epoch = snapshot->epoch;
-}
-
-RefreshStats XarSystem::RefreshDiscretization(const GraphDelta& delta) {
-  Stopwatch timer;
-  RefreshBuild build =
-      BuildRefreshSnapshot(*snapshot_.load(std::memory_order_acquire), delta,
-                           *graph_, spatial_, *oracle_);
-  refresh_stats_.last_prewarm_ms = build.prewarm_ms;
-  refresh_stats_.last_matrix_ms = build.matrix_ms;
-  AdoptSnapshot(std::move(build.snapshot), delta.graph, delta.oracle);
-  refresh_stats_.last_rebuild_ms = timer.ElapsedMillis();
-  return refresh_stats_;
 }
 
 std::size_t XarSystem::AdoptSnapshot(
@@ -91,18 +78,12 @@ std::size_t XarSystem::AdoptSnapshot(
     ++rehomed;
   }
 
-  const std::uint64_t epoch = next->epoch;
   snapshot_.store(std::move(next), std::memory_order_release);
   // Old event-queue entries stay (validated on pop); re-seed so re-homed
   // rides keep waking up under the new index's event times.
   for (const Ride& ride : rides_) {
     if (ride.active) ScheduleNextEvent(ride);
   }
-
-  refresh_stats_.epoch = epoch;
-  refresh_stats_.refreshes += 1;
-  refresh_stats_.last_rides_rehomed = rehomed;
-  refresh_stats_.total_rides_rehomed += rehomed;
   return rehomed;
 }
 
@@ -117,6 +98,7 @@ Result<RideId> XarSystem::CreateRide(const RideOffer& offer) {
 
   rides_.push_back(std::move(ride));
   schedules_.push_back(nullptr);  // materialized on first kinetic booking
+  bookings_.emplace_back();
   ++active_rides_;
   const Ride& stored = rides_.back();
   // An offer departing before the clock has already passed its early
@@ -211,16 +193,8 @@ Result<BookingRecord> XarSystem::Book(RideId ride_id,
 
   index_.Update(ride, clock_.Now());  // do not resurrect passed clusters
   ScheduleNextEvent(ride);
-  bookings_.push_back(*record);
+  bookings_[LocalIndex(ride_id)].push_back(*record);
   return record;
-}
-
-Result<BookingRecord> XarSystem::SearchAndBook(const RideRequest& request) {
-  for (const RideMatch& match : Search(request)) {
-    Result<BookingRecord> booked = Book(match.ride, request, match);
-    if (booked.ok()) return booked;
-  }
-  return Status::NotFound("no bookable ride for request");
 }
 
 RideSchedule* XarSystem::EnsureKineticSchedule(Ride& ride) {
@@ -397,12 +371,11 @@ Status XarSystem::RemoveRider(RideId ride_id, RequestId request,
   // anything. A scheduled rider without a record is corrupted state — the
   // old code silently refunded one seat here, which broke the seat
   // accounting whenever the true booking held more.
-  auto record = std::find_if(bookings_.begin(), bookings_.end(),
-                             [&](const BookingRecord& b) {
-                               return b.ride == ride_id &&
-                                      b.request == request;
-                             });
-  if (record == bookings_.end()) {
+  std::vector<BookingRecord>& records = bookings_[LocalIndex(ride_id)];
+  auto record = std::find_if(
+      records.begin(), records.end(),
+      [&](const BookingRecord& b) { return b.request == request; });
+  if (record == records.end()) {
     return Status::Internal("booking record missing for scheduled rider");
   }
   const int seats = record->seats;
@@ -440,7 +413,7 @@ Status XarSystem::RemoveRider(RideId ride_id, RequestId request,
     ride.detour_used_m = std::max(0.0, ride.detour_used_m - freed);
   }
 
-  bookings_.erase(record);
+  records.erase(record);
   ride.seats_available =
       std::min(ride.seats_total, ride.seats_available + seats);
 
@@ -487,6 +460,9 @@ void XarSystem::FinishRide(Ride& ride) {
   --active_rides_;
   index_.Remove(ride.id);
   schedules_[LocalIndex(ride.id)].reset();
+  // Move-assigning an empty vector frees the slot's storage, so a serving
+  // shard's ledger stays bounded by its live bookings.
+  bookings_[LocalIndex(ride.id)] = std::vector<BookingRecord>();
 }
 
 void XarSystem::ScheduleNextEvent(const Ride& ride) {
@@ -503,6 +479,19 @@ void XarSystem::ScheduleNextEvent(const Ride& ride) {
 const Ride* XarSystem::GetRide(RideId id) const {
   if (!OwnsRide(id)) return nullptr;
   return &rides_[LocalIndex(id)];
+}
+
+std::span<const BookingRecord> XarSystem::bookings(RideId ride) const {
+  if (!OwnsRide(ride)) return {};
+  return bookings_[LocalIndex(ride)];
+}
+
+std::size_t XarSystem::NumBookings() const {
+  std::size_t total = 0;
+  for (const std::vector<BookingRecord>& records : bookings_) {
+    total += records.size();
+  }
+  return total;
 }
 
 const RideSchedule* XarSystem::GetSchedule(RideId id) const {
@@ -536,7 +525,10 @@ std::size_t XarSystem::MemoryFootprint() const {
     bytes += r.via_points.capacity() * sizeof(ViaPoint);
     bytes += r.via_route_index.capacity() * sizeof(std::size_t);
   }
-  bytes += bookings_.capacity() * sizeof(BookingRecord);
+  bytes += bookings_.capacity() * sizeof(bookings_.front());
+  for (const std::vector<BookingRecord>& records : bookings_) {
+    bytes += records.capacity() * sizeof(BookingRecord);
+  }
   for (const std::unique_ptr<RideSchedule>& sched : schedules_) {
     if (sched != nullptr) bytes += sched->MemoryFootprint();
   }

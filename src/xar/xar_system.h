@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -92,15 +93,17 @@ inline StatsSection PoolingStatsSection(const PoolingStats& s) {
 ///   auto booking = xar.Book(matches[0].ride, request, matches[0]);
 ///   xar.AdvanceTime(now);                        // tracking
 ///
-/// The discretization is held as a versioned RegionSnapshot and can be
-/// rebuilt and swapped at runtime (RefreshDiscretization); searches pin the
-/// snapshot they start on, and Book rejects matches from older epochs as
-/// stale (drive the retry from SearchAndBook or the caller).
+/// This is one shard of the system: ConcurrentXarSystem owns the compound
+/// operations (SearchAndBook, RefreshDiscretization) and drives every shard
+/// through the calls below; a single-threaded caller builds it with one
+/// shard. The discretization is held as a versioned RegionSnapshot that the
+/// facade swaps at runtime (AdoptSnapshot); searches pin the snapshot they
+/// start on, and Book rejects matches from older epochs as stale.
 class XarSystem {
  public:
-  /// Legacy path: borrows a caller-owned region (epoch 0). The caller must
-  /// keep `region` alive until the first RefreshDiscretization (or the
-  /// system's destruction, if never refreshed).
+  /// Borrows a caller-owned region (epoch 0). The caller must keep `region`
+  /// alive until the first AdoptSnapshot (or the system's destruction, if
+  /// never refreshed).
   XarSystem(const RoadGraph& graph, const SpatialNodeIndex& spatial,
             const RegionIndex& region, DistanceOracle& oracle,
             XarOptions options = {});
@@ -139,11 +142,6 @@ class XarSystem {
   Result<BookingRecord> Book(RideId ride, const RideRequest& request,
                              const RideMatch& match);
 
-  /// Search + booking in walk order: books the first candidate Book
-  /// accepts. The serial counterpart of ConcurrentXarSystem::SearchAndBook
-  /// (no retry rounds — nothing races with us here).
-  Result<BookingRecord> SearchAndBook(const RideRequest& request);
-
   /// Cancels a previously confirmed booking: removes the rider's via-points,
   /// re-routes the ride through its remaining via-points (shortest paths,
   /// back-end), restores the seat and detour budget, and refreshes the index.
@@ -163,22 +161,16 @@ class XarSystem {
   /// re-matching them). Idempotent on already-finished rides.
   Status CancelRide(RideId ride);
 
-  /// O3 (tracking): advances the virtual clock, retiring finished rides and
-  /// evicting obsolete cluster associations of in-progress ones.
+  /// O3 (tracking): advances the virtual clock, retiring finished rides (and
+  /// their booking records) and evicting obsolete cluster associations of
+  /// in-progress ones.
   void AdvanceTime(double now_s);
 
   // --- Refresh (live map updates) ----------------------------------------
 
-  /// Rebuilds the discretization over the (possibly updated) graph, re-homes
-  /// every live ride into the rebound MatchIndex, and swaps the snapshot with
-  /// an epoch bump. Serial: callers that share this system across threads must
-  /// hold the writer lock (ConcurrentXarSystem does this per shard, building
-  /// the snapshot once outside all locks). An empty delta is a "no-op"
-  /// refresh: same tables, new epoch.
-  RefreshStats RefreshDiscretization(const GraphDelta& delta = {});
-
-  /// Installs an already-built snapshot (skipping the rebuild) and re-homes
-  /// live rides; returns how many were re-homed. `new_graph`, if non-null,
+  /// Installs a snapshot ConcurrentXarSystem::RefreshDiscretization built
+  /// and re-homes every live ride into the rebound MatchIndex; returns how
+  /// many were re-homed. Serial: the facade holds this shard's writer lock. `new_graph`, if non-null,
   /// replaces the current graph (same node ids/topology required — routes
   /// are re-profiled, not re-planned); `new_oracle` likewise.
   std::size_t AdoptSnapshot(std::shared_ptr<const RegionSnapshot> next,
@@ -205,8 +197,8 @@ class XarSystem {
   /// lists, pass-throughs and registrations.
   const MatchIndex& match_index() const { return index_; }
   /// The current region. The reference stays valid until the next
-  /// RefreshDiscretization/AdoptSnapshot; pin the snapshot() instead when
-  /// holding it across a possible refresh.
+  /// AdoptSnapshot; pin the snapshot() instead when holding it across a
+  /// possible refresh.
   const RegionIndex& region() const {
     return *snapshot_.load(std::memory_order_acquire)->index;
   }
@@ -218,7 +210,6 @@ class XarSystem {
   std::uint64_t epoch() const {
     return snapshot_.load(std::memory_order_acquire)->epoch;
   }
-  const RefreshStats& refresh_stats() const { return refresh_stats_; }
   /// Lifecycle counters plus live gauges scanned over the current fleet's
   /// persistent schedules (all zero while kinetic_booking is off).
   PoolingStats pooling_stats() const;
@@ -230,7 +221,11 @@ class XarSystem {
   /// The oracle answering this system's routing queries (swapped by
   /// AdoptSnapshot on graph deltas). Exposed for the stats surface.
   const DistanceOracle& oracle() const { return *oracle_; }
-  const std::vector<BookingRecord>& bookings() const { return bookings_; }
+  /// The live booking records on `ride` (empty once it finished): the seat
+  /// ledger cancel and no-show refund from.
+  std::span<const BookingRecord> bookings(RideId ride) const;
+  /// Live booking records across this shard's rides.
+  std::size_t NumBookings() const;
 
   /// Bytes held by the ride index plus ride state (Fig. 3c numerator; add
   /// region().MemoryFootprint() for the full in-memory structure).
@@ -309,10 +304,11 @@ class XarSystem {
   /// Rebound to the new snapshot on refresh (OnEpochSwap) — the index
   /// resolves against exactly one region epoch.
   MatchIndex index_;
-  std::vector<BookingRecord> bookings_;
+  /// Booking records per ride, parallel to rides_; FinishRide clears a
+  /// ride's slot, so the ledger holds only bookings on live rides.
+  std::vector<std::vector<BookingRecord>> bookings_;
   VirtualClock clock_;
   std::size_t active_rides_ = 0;
-  RefreshStats refresh_stats_;
   PoolingStats pooling_counters_;  ///< counters only; gauges scanned live
 
   // Tracking wake-up queue: (event time, ride). Entries may be stale; they

@@ -29,7 +29,8 @@ class CancellationTest : public ::testing::Test {
   }
 
   /// Books a mid-route rider; returns the booking.
-  Result<BookingRecord> BookMidRider(RequestId id, double t = 8 * 3600.0) {
+  Result<BookingRecord> BookMidRider(RequestId id, double t = 8 * 3600.0,
+                                     int seats = 1) {
     const BoundingBox& b = city_.graph.bounds();
     RideRequest req;
     req.id = id;
@@ -39,6 +40,7 @@ class CancellationTest : public ::testing::Test {
                        b.min_lng + 0.7 * (b.max_lng - b.min_lng)};
     req.earliest_departure_s = t;
     req.latest_departure_s = t + 1800;
+    req.seats = seats;
     std::vector<RideMatch> matches = xar_.Search(req);
     if (matches.empty()) return Status::NotFound("no match");
     return xar_.Book(matches.front().ride, req, matches.front());
@@ -63,7 +65,7 @@ TEST_F(CancellationTest, CancelBookingRestoresRideShape) {
   // The route is back to the driver's own shortest path.
   EXPECT_NEAR(r->route.length_m, base_length, 1.0);
   EXPECT_NEAR(r->detour_used_m, 0.0, 1.0);
-  EXPECT_TRUE(xar_.bookings().empty());
+  EXPECT_TRUE(xar_.bookings(ride).empty());
 }
 
 TEST_F(CancellationTest, CancelUnknownBookingFails) {
@@ -120,8 +122,8 @@ TEST_F(CancellationTest, CancelOneOfTwoRidersKeepsTheOther) {
     if (vp.request == RequestId(2)) ++rider2_points;
   }
   EXPECT_EQ(rider2_points, 2);
-  ASSERT_EQ(xar_.bookings().size(), 1u);
-  EXPECT_EQ(xar_.bookings().front().request, RequestId(2));
+  ASSERT_EQ(xar_.bookings(ride).size(), 1u);
+  EXPECT_EQ(xar_.bookings(ride).front().request, RequestId(2));
 }
 
 TEST_F(CancellationTest, CancelRideRemovesFromSearch) {
@@ -157,6 +159,78 @@ TEST_F(CancellationTest, ReregistrationDoesNotResurrectPassedClusters) {
   for (const PassThroughCluster& pt : reg->pass_throughs) {
     EXPECT_GE(pt.eta_s, partway);
   }
+}
+
+// Bytes MemoryFootprint counts for `ride`'s own state (MemoryFootprint's
+// per-ride sum).
+std::size_t RideBytes(const Ride& r) {
+  return sizeof(r) + r.route.nodes.capacity() * sizeof(NodeId) +
+         (r.route_cum_time_s.capacity() + r.route_cum_dist_m.capacity()) *
+             sizeof(double) +
+         r.via_points.capacity() * sizeof(ViaPoint) +
+         r.via_route_index.capacity() * sizeof(std::size_t);
+}
+
+// A ride that reaches its destination takes its booking records with it:
+// the ledger holds only live rides' bookings, so a serving shard's ledger,
+// and its MemoryFootprint, do not grow with every booking it ever took.
+TEST_F(CancellationTest, FinishedRideLeavesNoBookingRecords) {
+  RideId ride = CreateDiagonalRide();
+  // The footprint beyond the index and the ride's route: what the bookings
+  // can add.
+  auto rest_bytes = [&] {
+    return xar_.MemoryFootprint() - xar_.match_index().MemoryFootprint() -
+           RideBytes(*xar_.GetRide(ride));
+  };
+  const std::size_t before = rest_bytes();
+  ASSERT_TRUE(BookMidRider(RequestId(1)).ok());
+  ASSERT_TRUE(BookMidRider(RequestId(2)).ok());
+  EXPECT_EQ(xar_.NumBookings(), 2u);
+  EXPECT_EQ(xar_.bookings(ride).size(), 2u);
+  EXPECT_GT(rest_bytes(), before);
+
+  xar_.AdvanceTime(xar_.GetRide(ride)->ArrivalTimeS() + 1.0);
+  ASSERT_FALSE(xar_.GetRide(ride)->active);
+  EXPECT_EQ(xar_.NumBookings(), 0u);
+  EXPECT_TRUE(xar_.bookings(ride).empty());
+  EXPECT_EQ(rest_bytes(), before);
+}
+
+// Every way a rider leaves refunds exactly the seats the booking took: a
+// cancelled two-seat booking returns two, a no-show one, and a finished
+// ride has nothing left to refund or cancel.
+TEST_F(CancellationTest, SeatsRefundedExactlyThroughCancelNoShowAndFinish) {
+  RideId ride = CreateDiagonalRide();
+  const int total = xar_.GetRide(ride)->seats_total;
+  ASSERT_EQ(total, 3);
+  Result<BookingRecord> pair = BookMidRider(RequestId(1), 8 * 3600.0, 2);
+  ASSERT_TRUE(pair.ok());
+  ASSERT_EQ(pair->ride, ride);
+  Result<BookingRecord> single = BookMidRider(RequestId(2));
+  ASSERT_TRUE(single.ok());
+  ASSERT_EQ(single->ride, ride);
+  EXPECT_EQ(xar_.GetRide(ride)->seats_available, 0);
+
+  ASSERT_TRUE(xar_.CancelBooking(ride, RequestId(1)).ok());
+  EXPECT_EQ(xar_.GetRide(ride)->seats_available, 2);
+  ASSERT_EQ(xar_.bookings(ride).size(), 1u);
+  EXPECT_EQ(xar_.bookings(ride).front().request, RequestId(2));
+
+  ASSERT_TRUE(xar_.ReportNoShow(ride, RequestId(2)).ok());
+  EXPECT_EQ(xar_.GetRide(ride)->seats_available, total);
+  EXPECT_TRUE(xar_.bookings(ride).empty());
+
+  Result<BookingRecord> last = BookMidRider(RequestId(3));
+  ASSERT_TRUE(last.ok());
+  ASSERT_EQ(last->ride, ride);
+  EXPECT_EQ(xar_.GetRide(ride)->seats_available, total - 1);
+  xar_.AdvanceTime(xar_.GetRide(ride)->ArrivalTimeS() + 1.0);
+  EXPECT_TRUE(xar_.bookings(ride).empty());
+  EXPECT_EQ(xar_.CancelBooking(ride, RequestId(3)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(xar_.ReportNoShow(ride, RequestId(3)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(xar_.GetRide(ride)->seats_available, total - 1);
 }
 
 }  // namespace

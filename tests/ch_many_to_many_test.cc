@@ -26,7 +26,7 @@
 #include "graph/road_graph.h"
 #include "graph/routing_backend.h"
 #include "graph/spatial_index.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace {
@@ -171,7 +171,7 @@ TEST(BucketChRefreshTest, BatchMatchesDijkstraAcrossEpochSwap) {
   DiscretizationOptions dopt;
   RegionIndex region = RegionIndex::Build(g, spatial, dopt);
   GraphOracle oracle(g);
-  XarSystem xar(g, spatial, region, oracle);
+  ConcurrentXarSystem xar(g, spatial, region, oracle, {}, /*num_shards=*/1);
 
   RoadGraph perturbed = PerturbEdgeWeights(g, 0.3, 311);
   GraphOracle next_oracle(perturbed);

@@ -1,6 +1,12 @@
+// Concurrent searches on a sharded ConcurrentXarSystem: test-side threads
+// calling SearchTopK on a quiescent system get exactly what one thread's
+// serial run gets, run after run, and a 4-shard system searches as a 1-shard
+// one over the same rides.
+
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <thread>
 #include <vector>
 
 #include "tests/test_helpers.h"
@@ -13,9 +19,9 @@ namespace {
 using testing::SharedCity;
 using testing::TestCity;
 
-class SearchBatchTest : public ::testing::Test {
+class ConcurrentSearchTest : public ::testing::Test {
  protected:
-  SearchBatchTest()
+  ConcurrentSearchTest()
       : city_(SharedCity()),
         oracle_(city_.graph),
         xar_(city_.graph, *city_.spatial, *city_.region, oracle_, {},
@@ -49,6 +55,25 @@ class SearchBatchTest : public ::testing::Test {
     return requests;
   }
 
+  /// SearchTopK(requests[i], k) for every i, fanned across kThreads test
+  /// threads (thread t takes i = t, t + kThreads, ...); results in input
+  /// order.
+  std::vector<std::vector<RideMatch>> ThreadedSearches(
+      const std::vector<RideRequest>& requests, std::size_t k) const {
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::vector<RideMatch>> results(requests.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = t; i < requests.size(); i += kThreads) {
+          results[i] = xar_.SearchTopK(requests[i], k);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    return results;
+  }
+
   TestCity& city_;
   GraphOracle oracle_;
   ConcurrentXarSystem xar_;
@@ -71,14 +96,15 @@ void ExpectSameMatches(const std::vector<RideMatch>& a,
   }
 }
 
-TEST_F(SearchBatchTest, ParallelBatchIdenticalToSerialSearches) {
+TEST_F(ConcurrentSearchTest, ThreadedSearchesIdenticalToSerialSearches) {
   std::vector<RideRequest> requests = Requests(120, 50);
 
   std::vector<std::vector<RideMatch>> serial;
   serial.reserve(requests.size());
   for (const RideRequest& req : requests) serial.push_back(xar_.Search(req));
 
-  std::vector<std::vector<RideMatch>> batch = xar_.SearchBatch(requests);
+  std::vector<std::vector<RideMatch>> batch =
+      ThreadedSearches(requests, xar_.options().max_results);
   ASSERT_EQ(batch.size(), serial.size());
   std::size_t nonempty = 0;
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -89,27 +115,27 @@ TEST_F(SearchBatchTest, ParallelBatchIdenticalToSerialSearches) {
   EXPECT_GT(nonempty, 0u);
 }
 
-TEST_F(SearchBatchTest, RepeatedBatchesAreDeterministic) {
+TEST_F(ConcurrentSearchTest, RepeatedThreadedSearchesAreDeterministic) {
   std::vector<RideRequest> requests = Requests(80, 51);
-  std::vector<std::vector<RideMatch>> first = xar_.SearchBatch(requests);
-  std::vector<std::vector<RideMatch>> second = xar_.SearchBatch(requests);
+  std::vector<std::vector<RideMatch>> first = ThreadedSearches(requests, 0);
+  std::vector<std::vector<RideMatch>> second = ThreadedSearches(requests, 0);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     ExpectSameMatches(first[i], second[i]);
   }
 }
 
-TEST_F(SearchBatchTest, TopKOverrideTruncatesEachResult) {
+TEST_F(ConcurrentSearchTest, TopKOverrideTruncatesEachResult) {
   std::vector<RideRequest> requests = Requests(80, 52);
   constexpr std::size_t kK = 2;
-  std::vector<std::vector<RideMatch>> batch = xar_.SearchBatch(requests, kK);
+  std::vector<std::vector<RideMatch>> batch = ThreadedSearches(requests, kK);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_LE(batch[i].size(), kK);
     ExpectSameMatches(xar_.SearchTopK(requests[i], kK), batch[i]);
   }
 }
 
-TEST_F(SearchBatchTest, ShardedSearchMatchesSingleShardSystem) {
+TEST_F(ConcurrentSearchTest, ShardedSearchMatchesSingleShardSystem) {
   // The same supply loaded into a 1-shard system (id sequence identical to
   // the round-robin 4-shard one) must yield identical search results.
   GraphOracle oracle(city_.graph);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,25 @@ namespace {
 
 using testing::SharedCity;
 using testing::TestCity;
+
+/// Threads of this process, as the kernel lists them.
+std::ptrdiff_t ThreadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+// The facade is locks and data only: a sharded system starts no thread of
+// its own (callers bring theirs), so building one per replay costs none.
+TEST(ConcurrentXarThreadsTest, ShardedSystemStartsNoThreads) {
+  TestCity& city = SharedCity();
+  GraphOracle oracle(city.graph);
+  const std::ptrdiff_t before = ThreadCount();
+  ASSERT_GT(before, 0);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle, {},
+                          /*num_shards=*/4);
+  EXPECT_EQ(xar.num_shards(), 4u);
+  EXPECT_EQ(ThreadCount(), before);
+}
 
 class ConcurrentXarTest : public ::testing::Test {
  protected:

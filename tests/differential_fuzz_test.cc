@@ -1,6 +1,6 @@
 // Randomized differential fuzz harness: seed-parameterized TripGenerator
 // workloads replayed through every (system, oracle cache) combination —
-// XarSystem vs ConcurrentXarSystem, CLOCK-cached vs uncached oracle.
+// one shard vs several, CLOCK-cached vs uncached oracle.
 // The configurations must be observationally identical: same ride ids, same
 // match lists, same booking outcomes, bit-identical detours — and every
 // booking must respect the paper's 4-epsilon detour guarantee.
@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -22,7 +23,6 @@
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/concurrent_xar.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -84,42 +84,20 @@ Workload MakeWorkload(std::uint64_t seed) {
 }
 
 /// One system-under-test: its own oracle (CLOCK-cached, or uncached when
-/// `cache_capacity` is 0) over the shared city, wrapped in either a plain
-/// XarSystem or a sharded concurrent one.
-/// Both are driven through the same serial Search/Book interface here; the
-/// threaded phase exercises ConcurrentXarSystem::SearchAndBook separately.
-class Config {
- public:
-  Config(std::size_t cache_capacity, bool concurrent)
-      : oracle_(testing::SharedCity().graph, cache_capacity,
-                RoutingBackendKind::kAlt) {
-    testing::TestCity& city = testing::SharedCity();
-    if (concurrent) {
-      concurrent_ = std::make_unique<ConcurrentXarSystem>(
-          city.graph, *city.spatial, *city.region, oracle_, XarOptions{},
-          kShards);
-    } else {
-      plain_ = std::make_unique<XarSystem>(city.graph, *city.spatial,
-                                           *city.region, oracle_);
-    }
-  }
+/// `cache_capacity` is 0) over the shared city, under a one-shard or a
+/// sharded ConcurrentXarSystem. Both are driven through the same serial
+/// Search/Book calls here; the threaded phase exercises SearchAndBook
+/// separately.
+struct Config {
+  Config(std::size_t cache_capacity, std::size_t num_shards)
+      : oracle(testing::SharedCity().graph, cache_capacity,
+               RoutingBackendKind::kAlt),
+        system(testing::SharedCity().graph, *testing::SharedCity().spatial,
+               *testing::SharedCity().region, oracle, XarOptions{},
+               num_shards) {}
 
-  Result<RideId> CreateRide(const RideOffer& offer) {
-    return plain_ ? plain_->CreateRide(offer) : concurrent_->CreateRide(offer);
-  }
-  std::vector<RideMatch> Search(const RideRequest& req) const {
-    return plain_ ? plain_->Search(req) : concurrent_->Search(req);
-  }
-  Result<BookingRecord> Book(RideId ride, const RideRequest& req,
-                             const RideMatch& match) {
-    return plain_ ? plain_->Book(ride, req, match)
-                  : concurrent_->Book(ride, req, match);
-  }
-
- private:
-  GraphOracle oracle_;
-  std::unique_ptr<XarSystem> plain_;
-  std::unique_ptr<ConcurrentXarSystem> concurrent_;
+  GraphOracle oracle;
+  ConcurrentXarSystem system;
 };
 
 class DifferentialFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -133,20 +111,20 @@ TEST_P(DifferentialFuzzTest, AllConfigurationsAgree) {
 
   // Reference config first; every other config must match it exactly.
   std::vector<std::unique_ptr<Config>> configs;
-  for (bool concurrent : {false, true}) {
-    configs.push_back(std::make_unique<Config>(kCacheCapacity, concurrent));
+  for (std::size_t num_shards : {std::size_t{1}, kShards}) {
+    configs.push_back(std::make_unique<Config>(kCacheCapacity, num_shards));
     configs.push_back(std::make_unique<Config>(/*cache_capacity=*/0,
-                                               concurrent));
+                                               num_shards));
   }
 
   for (const RideOffer& offer : w.offers) {
-    Result<RideId> ref = configs[0]->CreateRide(offer);
+    Result<RideId> ref = configs[0]->system.CreateRide(offer);
     for (std::size_t c = 1; c < configs.size(); ++c) {
-      Result<RideId> got = configs[c]->CreateRide(offer);
+      Result<RideId> got = configs[c]->system.CreateRide(offer);
       ASSERT_EQ(ref.ok(), got.ok()) << "config " << c;
       if (ref.ok()) {
         // Sharded ride-id assignment (offset + stride round-robin) must
-        // produce the same dense ids as the standalone system.
+        // produce the same dense ids as the one-shard system.
         ASSERT_EQ(ref.value(), got.value()) << "config " << c;
       }
     }
@@ -159,9 +137,9 @@ TEST_P(DifferentialFuzzTest, AllConfigurationsAgree) {
   std::size_t matched_requests = 0;
   for (const RideRequest& req : w.requests) {
     SCOPED_TRACE(::testing::Message() << "request " << req.id.value());
-    std::vector<RideMatch> ref = configs[0]->Search(req);
+    std::vector<RideMatch> ref = configs[0]->system.Search(req);
     for (std::size_t c = 1; c < configs.size(); ++c) {
-      std::vector<RideMatch> got = configs[c]->Search(req);
+      std::vector<RideMatch> got = configs[c]->system.Search(req);
       ASSERT_EQ(ref.size(), got.size()) << "config " << c;
       for (std::size_t i = 0; i < ref.size(); ++i) {
         ASSERT_EQ(ref[i].ride, got[i].ride) << "config " << c << " rank " << i;
@@ -175,12 +153,12 @@ TEST_P(DifferentialFuzzTest, AllConfigurationsAgree) {
     ++matched_requests;
 
     Result<BookingRecord> ref_booking =
-        configs[0]->Book(ref.front().ride, req, ref.front());
+        configs[0]->system.Book(ref.front().ride, req, ref.front());
     for (std::size_t c = 1; c < configs.size(); ++c) {
-      std::vector<RideMatch> got = configs[c]->Search(req);
+      std::vector<RideMatch> got = configs[c]->system.Search(req);
       ASSERT_FALSE(got.empty());
       Result<BookingRecord> booking =
-          configs[c]->Book(got.front().ride, req, got.front());
+          configs[c]->system.Book(got.front().ride, req, got.front());
       ASSERT_EQ(ref_booking.ok(), booking.ok()) << "config " << c;
       if (!ref_booking.ok()) continue;
       ASSERT_EQ(ref_booking->actual_detour_m, booking->actual_detour_m)

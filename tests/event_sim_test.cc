@@ -44,7 +44,8 @@ ScenarioConfig TrafficScenario() {
 
 TEST(EventSimTest, LiveRefreshesMidSimulationWithBookingsAround) {
   TestCity& city = SharedCity();
-  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                          *city.oracle, {}, /*num_shards=*/1);
   std::vector<TaxiTrip> trips = RushHourTrips(city, 1500);
   ASSERT_GT(trips.size(), 50u);
 
@@ -81,7 +82,8 @@ TEST(EventSimTest, FixedSeedIsBitDeterministic) {
 
   EventSimResult runs[2];
   for (int i = 0; i < 2; ++i) {
-    XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+    ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                            *city.oracle, {}, /*num_shards=*/1);
     EventSim sim(city.graph, xar.options(), TrafficScenario());
     runs[i] = RunEventSim(xar, sim, trips);
   }
@@ -102,7 +104,8 @@ TEST(EventSimTest, SerialAndConcurrentSystemsAgreeOnCounts) {
   TestCity& city = SharedCity();
   std::vector<TaxiTrip> trips = RushHourTrips(city, 800);
 
-  XarSystem serial(city.graph, *city.spatial, *city.region, *city.oracle);
+  ConcurrentXarSystem serial(city.graph, *city.spatial, *city.region,
+                             *city.oracle, {}, /*num_shards=*/1);
   EventSim serial_sim(city.graph, serial.options(), TrafficScenario());
   EventSimResult serial_result = RunEventSim(serial, serial_sim, trips);
 
@@ -115,8 +118,8 @@ TEST(EventSimTest, SerialAndConcurrentSystemsAgreeOnCounts) {
 
   // Driven single-threaded, the sharded system replays the same protocol:
   // round-robin creation reproduces the dense id sequence and the merged
-  // shard searches rank identically, so all counts line up with the serial
-  // system even though every operation crossed the shard locks.
+  // shard searches rank identically, so all counts line up with the
+  // one-shard system.
   EXPECT_EQ(serial_result.requests, concurrent_result.requests);
   EXPECT_EQ(serial_result.matched, concurrent_result.matched);
   EXPECT_EQ(serial_result.rides_created, concurrent_result.rides_created);
@@ -135,9 +138,9 @@ struct ProtocolReplay {
   std::vector<BookingRecord> bookings;
 };
 
-/// The protocol spelled out as the reference: advance the clock, search,
-/// book the least-walking match on a booking turn, otherwise the commuter
-/// drives and offers the ride.
+/// The protocol spelled out as the reference, on one bare shard: advance the
+/// clock, search, book the least-walking match on a booking turn, otherwise
+/// the commuter drives and offers the ride.
 ProtocolReplay ReplayPaperProtocol(XarSystem& xar,
                                    const std::vector<TaxiTrip>& trips,
                                    const SimOptions& options) {
@@ -215,7 +218,8 @@ TEST(EventSimTest, InertScenarioReplaysPaperProtocol) {
     EXPECT_GT(want.matched, 0u);
 
     GraphOracle oracle(city.graph);
-    XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
+    ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle,
+                            {}, /*num_shards=*/1);
     EventSim sim(city.graph, xar.options(), config);
     ExpectReplaysProtocol(RunEventSim(xar, sim, trips), want, trips.size());
   }
@@ -226,7 +230,8 @@ TEST(EventSimTest, InertScenarioReplaysPaperProtocol) {
   const ProtocolReplay want = reference(config.protocol);
   EXPECT_EQ(want.matched, 0u);
   GraphOracle oracle(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle, {},
+                          /*num_shards=*/1);
   EventSim sim(city.graph, xar.options(), config);
   ExpectReplaysProtocol(RunEventSim(xar, sim, trips), want, trips.size());
 }
@@ -288,7 +293,7 @@ TEST_F(NoShowTest, NoShowAfterPickupEtaReturnsSeatAndReindexes) {
   EXPECT_EQ(r->seats_available, r->seats_total);
   EXPECT_NEAR(r->route.length_m, base_length, 1.0);
   EXPECT_NEAR(r->detour_used_m, 0.0, 1.0);
-  EXPECT_TRUE(xar_.bookings().empty());
+  EXPECT_TRUE(xar_.bookings(ride).empty());
 }
 
 TEST_F(NoShowTest, NoShowBeforePickupAlsoWorks) {
@@ -319,11 +324,10 @@ TEST_F(NoShowTest, NoShowUnknownBookingFails) {
 }
 
 TEST_F(NoShowTest, SeatFreedByNoShowIsRebookable) {
-  XarOptions seat_options;
-  XarSystem xar(city_.graph, *city_.spatial, *city_.region, *city_.oracle,
-                seat_options);
   // Dedicated system so the default seat pool is fully booked, no-shown,
   // and rebooked by a different rider.
+  ConcurrentXarSystem xar(city_.graph, *city_.spatial, *city_.region,
+                          *city_.oracle, {}, /*num_shards=*/1);
   const BoundingBox& b = city_.graph.bounds();
   RideOffer offer;
   offer.source = {b.min_lat + 0.1 * (b.max_lat - b.min_lat),

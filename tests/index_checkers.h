@@ -18,9 +18,9 @@
 // re-key and Remove later binary-search for.
 //
 // RebuildCheckingTarget runs that check inside an EventSim run, after the
-// calls that mutate the index, on a serial XarSystem or on every shard of a
-// ConcurrentXarSystem. An end-of-run check alone proves nothing: the sim
-// drains every vehicle, so the index is empty when it returns.
+// calls that mutate the index, on every shard of a ConcurrentXarSystem. An
+// end-of-run check alone proves nothing: the sim drains every vehicle, so
+// the index is empty when it returns.
 
 #ifndef XAR_TESTS_INDEX_CHECKERS_H_
 #define XAR_TESTS_INDEX_CHECKERS_H_
@@ -225,20 +225,19 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
   return ::testing::AssertionSuccess();
 }
 
-/// Forwards every call to a serial XarSystem, or to a ConcurrentXarSystem,
-/// and after each call that can change the index checks it against a
-/// rebuild, on every shard — every time with `check_every_s` 0, else at most
-/// once per that many sim-seconds. Keeps the first failure.
+/// Forwards every call to a ConcurrentXarSystem and after each call that
+/// can change the index checks it against a rebuild, on every shard — every
+/// time with `check_every_s` 0, else at most once per that many sim-seconds.
+/// Keeps the first failure.
 class RebuildCheckingTarget final : public SimTarget {
  public:
-  RebuildCheckingTarget(XarSystem& xar, const RoadGraph& graph,
-                        double check_every_s)
-      : RebuildCheckingTarget(MakeSimTarget(xar), {&xar}, graph,
-                              check_every_s) {}
   RebuildCheckingTarget(ConcurrentXarSystem& xar, const RoadGraph& graph,
                         double check_every_s)
-      : RebuildCheckingTarget(MakeSimTarget(xar), ShardsOf(xar), graph,
-                              check_every_s) {}
+      : max_registered(xar.num_shards(), 0),
+        xar_(&xar),
+        graph_(graph),
+        check_every_s_(check_every_s),
+        inner_(MakeSimTarget(xar)) {}
 
   std::vector<RideMatch> Search(const RideRequest& request) const override {
     return inner_->Search(request);
@@ -284,34 +283,17 @@ class RebuildCheckingTarget final : public SimTarget {
   std::string first_failure;
 
  private:
-  RebuildCheckingTarget(std::unique_ptr<SimTarget> inner,
-                        std::vector<const XarSystem*> shards,
-                        const RoadGraph& graph, double check_every_s)
-      : max_registered(shards.size(), 0),
-        shards_(std::move(shards)),
-        graph_(graph),
-        check_every_s_(check_every_s),
-        inner_(std::move(inner)) {}
-
-  static std::vector<const XarSystem*> ShardsOf(
-      const ConcurrentXarSystem& xar) {
-    std::vector<const XarSystem*> shards;
-    for (std::size_t s = 0; s < xar.num_shards(); ++s) {
-      shards.push_back(&xar.shard_system(s));
-    }
-    return shards;
-  }
-
   void Check(const char* after) {
-    const double now = shards_.front()->Now();
+    const double now = xar_->Now();
     if (checks > 0 && now < next_check_s_) return;
     next_check_s_ = now + check_every_s_;
     ++checks;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      max_registered[s] = std::max(
-          max_registered[s], shards_[s]->match_index().NumRegisteredRides());
+    for (std::size_t s = 0; s < xar_->num_shards(); ++s) {
+      const XarSystem& shard = xar_->shard_system(s);
+      max_registered[s] = std::max(max_registered[s],
+                                   shard.match_index().NumRegisteredRides());
       if (!first_failure.empty()) continue;
-      ::testing::AssertionResult same = IndexMatchesRebuild(*shards_[s], graph_);
+      ::testing::AssertionResult same = IndexMatchesRebuild(shard, graph_);
       if (!same) {
         first_failure = "shard " + std::to_string(s) + " after " + after +
                         " at t=" + std::to_string(now) + ": " + same.message();
@@ -319,7 +301,7 @@ class RebuildCheckingTarget final : public SimTarget {
     }
   }
 
-  std::vector<const XarSystem*> shards_;
+  const ConcurrentXarSystem* xar_;
   const RoadGraph& graph_;
   const double check_every_s_;
   double next_check_s_ = 0.0;

@@ -12,7 +12,6 @@
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/concurrent_xar.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -66,8 +65,8 @@ TEST_P(IndexRebuildTest, LiveIndexEqualsRebuildAfterEveryMutation) {
   TestCity& city = SharedCity();
   XarOptions options;
   options.kinetic_booking = GetParam();
-  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle,
-                options);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                          *city.oracle, options, /*num_shards=*/1);
   std::vector<TaxiTrip> trips = RushHourTrips();
   ASSERT_GT(trips.size(), 100u);
 

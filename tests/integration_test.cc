@@ -12,8 +12,8 @@
 #include "sim/event_sim.h"
 #include "tests/index_checkers.h"
 #include "workload/trip_generator.h"
+#include "xar/concurrent_xar.h"
 #include "xar/world.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -31,8 +31,9 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
     dopt.landmarks.seed = GetParam() + 1;
     world_ = std::make_unique<World>(GenerateCity(copt), dopt);
     const RoadGraph& graph = world_->graph;
-    xar_ = std::make_unique<XarSystem>(graph, *world_->spatial,
-                                       *world_->region, *world_->oracle);
+    xar_ = std::make_unique<ConcurrentXarSystem>(
+        graph, *world_->spatial, *world_->region, *world_->oracle,
+        XarOptions{}, /*num_shards=*/1);
 
     WorkloadOptions wopt;
     wopt.num_trips = 2500;
@@ -50,7 +51,7 @@ class PipelineTest : public ::testing::TestWithParam<std::uint64_t> {
   }
 
   std::unique_ptr<World> world_;
-  std::unique_ptr<XarSystem> xar_;
+  std::unique_ptr<ConcurrentXarSystem> xar_;
   std::vector<TaxiTrip> trips_;
   EventSimResult result_;
   std::size_t index_checks_ = 0;
@@ -92,8 +93,9 @@ TEST_P(PipelineTest, BookingsUseAtMostFourShortestPaths) {
 
 TEST_P(PipelineTest, RideStateConsistentAfterFullDay) {
   for (std::size_t i = 0; i < xar_->NumRides(); ++i) {
-    const Ride* r = xar_->GetRide(RideId(static_cast<RideId::underlying_type>(i)));
-    ASSERT_NE(r, nullptr);
+    Result<Ride> r =
+        xar_->GetRide(RideId(static_cast<RideId::underlying_type>(i)));
+    ASSERT_TRUE(r.ok());
     // Via-points aligned with the route and monotone in time.
     ASSERT_EQ(r->via_points.size(), r->via_route_index.size());
     for (std::size_t v = 0; v < r->via_points.size(); ++v) {
@@ -123,7 +125,8 @@ TEST_P(PipelineTest, IndexListsConsistentWithRegistrations) {
   EXPECT_GT(index_checks_, 12u);
   EXPECT_GT(index_max_registered_, 0u);
   EXPECT_TRUE(index_failure_.empty()) << index_failure_;
-  EXPECT_TRUE(testing::IndexMatchesRebuild(*xar_, world_->graph));
+  EXPECT_TRUE(
+      testing::IndexMatchesRebuild(xar_->shard_system(0), world_->graph));
 }
 
 TEST_P(PipelineTest, SearchResultsAreBookableRightAway) {

@@ -20,6 +20,7 @@
 #include "graph/oracle.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
+#include "xar/concurrent_xar.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -197,12 +198,14 @@ void ExpectBitEqual(const std::vector<RideMatch>& ref,
 TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
   testing::TestCity& city = testing::SharedCity();
   GraphOracle oracle(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
+  ConcurrentXarSystem system(city.graph, *city.spatial, *city.region, oracle,
+                             {}, /*num_shards=*/1);
+  const XarSystem& xar = system.shard_system(0);
 
   Workload w = MakeWorkload(11);
   ASSERT_FALSE(w.offers.empty());
   for (const RideOffer& offer : w.offers) {
-    ASSERT_TRUE(xar.CreateRide(offer).ok());
+    ASSERT_TRUE(system.CreateRide(offer).ok());
   }
 
   std::size_t nonempty = 0;
@@ -212,13 +215,13 @@ TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
     // live ride, and the index must keep tracking the seed search bit for
     // bit on the new epoch too.
     if (r == w.requests.size() / 2) {
-      RefreshStats stats = xar.RefreshDiscretization();
+      RefreshStats stats = system.RefreshDiscretization();
       EXPECT_EQ(stats.epoch, 1u);
       EXPECT_EQ(xar.epoch(), 1u);
     }
     const RideRequest& req = w.requests[r];
     SCOPED_TRACE(::testing::Message() << "request " << req.id.value());
-    std::vector<RideMatch> got = xar.Search(req);
+    std::vector<RideMatch> got = system.Search(req);
     std::vector<RideMatch> ref = RefSearch(xar, req);
     ExpectBitEqual(ref, got);
     if (got.empty()) continue;
@@ -226,7 +229,7 @@ TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
     // Booking mutates ride state (seats, detour budget, index entries);
     // keep booking through the replay so the two paths are compared on
     // evolving state, not a static index.
-    if (xar.Book(got.front().ride, req, got.front()).ok()) ++booked;
+    if (system.Book(got.front().ride, req, got.front()).ok()) ++booked;
   }
   EXPECT_GT(nonempty, 0u) << "workload produced no matches";
   EXPECT_GT(booked, 0u) << "workload produced no bookings";
@@ -466,22 +469,24 @@ TEST(MatchIndexDifferentialTest, MeetingPointsBitEqualToReferenceSearch) {
   XarOptions options;
   options.meeting_points = true;
   options.meeting_point_candidates = 3;
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle, options);
+  ConcurrentXarSystem system(city.graph, *city.spatial, *city.region, oracle,
+                             options, /*num_shards=*/1);
+  const XarSystem& xar = system.shard_system(0);
 
   Workload w = MakeWorkload(11);
   for (const RideOffer& offer : w.offers) {
-    ASSERT_TRUE(xar.CreateRide(offer).ok());
+    ASSERT_TRUE(system.CreateRide(offer).ok());
   }
 
   std::size_t multi = 0;
   std::size_t booked = 0;
   for (std::size_t r = 0; r < w.requests.size(); ++r) {
     if (r == w.requests.size() / 2) {
-      EXPECT_EQ(xar.RefreshDiscretization().epoch, 1u);
+      EXPECT_EQ(system.RefreshDiscretization().epoch, 1u);
     }
     const RideRequest& req = w.requests[r];
     SCOPED_TRACE(::testing::Message() << "request " << req.id.value());
-    std::vector<RideMatch> got = xar.Search(req);
+    std::vector<RideMatch> got = system.Search(req);
     std::vector<RideMatch> ref = RefSearchMeetingPoints(xar, city.graph, req);
     ExpectBitEqual(ref, got);
     for (std::size_t k = 1; k < got.size(); ++k) {
@@ -504,7 +509,7 @@ TEST(MatchIndexDifferentialTest, MeetingPointsBitEqualToReferenceSearch) {
       EXPECT_EQ(ref_est, got_est);
     }
     if (got.empty()) continue;
-    if (xar.Book(got.front().ride, req, got.front()).ok()) ++booked;
+    if (system.Book(got.front().ride, req, got.front()).ok()) ++booked;
   }
   EXPECT_GT(multi, 0u) << "no ride produced two meeting-point matches";
   EXPECT_GT(booked, 0u) << "workload produced no bookings";
@@ -578,30 +583,36 @@ TEST(MatchIndexTest, WorkloadReplayRespectsDetourGuarantee) {
 TEST(MatchIndexTest, SurvivesEpochSwapAndAdvance) {
   testing::TestCity& city = testing::SharedCity();
   GraphOracle oracle(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
+  ConcurrentXarSystem system(city.graph, *city.spatial, *city.region, oracle,
+                             {}, /*num_shards=*/1);
+  const XarSystem& xar = system.shard_system(0);
 
   Workload w = MakeWorkload(5, /*num_trips=*/120);
   for (const RideOffer& offer : w.offers) {
-    ASSERT_TRUE(xar.CreateRide(offer).ok());
+    ASSERT_TRUE(system.CreateRide(offer).ok());
   }
   std::size_t before = 0;
-  for (const RideRequest& req : w.requests) before += xar.Search(req).size();
+  for (const RideRequest& req : w.requests) {
+    before += system.Search(req).size();
+  }
   EXPECT_GT(before, 0u);
 
   // Refresh rebinds the index to the new snapshot and re-homes rides; the
   // same requests must still match (same graph, same discretization input).
-  xar.RefreshDiscretization();
+  system.RefreshDiscretization();
   std::size_t after = 0;
-  for (const RideRequest& req : w.requests) after += xar.Search(req).size();
+  for (const RideRequest& req : w.requests) {
+    after += system.Search(req).size();
+  }
   EXPECT_EQ(before, after);
 
   // Tracking: advancing past the whole day retires every ride and empties
   // the index.
-  xar.AdvanceTime(48 * 3600.0);
-  EXPECT_EQ(xar.NumActiveRides(), 0u);
+  system.AdvanceTime(48 * 3600.0);
+  EXPECT_EQ(system.NumActiveRides(), 0u);
   EXPECT_EQ(xar.match_index().NumRegisteredRides(), 0u);
   for (const RideRequest& req : w.requests) {
-    EXPECT_TRUE(xar.Search(req).empty());
+    EXPECT_TRUE(system.Search(req).empty());
   }
   MatchIndexStats stats = xar.match_index().stats();
   EXPECT_GT(stats.counters.empty_searches, 0u);

@@ -119,9 +119,9 @@ TEST_F(MmtpTest, AiderBookingConsumesSeats) {
   strict.infeasible_walk_m = 1.0;
   strict.book_matches = true;
   XarMmtpIntegration integration(planner_, xar_, strict);
-  std::size_t bookings_before = xar_.bookings().size();
+  std::size_t bookings_before = xar_.NumBookings();
   IntegrationResult result = integration.Aid(plan, RequestId(3));
-  EXPECT_EQ(xar_.bookings().size(),
+  EXPECT_EQ(xar_.NumBookings(),
             bookings_before + result.segments_replaced);
 }
 

@@ -23,7 +23,7 @@
 #include "graph/oracle.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace {
@@ -223,7 +223,7 @@ TEST(OracleCacheDifferentialTest, ClockCachedVsUncachedBitIdentical) {
 
 /// Replays `requests` as Search + Book-first-match on both systems and
 /// asserts identical match lists and bit-identical booking records.
-void ExpectIdenticalReplay(XarSystem& a, XarSystem& b,
+void ExpectIdenticalReplay(ConcurrentXarSystem& a, ConcurrentXarSystem& b,
                            const std::vector<RideRequest>& requests) {
   std::size_t bookings = 0;
   for (const RideRequest& req : requests) {
@@ -258,8 +258,10 @@ TEST(OracleCacheDifferentialTest,
   GraphOracle clock_oracle(city.graph, 1 << 12, RoutingBackendKind::kAlt);
   GraphOracle plain_oracle(city.graph, /*cache_capacity=*/0,
                            RoutingBackendKind::kAlt);
-  XarSystem clock_sys(city.graph, *city.spatial, *city.region, clock_oracle);
-  XarSystem plain_sys(city.graph, *city.spatial, *city.region, plain_oracle);
+  ConcurrentXarSystem clock_sys(city.graph, *city.spatial, *city.region,
+                                clock_oracle, {}, /*num_shards=*/1);
+  ConcurrentXarSystem plain_sys(city.graph, *city.spatial, *city.region,
+                                plain_oracle, {}, /*num_shards=*/1);
 
   WorkloadOptions wopt;
   wopt.num_trips = 500;

@@ -1,5 +1,5 @@
 // The sharded ConcurrentXarSystem under the event sim (sim/event_sim.h)
-// books exactly what the serial XarSystem books on the same workload, with
+// books exactly what a one-shard system books on the same workload, with
 // live refreshes onto unchanged (zero-congestion) weights mid-run.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/concurrent_xar.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -34,7 +33,8 @@ ScenarioConfig InertScenario(std::size_t look_to_book) {
 EventSimResult RunSerial(TestCity& city, const std::vector<TaxiTrip>& trips,
                          const ScenarioConfig& config) {
   GraphOracle oracle(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle, {},
+                          /*num_shards=*/1);
   EventSim sim(city.graph, xar.options(), config);
   return RunEventSim(xar, sim, trips);
 }

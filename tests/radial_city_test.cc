@@ -9,8 +9,8 @@
 #include "graph/generator.h"
 #include "sim/event_sim.h"
 #include "workload/trip_generator.h"
+#include "xar/concurrent_xar.h"
 #include "xar/world.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -67,7 +67,8 @@ TEST(RadialCityTest2, FullXarStackRunsOnRadialTopology) {
   dopt.landmarks.num_candidates = 250;
   World world(GenerateRadialCity(copt), dopt);
   ASSERT_GT(world.region->NumClusters(), 3u);
-  XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
+  ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                          *world.oracle, {}, /*num_shards=*/1);
 
   WorkloadOptions wopt;
   wopt.num_trips = 1500;

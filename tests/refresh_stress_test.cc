@@ -1,5 +1,5 @@
 // Refresh-under-load stress: a refresher thread repeatedly rebuilds and
-// swaps the discretization while booker / batch-searcher / creator threads
+// swaps the discretization while booker / searcher / creator threads
 // hammer the sharded system. Afterwards nothing may be lost: every created
 // ride is still retrievable, seat accounting is exact (no double-booked or
 // leaked seat across re-homing), and the epochs the refresher observed are
@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -107,20 +108,16 @@ TEST(RefreshStressTest, RefreshLoopRacingSearchCreateBook) {
       }
     });
   }
-  // Batch searcher: fans waves of searches across the pool mid-refresh.
-  threads.emplace_back([&] {
-    std::vector<RideRequest> wave;
-    for (const TaxiTrip& t : Trips(city, 240, 85)) {
-      wave.push_back(ToRequest(t, 50000));
-      if (wave.size() == 48) {
-        for (const std::vector<RideMatch>& matches : xar.SearchBatch(wave)) {
-          (void)matches;
-          searches.fetch_add(1, std::memory_order_relaxed);
-        }
-        wave.clear();
+  // Searchers: two threads split one stream of top-k searches mid-refresh.
+  const std::vector<TaxiTrip> search_trips = Trips(city, 240, 85);
+  for (std::size_t s = 0; s < 2; ++s) {
+    threads.emplace_back([&, s] {
+      for (std::size_t i = s; i < search_trips.size(); i += 2) {
+        (void)xar.SearchTopK(ToRequest(search_trips[i], 50000), 0);
+        searches.fetch_add(1, std::memory_order_relaxed);
       }
-    }
-  });
+    });
+  }
   // Creator: grows the supply while refreshes re-home it.
   threads.emplace_back([&] {
     for (const TaxiTrip& t : Trips(city, 80, 86)) {
@@ -278,7 +275,8 @@ TEST(RefreshStressTest, AsyncRefreshCompletesWhileSearchersRun) {
     (void)xar.CreateRide(offer);
   }
 
-  std::future<RefreshStats> refresh = xar.RefreshDiscretizationAsync();
+  std::future<RefreshStats> refresh = std::async(
+      std::launch::async, [&xar] { return xar.RefreshDiscretization(); });
   std::size_t matched = 0;
   for (const TaxiTrip& t : Trips(city, 200, 91)) {
     matched += xar.Search(ToRequest(t, 70000)).empty() ? 0 : 1;

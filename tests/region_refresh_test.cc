@@ -12,7 +12,6 @@
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/concurrent_xar.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -24,7 +23,8 @@ class RegionRefreshTest : public ::testing::Test {
  protected:
   RegionRefreshTest()
       : city_(SharedCity()),
-        xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle) {}
+        xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle, {},
+             /*num_shards=*/1) {}
 
   std::vector<TaxiTrip> Trips(std::size_t n, std::uint64_t seed) const {
     WorkloadOptions opt;
@@ -33,7 +33,8 @@ class RegionRefreshTest : public ::testing::Test {
     return GenerateTrips(city_.graph.bounds(), opt);
   }
 
-  void LoadRides(XarSystem& xar, std::size_t n, std::uint64_t seed) const {
+  void LoadRides(ConcurrentXarSystem& xar, std::size_t n,
+                 std::uint64_t seed) const {
     for (const TaxiTrip& t : Trips(n, seed)) {
       RideOffer offer;
       offer.source = t.pickup;
@@ -58,7 +59,7 @@ class RegionRefreshTest : public ::testing::Test {
   }
 
   TestCity& city_;
-  XarSystem xar_;
+  ConcurrentXarSystem xar_;
 };
 
 // The tentpole differential: a no-op refresh rebuilds identical tables under
@@ -76,7 +77,8 @@ TEST_F(RegionRefreshTest, NoOpRefreshPreservesSearchResults) {
   EXPECT_EQ(xar_.epoch(), 1u);
 
   // Differential reference: a fresh system over the same inputs and rides.
-  XarSystem fresh(city_.graph, *city_.spatial, *city_.region, *city_.oracle);
+  ConcurrentXarSystem fresh(city_.graph, *city_.spatial, *city_.region,
+                            *city_.oracle, {}, /*num_shards=*/1);
   LoadRides(fresh, 300, 21);
 
   std::size_t total_matches = 0;
@@ -169,8 +171,8 @@ TEST_F(RegionRefreshTest, PerturbedGraphRefreshKeepsServing) {
     if (!booking.ok()) continue;
     ++booked;
     EXPECT_GE(booking->actual_detour_m, 0.0);
-    const Ride* ride = xar_.GetRide(booking->ride);
-    ASSERT_NE(ride, nullptr);
+    Result<Ride> ride = xar_.GetRide(booking->ride);
+    ASSERT_TRUE(ride.ok());
     EXPECT_TRUE(ride->active);
   }
   EXPECT_GT(booked, 0u);

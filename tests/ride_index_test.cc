@@ -225,7 +225,7 @@ TEST_F(RideIndexTest, NextEventTimeIsEarliestUncrossed) {
             std::numeric_limits<double>::infinity());
 }
 
-TEST_F(RideIndexTest, BestSupportAndJointChooserAgreeOnOrdering) {
+TEST_F(RideIndexTest, JointChooserOrdersEarlyBeforeLatePassThrough) {
   Ride ride = MakeDiagonalRide(city_, 8 * 3600);
   index_.Insert(ride, kMidnight);
   const RideRegistration* reg = index_.RegistrationOf(ride.id);
@@ -233,9 +233,6 @@ TEST_F(RideIndexTest, BestSupportAndJointChooserAgreeOnOrdering) {
   ClusterId c_early = reg->pass_throughs.front().cluster;
   ClusterId c_late = reg->pass_throughs.back().cluster;
   ASSERT_NE(c_early, c_late);
-
-  const PassThroughCluster* support = index_.BestSupport(ride.id, c_early);
-  ASSERT_NE(support, nullptr);
 
   std::size_t s = 99, d = 99;
   double est = -1;

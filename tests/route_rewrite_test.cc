@@ -8,7 +8,8 @@
 // the reference.
 //
 // Three systems replay the same seeded book / cancel / no-show / advance /
-// refresh streams: a splice XarSystem, a kinetic_booking XarSystem and
+// refresh streams: a splice and a kinetic_booking one-shard
+// ConcurrentXarSystem (read through its shard) and
 // TShareSystem (create, book and advance; T-Share has no cancel or
 // refresh). T-Share's records are compared without `seats` and
 // `budget_before_m`, so the suite also runs against T-Share builds that
@@ -28,6 +29,7 @@
 #include "graph/oracle.h"
 #include "tests/test_helpers.h"
 #include "tshare/tshare_system.h"
+#include "xar/concurrent_xar.h"
 #include "xar/route_utils.h"
 #include "xar/xar_system.h"
 
@@ -480,7 +482,7 @@ struct Coverage {
 };
 
 // ---------------------------------------------------------------------------
-// XarSystem, splice and kinetic.
+// One-shard ConcurrentXarSystem, splice and kinetic.
 
 ::testing::AssertionResult AllRidesMatch(const XarSystem& xar,
                                          const std::vector<Ride>& want) {
@@ -512,7 +514,10 @@ Coverage ReplayXar(std::uint64_t seed, bool kinetic) {
 
   XarOptions options;
   options.kinetic_booking = kinetic;
-  XarSystem xar(city.graph, *city.spatial, *city.region, *oracle, options);
+  ConcurrentXarSystem system(city.graph, *city.spatial, *city.region, *oracle,
+                             options, /*num_shards=*/1);
+  // Calls go through the facade; the checks read the one shard behind it.
+  const XarSystem& xar = system.shard_system(0);
 
   std::vector<Ride> want;  // by local index == ride id value
   std::vector<Booked> booked;
@@ -521,7 +526,7 @@ Coverage ReplayXar(std::uint64_t seed, bool kinetic) {
     SCOPED_TRACE(::testing::Message() << "op " << op_index++);
     switch (op.kind) {
       case Op::kCreate: {
-        Result<RideId> id = xar.CreateRide(op.offer);
+        Result<RideId> id = system.CreateRide(op.offer);
         if (!id.ok()) break;
         Ride ref = *xar.GetRide(*id);  // identity fields; route recomputed
         ref.route = Path{};
@@ -531,7 +536,7 @@ Coverage ReplayXar(std::uint64_t seed, bool kinetic) {
         break;
       }
       case Op::kBook: {
-        std::vector<RideMatch> matches = xar.Search(op.request);
+        std::vector<RideMatch> matches = system.Search(op.request);
         if (matches.empty()) break;
         const RideMatch& m = matches[op.pick % matches.size()];
         const Ride before = *xar.GetRide(m.ride);
@@ -543,7 +548,7 @@ Coverage ReplayXar(std::uint64_t seed, bool kinetic) {
         const NodeId pickup = xar.region().GetLandmark(m.pickup_landmark).node;
         const NodeId dropoff =
             xar.region().GetLandmark(m.dropoff_landmark).node;
-        Result<BookingRecord> got = xar.Book(m.ride, op.request, m);
+        Result<BookingRecord> got = system.Book(m.ride, op.request, m);
         if (!got.ok()) break;  // the all-rides check below pins "untouched"
         EXPECT_TRUE(segments);
         Ride& ref = want[m.ride.value()];
@@ -582,8 +587,8 @@ Coverage ReplayXar(std::uint64_t seed, bool kinetic) {
           const std::size_t idx = (op.pick + k) % n;
           const Booked b = booked[idx];
           Status st = op.kind == Op::kCancel
-                          ? xar.CancelBooking(b.ride, b.request)
-                          : xar.ReportNoShow(b.ride, b.request);
+                          ? system.CancelBooking(b.ride, b.request)
+                          : system.ReportNoShow(b.ride, b.request);
           if (!st.ok()) continue;
           Ride& ref = want[b.ride.value()];
           const RideSchedule* sched = xar.GetSchedule(b.ride);
@@ -601,7 +606,7 @@ Coverage ReplayXar(std::uint64_t seed, bool kinetic) {
         break;
       }
       case Op::kAdvance:
-        xar.AdvanceTime(op.advance_to);
+        system.AdvanceTime(op.advance_to);
         break;
       case Op::kRefresh: {
         GraphDelta delta;
@@ -614,7 +619,7 @@ Coverage ReplayXar(std::uint64_t seed, bool kinetic) {
           delta.graph = graph;
           delta.oracle = oracle;
         }
-        xar.RefreshDiscretization(delta);
+        system.RefreshDiscretization(delta);
         if (op.graph_seed == 0) break;  // same metric: nothing re-threads
         for (Ride& ref : want) {
           const Ride* got = xar.GetRide(ref.id);

@@ -21,7 +21,7 @@
 #include "graph/oracle.h"
 #include "graph/road_graph.h"
 #include "tests/test_helpers.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace {
@@ -205,7 +205,8 @@ TEST(RoutingBackendTest, PrepareIsIdempotentAndCountsOnce) {
 // graph under every metric, and its routes must be valid chains.
 TEST(RoutingBackendTest, ChOracleAgreesWithDijkstraAfterRefresh) {
   testing::TestCity city = testing::MakeTestCity(10, 10);
-  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                          *city.oracle, {}, /*num_shards=*/1);
 
   RoadGraph perturbed = PerturbEdgeWeights(city.graph, 0.3, 351);
   GraphOracle ch_oracle(perturbed);  // default backend: CH
@@ -310,7 +311,8 @@ TEST(RoutingBackendTest, ChHierarchyIdenticalAcrossThreadCounts) {
 // 1-thread build on the same perturbed graph.
 TEST(RoutingBackendTest, ChRefreshIdenticalAcrossThreadCounts) {
   testing::TestCity city = testing::MakeTestCity(10, 10);
-  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                          *city.oracle, {}, /*num_shards=*/1);
 
   RoadGraph perturbed = PerturbEdgeWeights(city.graph, 0.3, 411);
   XarOptions options;
@@ -365,7 +367,8 @@ PreprocessTiming TimingOf(const RoutingBackend& backend, Metric metric) {
 TEST(RoutingBackendTest, ChRefreshInheritsHierarchiesOfUnchangedMetrics) {
   testing::TestCity city = testing::MakeTestCity(10, 10);
   city.oracle->Prewarm();
-  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                          *city.oracle, {}, /*num_shards=*/1);
 
   RoadGraph congested =
       ScaleEdgeWeights(city.graph, [](NodeId from, NodeId to) {
@@ -430,7 +433,8 @@ TEST(RoutingBackendTest, ChRefreshInheritsHierarchiesOfUnchangedMetrics) {
 TEST(RoutingBackendTest, ChRefreshReordersEveryChangedMetric) {
   testing::TestCity city = testing::MakeTestCity(10, 10);
   city.oracle->Prewarm();
-  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                          *city.oracle, {}, /*num_shards=*/1);
 
   RoadGraph perturbed = PerturbEdgeWeights(city.graph, 0.3, 431);
   GraphOracle incoming(perturbed);

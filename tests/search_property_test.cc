@@ -46,8 +46,9 @@ RideRequest ToRequest(const TaxiTrip& t) {
   return req;
 }
 
-/// Offers one ride per trip drawn from `seed`.
-void Seed(XarSystem* xar, std::size_t n, std::uint64_t seed) {
+/// Offers one ride per trip drawn from `seed`, to a shard or the facade.
+template <typename System>
+void Seed(System* xar, std::size_t n, std::uint64_t seed) {
   for (const TaxiTrip& t : Trips(n, seed)) {
     RideOffer offer;
     offer.source = t.pickup;
@@ -57,17 +58,19 @@ void Seed(XarSystem* xar, std::size_t n, std::uint64_t seed) {
   }
 }
 
-/// A system over the shared city loaded with 800 rides drawn from `seed`,
-/// probed by requests drawn from `seed` + 1000 with a walk threshold of
-/// `walk_limit_m`.
+/// A one-shard system over the shared city loaded with 800 rides drawn from
+/// `seed`, probed by requests drawn from `seed` + 1000 with a walk threshold
+/// of `walk_limit_m`. Writes go through the facade, reads through the shard.
 class LoadedSystem {
  protected:
   LoadedSystem(std::uint64_t seed, double walk_limit_m)
       : seed_(seed),
         walk_limit_m_(walk_limit_m),
         city_(SharedCity()),
-        xar_(city_.graph, *city_.spatial, *city_.region, *city_.oracle) {
-    Seed(&xar_, 800, seed_);
+        system_(city_.graph, *city_.spatial, *city_.region, *city_.oracle,
+                {}, /*num_shards=*/1),
+        xar_(system_.shard_system(0)) {
+    Seed(&system_, 800, seed_);
   }
 
   std::vector<RideRequest> Probes(std::size_t count) {
@@ -83,7 +86,8 @@ class LoadedSystem {
   std::uint64_t seed_;
   double walk_limit_m_;
   TestCity& city_;
-  XarSystem xar_;
+  ConcurrentXarSystem system_;
+  const XarSystem& xar_;
 };
 
 class SearchPropertyTest : public ::testing::TestWithParam<Params>,
@@ -202,7 +206,7 @@ TEST_P(PerturbedRefreshTest, DetourGuaranteeHoldsAfterPerturbedRefresh) {
   GraphDelta delta;
   delta.graph = &perturbed;
   delta.oracle = &oracle;
-  RefreshStats stats = xar_.RefreshDiscretization(delta);
+  RefreshStats stats = system_.RefreshDiscretization(delta);
   ASSERT_EQ(stats.epoch, 1u);
   const std::vector<PreprocessTiming> timings =
       oracle.backend().preprocess_timings();
@@ -221,7 +225,7 @@ TEST_P(PerturbedRefreshTest, DetourGuaranteeHoldsAfterPerturbedRefresh) {
     std::vector<RideMatch> matches = xar_.Search(req);
     if (matches.empty()) continue;
     Result<BookingRecord> booking =
-        xar_.Book(matches.front().ride, req, matches.front());
+        system_.Book(matches.front().ride, req, matches.front());
     if (!booking.ok()) continue;
     ++booked;
     EXPECT_LE(booking->actual_detour_m,
@@ -286,11 +290,12 @@ TEST(MeetingPointsTest, DetourGuaranteeHoldsWithMeetingPoints) {
   XarOptions opt;
   opt.meeting_points = true;
   opt.meeting_point_candidates = 4;
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle, opt);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle,
+                          opt, /*num_shards=*/1);
   Seed(&xar, 250, 450);
 
-  const double slack = 4 * xar.region().epsilon() +
-                       2 * xar.region().options().max_drive_to_landmark_m;
+  const double slack = 4 * city.region->epsilon() +
+                       2 * city.region->options().max_drive_to_landmark_m;
   std::size_t booked = 0;
   for (const TaxiTrip& t : Trips(200, 451)) {
     Result<BookingRecord> booking = xar.SearchAndBook(ToRequest(t));
@@ -305,13 +310,14 @@ TEST(MeetingPointsTest, DetourGuaranteeHoldsWithMeetingPoints) {
 }
 
 // SearchAndBook is Search followed by Book of each match in walk order
-// until one lands: a twin system driven by hand books the same ride at the
+// until one lands: a bare shard driven by hand books the same ride at the
 // same detour and walk for every request.
 TEST(SearchAndBookTest, BooksFirstBookableMatchInWalkOrder) {
   TestCity& city = SharedCity();
   GraphOracle oracle_a(city.graph);
   GraphOracle oracle_b(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle_a);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle_a,
+                          {}, /*num_shards=*/1);
   XarSystem twin(city.graph, *city.spatial, *city.region, oracle_b);
   Seed(&xar, 220, 430);
   Seed(&twin, 220, 430);
@@ -335,14 +341,15 @@ TEST(SearchAndBookTest, BooksFirstBookableMatchInWalkOrder) {
   EXPECT_GT(booked, 0u);
 }
 
-// With one caller, the sharded SearchAndBook books exactly what a serial
+// With one caller, the sharded SearchAndBook books exactly what a one-shard
 // system over the same offers books (ride ids and merged search order are
 // shard-independent), and the retry stats account for every request.
 TEST(SearchAndBookTest, ShardedSystemBooksAsSerialSystem) {
   TestCity& city = SharedCity();
   GraphOracle serial_oracle(city.graph);
   GraphOracle sharded_oracle(city.graph);
-  XarSystem serial(city.graph, *city.spatial, *city.region, serial_oracle);
+  ConcurrentXarSystem serial(city.graph, *city.spatial, *city.region,
+                             serial_oracle, {}, /*num_shards=*/1);
   ConcurrentXarSystem sharded(city.graph, *city.spatial, *city.region,
                               sharded_oracle, {}, /*num_shards=*/4);
   Seed(&serial, 250, 460);

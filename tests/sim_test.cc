@@ -25,7 +25,8 @@ EventSimResult RunInertScenario(TestCity& city,
                                 const std::vector<TaxiTrip>& trips,
                                 const ScenarioConfig& config = {}) {
   GraphOracle oracle(city.graph);
-  XarSystem xar(city.graph, *city.spatial, *city.region, oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle, {},
+                          /*num_shards=*/1);
   EventSim sim(city.graph, xar.options(), config);
   return RunEventSim(xar, sim, trips);
 }
@@ -137,7 +138,8 @@ TEST_F(ModesTest, RideShareSavesCarsVsTaxi) {
   GraphOracle taxi_oracle(city_.graph);
   ModeMetrics taxi = EvaluateTaxiMode(*city_.spatial, taxi_oracle, trips_);
   GraphOracle rs_oracle(city_.graph);
-  XarSystem xar(city_.graph, *city_.spatial, *city_.region, rs_oracle);
+  ConcurrentXarSystem xar(city_.graph, *city_.spatial, *city_.region,
+                          rs_oracle, {}, /*num_shards=*/1);
   ModeMetrics rs = EvaluateRideShareMode(city_.graph, xar, trips_);
   EXPECT_LT(rs.cars_used, taxi.cars_used);
   // And taxi is at least as fast on average (Fig. 6 ordering).
@@ -146,7 +148,8 @@ TEST_F(ModesTest, RideShareSavesCarsVsTaxi) {
 
 TEST_F(ModesTest, RideSharePlusTransitSavesCarsVsRideShare) {
   GraphOracle rs_oracle(city_.graph);
-  XarSystem rs_xar(city_.graph, *city_.spatial, *city_.region, rs_oracle);
+  ConcurrentXarSystem rs_xar(city_.graph, *city_.spatial, *city_.region,
+                             rs_oracle, {}, /*num_shards=*/1);
   ModeMetrics rs = EvaluateRideShareMode(city_.graph, rs_xar, trips_);
 
   GraphOracle rspt_oracle(city_.graph);

@@ -11,8 +11,8 @@
 #include "sim/event_sim.h"
 #include "tests/index_checkers.h"
 #include "workload/trip_generator.h"
+#include "xar/concurrent_xar.h"
 #include "xar/world.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -68,7 +68,8 @@ TEST(StressTest, ThirtyThousandRequestsThroughTheFullStack) {
   World world(GenerateCity(copt), dopt);
   const RoadGraph& graph = world.graph;
   const RegionIndex& region = *world.region;
-  XarSystem xar(graph, *world.spatial, region, *world.oracle);
+  ConcurrentXarSystem xar(graph, *world.spatial, region, *world.oracle, {},
+                          /*num_shards=*/1);
 
   WorkloadOptions wopt;
   wopt.num_trips = 30000;
@@ -110,7 +111,7 @@ TEST(StressTest, ThirtyThousandRequestsThroughTheFullStack) {
   EXPECT_GT(checked.checks, 12u);
   EXPECT_GT(checked.max_registered.front(), 0u);
   EXPECT_TRUE(checked.first_failure.empty()) << checked.first_failure;
-  EXPECT_TRUE(testing::IndexMatchesRebuild(xar, graph));
+  EXPECT_TRUE(testing::IndexMatchesRebuild(xar.shard_system(0), graph));
 
   // Search latency stays in the sub-millisecond regime at full load; every
   // request books on its turn, so each SearchAndBook includes one search.
