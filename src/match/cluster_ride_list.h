@@ -10,9 +10,9 @@
 namespace xar {
 
 /// One entry of a cluster's potential-ride list: ride r is expected to be
-/// able to serve pickups in this cluster around time `eta_s`. The detour
-/// estimate behind the entry stays in the ride's registration
-/// (PassThroughCluster::reachable_detour_m), where booking reads it.
+/// able to serve pickups in this cluster around time `eta_s`. Which of the
+/// ride's pass-throughs support the cluster stays in its registration
+/// (RideRegistration::registered_support), where pricing reads it.
 struct PotentialRide {
   RideId ride;
   double eta_s = 0.0;

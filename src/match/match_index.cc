@@ -1,6 +1,7 @@
 #include "match/match_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <span>
@@ -84,10 +85,15 @@ SearchScratch& ThreadScratch() {
   return scratch;
 }
 
-/// Whether `pt` supports `c`, as itself or as a reachable cluster.
-bool Supports(const PassThroughCluster& pt, ClusterId c) {
-  return pt.cluster == c ||
-         std::binary_search(pt.reachable.begin(), pt.reachable.end(), c);
+/// Landmark-metric distance with a cluster-level fallback when either
+/// landmark is unknown.
+double LandmarkDistance(const RegionIndex& region, LandmarkId a, LandmarkId b,
+                        ClusterId ca, ClusterId cb) {
+  if (a.valid() && b.valid()) {
+    return region.landmark_metric().At(a.value(), b.value());
+  }
+  if (ca.valid() && cb.valid()) return region.ClusterDistance(ca, cb);
+  return 0.0;
 }
 
 /// The walkable clusters of `location`'s grid (sorted by walk) within
@@ -111,7 +117,9 @@ MatchIndex::MatchIndex(std::shared_ptr<const RegionSnapshot> snapshot,
       graph_(&graph),
       lists_(region_->NumClusters()),
       support_eta_(region_->NumClusters(),
-                   std::numeric_limits<double>::infinity()) {}
+                   std::numeric_limits<double>::infinity()),
+      support_mask_(region_->NumClusters(), 0),
+      seen_stamp_(region_->NumClusters(), 0) {}
 
 void MatchIndex::OnEpochSwap(std::shared_ptr<const RegionSnapshot> snapshot,
                              const RoadGraph& graph) {
@@ -121,6 +129,9 @@ void MatchIndex::OnEpochSwap(std::shared_ptr<const RegionSnapshot> snapshot,
   lists_ = std::vector<ClusterRideList>(region_->NumClusters());
   support_eta_.assign(region_->NumClusters(),
                       std::numeric_limits<double>::infinity());
+  support_mask_.assign(region_->NumClusters(), 0);
+  seen_stamp_.assign(region_->NumClusters(), 0);
+  seen_generation_ = 0;
   registrations_ = decltype(registrations_)();
   snapshot_.store(std::move(snapshot), std::memory_order_release);
 }
@@ -172,7 +183,7 @@ void MatchIndex::CountSearch(std::size_t returned) const {
 }
 
 std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
-    const Ride& ride, double now_s) const {
+    const Ride& ride, double now_s) {
   std::vector<PassThroughCluster> out;
   if (ride.route.nodes.empty() || ride.via_points.size() < 2) return out;
 
@@ -182,20 +193,26 @@ std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
   for (std::size_t seg = 0; seg + 1 < ride.via_points.size(); ++seg) {
     std::size_t begin = ride.via_route_index[seg];
     std::size_t end = ride.via_route_index[seg + 1];
-    // Cluster of the segment's end via-point, for the detour triangle test.
-    ClusterId next_cluster = region_->ClusterOfPoint(
-        graph_->PositionOf(ride.via_points[seg + 1].node));
+    // Landmark of the segment's end via-point and its cluster (the point's
+    // cluster), for the detour triangle test and for pricing.
+    const LandmarkId next = region_->LandmarkOfGrid(region_->GridOfPoint(
+        graph_->PositionOf(ride.via_points[seg + 1].node)));
+    const ClusterId next_cluster =
+        next.valid() ? region_->ClusterOfLandmark(next) : ClusterId::Invalid();
 
+    if (++seen_generation_ == 0) {
+      std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
+      seen_generation_ = 1;
+    }
     ClusterId prev = ClusterId::Invalid();
-    std::vector<bool> seen_in_segment(m, false);
     for (std::size_t j = begin; j <= end && j < ride.route.nodes.size(); ++j) {
       GridId grid =
           region_->GridOfPoint(graph_->PositionOf(ride.route.nodes[j]));
       ClusterId c = region_->ClusterOfGrid(grid);
       if (!c.valid() || c == prev) continue;
       prev = c;
-      if (seen_in_segment[c.value()]) continue;
-      seen_in_segment[c.value()] = true;
+      if (seen_stamp_[c.value()] == seen_generation_) continue;
+      seen_stamp_[c.value()] = seen_generation_;
       // A first visit already behind the clock is dropped, not replaced by
       // a later visit of the same cluster in this segment.
       const double eta_s = ride.departure_time_s + ride.route_cum_time_s[j];
@@ -206,6 +223,10 @@ std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
       pt.landmark = region_->LandmarkOfGrid(grid);
       pt.segment = seg;
       pt.eta_s = eta_s;
+      pt.next_landmark = next;
+      pt.next_cluster = next_cluster;
+      pt.here_to_next_m =
+          LandmarkDistance(*region_, pt.landmark, next, c, next_cluster);
 
       // Reachable clusters (paper Section VI): candidates within the detour
       // budget of C, kept iff the round-trip detour via C' does not exceed
@@ -223,7 +244,6 @@ std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
         }
         if (detour > budget) continue;
         pt.reachable.push_back(cp);
-        pt.reachable_detour_m.push_back(detour);
       }
       out.push_back(std::move(pt));
     }
@@ -233,38 +253,55 @@ std::vector<PassThroughCluster> MatchIndex::ComputePassThroughs(
 
 void MatchIndex::AggregateSupports(const RideRegistration& reg,
                                    std::vector<ClusterId>* clusters,
-                                   std::vector<double>* eta_s) {
+                                   std::vector<double>* eta_s,
+                                   std::vector<std::uint64_t>* support) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double speed = region_->nominal_speed_mps();
+  const std::size_t words = reg.SupportWords();
+  if (support_mask_.size() < support_eta_.size() * words) {
+    support_mask_.resize(support_eta_.size() * words, 0);
+  }
   std::size_t supported = 0;
-  auto offer = [&](ClusterId c, double eta) {
+  auto offer = [&](ClusterId c, double eta, std::size_t word,
+                   std::uint64_t bit) {
     double& best = support_eta_[c.value()];
     if (best == kInf) ++supported;
     best = std::min(best, eta);
+    support_mask_[c.value() * words + word] |= bit;
   };
-  for (const PassThroughCluster& pt : reg.pass_throughs) {
-    offer(pt.cluster, pt.eta_s);
+  for (std::size_t k = 0; k < reg.pass_throughs.size(); ++k) {
+    const PassThroughCluster& pt = reg.pass_throughs[k];
+    const std::size_t word = k / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+    offer(pt.cluster, pt.eta_s, word, bit);
     for (ClusterId reachable : pt.reachable) {
       offer(reachable,
-            pt.eta_s + region_->ClusterDistance(pt.cluster, reachable) / speed);
+            pt.eta_s + region_->ClusterDistance(pt.cluster, reachable) / speed,
+            word, bit);
     }
   }
   clusters->clear();
   eta_s->clear();
+  support->clear();
   clusters->reserve(supported);
   eta_s->reserve(supported);
+  support->reserve(supported * words);
   for (std::size_t c = 0; c < support_eta_.size(); ++c) {
     if (support_eta_[c] == kInf) continue;
     clusters->push_back(ClusterId(static_cast<ClusterId::underlying_type>(c)));
     eta_s->push_back(support_eta_[c]);
     support_eta_[c] = kInf;
+    std::uint64_t* mask = support_mask_.data() + c * words;
+    support->insert(support->end(), mask, mask + words);
+    std::fill(mask, mask + words, 0);
   }
 }
 
 MatchIndex::Rekeyed MatchIndex::Rekey(RideId ride, RideRegistration* reg) {
   std::vector<ClusterId> clusters;
   std::vector<double> eta_s;
-  AggregateSupports(*reg, &clusters, &eta_s);
+  std::vector<std::uint64_t> support;
+  AggregateSupports(*reg, &clusters, &eta_s, &support);
 
   const std::vector<ClusterId>& old_clusters = reg->registered_clusters;
   const std::vector<double>& old_eta_s = reg->registered_eta_s;
@@ -298,6 +335,7 @@ MatchIndex::Rekeyed MatchIndex::Rekey(RideId ride, RideRegistration* reg) {
   }
   reg->registered_clusters = std::move(clusters);
   reg->registered_eta_s = std::move(eta_s);
+  reg->registered_support = std::move(support);
   return done;
 }
 
@@ -381,70 +419,76 @@ bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
                                         double* joint_estimate_m) const {
   const RideRegistration* reg = RegistrationOf(ride.id);
   if (reg == nullptr) return false;
-  const DistanceMatrix& lm = region_->landmark_metric();
+  // The two clusters' support masks. A cluster the ride is not registered
+  // under has no support, so a stale match is refused here.
+  const std::size_t words = reg->SupportWords();
+  auto support_of = [&](ClusterId c) -> const std::uint64_t* {
+    const auto it = std::lower_bound(reg->registered_clusters.begin(),
+                                     reg->registered_clusters.end(), c);
+    if (it == reg->registered_clusters.end() || *it != c) return nullptr;
+    return reg->registered_support.data() +
+           (it - reg->registered_clusters.begin()) * words;
+  };
+  const std::uint64_t* pickup_support = support_of(source_cluster);
+  const std::uint64_t* dropoff_support = support_of(dest_cluster);
+  if (pickup_support == nullptr || dropoff_support == nullptr) return false;
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  // Landmark-metric distance with a cluster-level fallback when either
-  // landmark is unknown.
   auto dist = [&](LandmarkId a, LandmarkId b, ClusterId ca, ClusterId cb) {
-    if (a.valid() && b.valid()) return lm.At(a.value(), b.value());
-    if (ca.valid() && cb.valid()) return region_->ClusterDistance(ca, cb);
-    return 0.0;
+    return LandmarkDistance(*region_, a, b, ca, cb);
   };
   const double pickup_to_dropoff = dist(pickup_landmark, dropoff_landmark,
                                         source_cluster, dest_cluster);
 
-  // Pass 1, forward: each pass-through's own terms. Inserting the pickup
-  // in its segment costs `src` (at -> pickup -> next via-point), the
-  // drop-off costs `dst`, and both in sequence cost `same`
-  // (at -> pickup -> dropoff -> next).
+  // Pass 1, forward over the pass-throughs supporting either cluster: each
+  // one's own terms. Inserting the pickup in its segment costs `src`
+  // (at -> pickup -> next via-point), the drop-off costs `dst`, and both in
+  // sequence cost `same` (at -> pickup -> dropoff -> next).
   std::vector<PassTerms>& terms = ThreadScratch().terms;
   terms.clear();
   std::size_t segment = std::numeric_limits<std::size_t>::max();
-  LandmarkId next;
-  ClusterId next_cluster;
   double pickup_to_next = 0.0;
   double dropoff_to_next = 0.0;
-  for (const PassThroughCluster& pt : reg->pass_throughs) {
-    const bool pickup = Supports(pt, source_cluster);
-    const bool dropoff = Supports(pt, dest_cluster);
-    if (!pickup && !dropoff) continue;
-    assert(segment == std::numeric_limits<std::size_t>::max() ||
-           pt.segment >= segment);
-    if (pt.segment != segment) {
-      // Landmark of the via-point ending this segment (invalid when its
-      // grid carries no landmark).
-      segment = pt.segment;
-      next = region_->LandmarkOfGrid(region_->GridOfPoint(
-          graph_->PositionOf(ride.via_points[segment + 1].node)));
-      next_cluster = next.valid() ? region_->ClusterOfLandmark(next)
-                                  : ClusterId::Invalid();
-      pickup_to_next =
-          dist(pickup_landmark, next, source_cluster, next_cluster);
-      dropoff_to_next =
-          dist(dropoff_landmark, next, dest_cluster, next_cluster);
-    }
-    const double here_to_next =
-        dist(pt.landmark, next, pt.cluster, next_cluster);
-    PassTerms t{pt.segment, pickup, dropoff, kInf, kInf, kInf};
-    if (pickup) {
-      const double to_pickup =
-          dist(pt.landmark, pickup_landmark, pt.cluster, source_cluster);
-      t.same = to_pickup + pickup_to_dropoff;
-      if (next.valid()) t.same += dropoff_to_next - here_to_next;
-      t.same = std::max(0.0, t.same);
-      t.src = to_pickup;
-      if (next.valid()) {
-        t.src = std::max(0.0, t.src + pickup_to_next - here_to_next);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t pickups = pickup_support[w];
+    const std::uint64_t dropoffs = dropoff_support[w];
+    for (std::uint64_t bits = pickups | dropoffs; bits != 0;
+         bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const PassThroughCluster& pt = reg->pass_throughs[w * 64 + b];
+      const bool pickup = (pickups >> b) & 1;
+      const bool dropoff = (dropoffs >> b) & 1;
+      const LandmarkId next = pt.next_landmark;
+      assert(segment == std::numeric_limits<std::size_t>::max() ||
+             pt.segment >= segment);
+      if (pt.segment != segment) {
+        segment = pt.segment;
+        pickup_to_next =
+            dist(pickup_landmark, next, source_cluster, pt.next_cluster);
+        dropoff_to_next =
+            dist(dropoff_landmark, next, dest_cluster, pt.next_cluster);
       }
-    }
-    if (dropoff) {
-      t.dst = dist(pt.landmark, dropoff_landmark, pt.cluster, dest_cluster);
-      if (next.valid()) {
-        t.dst = std::max(0.0, t.dst + dropoff_to_next - here_to_next);
+      const double here_to_next = pt.here_to_next_m;
+      PassTerms t{pt.segment, pickup, dropoff, kInf, kInf, kInf};
+      if (pickup) {
+        const double to_pickup =
+            dist(pt.landmark, pickup_landmark, pt.cluster, source_cluster);
+        t.same = to_pickup + pickup_to_dropoff;
+        if (next.valid()) t.same += dropoff_to_next - here_to_next;
+        t.same = std::max(0.0, t.same);
+        t.src = to_pickup;
+        if (next.valid()) {
+          t.src = std::max(0.0, t.src + pickup_to_next - here_to_next);
+        }
       }
+      if (dropoff) {
+        t.dst = dist(pt.landmark, dropoff_landmark, pt.cluster, dest_cluster);
+        if (next.valid()) {
+          t.dst = std::max(0.0, t.dst + dropoff_to_next - here_to_next);
+        }
+      }
+      terms.push_back(t);
     }
-    terms.push_back(t);
   }
 
   // Pass 2, backward over segments: a pickup pass-through's least estimate
@@ -504,16 +548,19 @@ bool MatchIndex::ChooseInsertionSegments(const Ride& ride,
 }
 
 std::size_t MatchIndex::MemoryFootprint() const {
-  std::size_t bytes = sizeof(*this) + support_eta_.capacity() * sizeof(double);
+  std::size_t bytes = sizeof(*this) +
+                      support_eta_.capacity() * sizeof(double) +
+                      support_mask_.capacity() * sizeof(std::uint64_t) +
+                      seen_stamp_.capacity() * sizeof(std::uint32_t);
   for (const ClusterRideList& list : lists_) bytes += list.MemoryFootprint();
   for (const auto& [id, reg] : registrations_) {
     bytes += sizeof(id) + sizeof(reg);
     for (const PassThroughCluster& pt : reg.pass_throughs) {
-      bytes += sizeof(pt) + pt.reachable.capacity() * sizeof(ClusterId) +
-               pt.reachable_detour_m.capacity() * sizeof(double);
+      bytes += sizeof(pt) + pt.reachable.capacity() * sizeof(ClusterId);
     }
     bytes += reg.registered_clusters.capacity() * sizeof(ClusterId) +
-             reg.registered_eta_s.capacity() * sizeof(double);
+             reg.registered_eta_s.capacity() * sizeof(double) +
+             reg.registered_support.capacity() * sizeof(std::uint64_t);
   }
   return bytes;
 }

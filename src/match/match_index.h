@@ -28,11 +28,17 @@ struct PassThroughCluster {
   LandmarkId landmark;      ///< landmark of the grid where the route entered
   double eta_s = 0.0;
   std::size_t segment = 0;  ///< which via-point segment produced it
-  /// Reachable clusters (paper's detour test d_CC' + d_C'v - d_Cv <= d),
-  /// in increasing id order, and their cluster-level detour estimates,
-  /// parallel arrays.
+  /// The pricing terms of the via-point ending `segment`: its grid's
+  /// landmark (invalid when that grid carries none), the landmark's cluster
+  /// (invalid with it), and the landmark-metric distance from here to it.
+  /// Via-points change only in calls that re-register the ride, so these
+  /// stay exact until the next Insert or Update.
+  LandmarkId next_landmark;
+  ClusterId next_cluster;
+  double here_to_next_m = 0.0;
+  /// Reachable clusters (paper's detour test d_CC' + d_C'v - d_Cv <= d), in
+  /// increasing id order.
   std::vector<ClusterId> reachable;
-  std::vector<double> reachable_detour_m;
 };
 
 /// Everything the index knows about one registered ride.
@@ -43,6 +49,16 @@ struct RideRegistration {
   /// (eta, ride) key, so removal and re-keying are one binary search.
   std::vector<ClusterId> registered_clusters;
   std::vector<double> registered_eta_s;
+  /// Which pass-throughs support each registered cluster: SupportWords()
+  /// words per cluster, in registered_clusters order, where bit k of the
+  /// cluster's run is set iff pass_throughs[k] drives through the cluster
+  /// or reaches it.
+  std::vector<std::uint64_t> registered_support;
+
+  /// Mask words per registered cluster: one per 64 pass-throughs, min 1.
+  std::size_t SupportWords() const {
+    return pass_throughs.empty() ? 1 : (pass_throughs.size() + 63) / 64;
+  }
 };
 
 /// Point-in-time copy of the index counters (the "match" stats section).
@@ -201,13 +217,15 @@ class MatchIndex {
   /// Picks the pickup/drop-off insertion segments for a booking *jointly*,
   /// minimizing the estimate of the composed detour (the two independent
   /// per-side estimates are not additive when both points land on the same
-  /// segment). Candidate supports are found at cluster level; the estimate
-  /// itself is computed on the precomputed *landmark* metric (the paper's
-  /// in-memory landmark distances) using the concrete pickup/drop-off
-  /// landmarks, which is what keeps the Fig. 3a approximation tight.
-  /// Requires seg_src <= seg_dst. Returns false when no valid support pair
-  /// exists (stale match). No shortest paths are computed, and the cost is
-  /// linear in the ride's pass-throughs: each contributes its pickup,
+  /// segment). Candidate supports are the registration's support masks of
+  /// the two clusters (a cluster the ride is not registered under has
+  /// none); the estimate itself is computed on the precomputed *landmark*
+  /// metric (the paper's in-memory landmark distances) using the concrete
+  /// pickup/drop-off landmarks, which is what keeps the Fig. 3a
+  /// approximation tight. Requires seg_src <= seg_dst. Returns false when no
+  /// valid support pair exists (stale match). No shortest paths are
+  /// computed: two binary searches over the registered clusters, then each
+  /// pass-through supporting either cluster contributes its pickup,
   /// drop-off and same-segment terms once, and the first strict minimum over
   /// segment-ordered (pickup, drop-off) pass-through pairs wins.
   bool ChooseInsertionSegments(const Ride& ride, ClusterId source_cluster,
@@ -280,16 +298,19 @@ class MatchIndex {
   /// supported is erased and a newly supported one inserted.
   Rekeyed Rekey(RideId ride, RideRegistration* reg);
 
-  /// The min ETA at which `reg`'s pass-throughs support each cluster, in
-  /// cluster-id order, as parallel arrays.
+  /// The clusters `reg`'s pass-throughs support, in cluster-id order, with
+  /// the min ETA of their supports and the mask of which pass-throughs they
+  /// are (RideRegistration::registered_support's layout), as parallel
+  /// arrays.
   void AggregateSupports(const RideRegistration& reg,
                          std::vector<ClusterId>* clusters,
-                         std::vector<double>* eta_s);
+                         std::vector<double>* eta_s,
+                         std::vector<std::uint64_t>* support);
 
   /// The first visit of each cluster in each route segment, dropped when
   /// it lies behind `now_s`.
   std::vector<PassThroughCluster> ComputePassThroughs(const Ride& ride,
-                                                      double now_s) const;
+                                                      double now_s);
 
   void CountSearch(std::size_t returned) const;
 
@@ -299,8 +320,15 @@ class MatchIndex {
   const RegionIndex* region_;
   const RoadGraph* graph_;
   std::vector<ClusterRideList> lists_;  // one per cluster
-  /// AggregateSupports' per-cluster min ETA, +inf between calls.
+  /// AggregateSupports' per-cluster min ETA, +inf between calls, and its
+  /// per-cluster support mask (the registration's words per cluster at
+  /// cluster * words), zero between calls.
   std::vector<double> support_eta_;
+  std::vector<std::uint64_t> support_mask_;
+  /// ComputePassThroughs' per-cluster mark: the segment stamp that last saw
+  /// the cluster.
+  std::vector<std::uint32_t> seen_stamp_;
+  std::uint32_t seen_generation_ = 0;
   std::unordered_map<RideId, RideRegistration> registrations_;
   AtomicCounters counters_;
 };

@@ -185,6 +185,7 @@ class ConcurrentXarSystem {
         next_shard_.fetch_add(1, std::memory_order_relaxed) % num_shards_;
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mutex);
+    CountWrite();
     return shard.system.CreateRide(offer);
   }
 
@@ -193,6 +194,7 @@ class ConcurrentXarSystem {
     if (!ride.valid()) return Status::NotFound("unknown ride");
     Shard& shard = ShardOf(ride);
     std::unique_lock lock(shard.mutex);
+    CountWrite();
     return shard.system.Book(ride, request, match);
   }
 
@@ -200,6 +202,7 @@ class ConcurrentXarSystem {
     if (!ride.valid()) return Status::NotFound("unknown ride");
     Shard& shard = ShardOf(ride);
     std::unique_lock lock(shard.mutex);
+    CountWrite();
     return shard.system.CancelBooking(ride, request);
   }
 
@@ -207,6 +210,7 @@ class ConcurrentXarSystem {
     if (!ride.valid()) return Status::NotFound("unknown ride");
     Shard& shard = ShardOf(ride);
     std::unique_lock lock(shard.mutex);
+    CountWrite();
     return shard.system.ReportNoShow(ride, request);
   }
 
@@ -214,6 +218,7 @@ class ConcurrentXarSystem {
     if (!ride.valid()) return Status::NotFound("unknown ride");
     Shard& shard = ShardOf(ride);
     std::unique_lock lock(shard.mutex);
+    CountWrite();
     return shard.system.CancelRide(ride);
   }
 
@@ -224,6 +229,7 @@ class ConcurrentXarSystem {
   void AdvanceTime(double now_s) {
     for (const std::unique_ptr<Shard>& shard : shards_) {
       std::unique_lock lock(shard->mutex);
+      CountWrite();
       shard->system.AdvanceTime(now_s);
     }
   }
@@ -252,6 +258,7 @@ class ConcurrentXarSystem {
     std::size_t rehomed = 0;
     for (const std::unique_ptr<Shard>& shard : shards_) {
       std::unique_lock lock(shard->mutex);
+      CountWrite();
       rehomed += shard->system.AdoptSnapshot(build.snapshot, delta.graph,
                                              delta.oracle);
     }
@@ -336,14 +343,17 @@ class ConcurrentXarSystem {
   /// holds only shared locks; the book validates the match under the owning
   /// shard's exclusive lock (Book re-checks seats, budget, cluster support
   /// and the discretization epoch). Candidates are tried in least-walking
-  /// order; when every one went stale — or the search came back empty while
-  /// a refresh moved the epoch mid-flight — the next round re-searches the
-  /// new state, up to XarOptions::search_and_book_rounds rounds total.
+  /// order; when every one failed after another write landed, or the search
+  /// came back empty while a refresh moved the epoch mid-flight, the next
+  /// round re-searches the new state, up to
+  /// XarOptions::search_and_book_rounds rounds total.
   Result<BookingRecord> SearchAndBook(const RideRequest& request) {
     const std::size_t rounds =
         std::max<std::size_t>(1, options_.search_and_book_rounds);
     for (std::size_t round = 0; round < rounds; ++round) {
       const std::uint64_t pinned_epoch = epoch();
+      const std::uint64_t pinned_writes =
+          writes_.load(std::memory_order_acquire);
       std::vector<RideMatch> matches = Search(request);
       if (post_search_hook_) post_search_hook_(request, round);
       for (const RideMatch& match : matches) {
@@ -352,6 +362,7 @@ class ConcurrentXarSystem {
         Result<BookingRecord> booked =
             shard.system.Book(match.ride, request, match);
         if (booked.ok()) {
+          CountWrite();
           (round == 0 ? booked_first_try_ : booked_after_research_)
               .fetch_add(1, std::memory_order_relaxed);
           return booked;
@@ -359,9 +370,15 @@ class ConcurrentXarSystem {
         stale_rejections_.fetch_add(1, std::memory_order_relaxed);
       }
       // A re-search only pays when the world may have moved under us: a
-      // candidate went stale, or a refresh advanced the epoch mid-search.
-      // An empty result on a stable epoch is final.
-      if (matches.empty() && epoch() == pinned_epoch) break;
+      // refresh advanced the epoch, or a write landed after the search and
+      // may have made a candidate stale. A failed Book changes nothing, so
+      // without either the next round would repeat this one. An empty
+      // result on a stable epoch is final.
+      if (epoch() == pinned_epoch &&
+          (matches.empty() ||
+           writes_.load(std::memory_order_acquire) == pinned_writes)) {
+        break;
+      }
     }
     unmatched_.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("no feasible ride");
@@ -388,6 +405,10 @@ class ConcurrentXarSystem {
     return *shards_[id.value() % num_shards_];
   }
 
+  /// Called under a shard's exclusive lock by every write that may change
+  /// what a search sees.
+  void CountWrite() { writes_.fetch_add(1, std::memory_order_acq_rel); }
+
   const RoadGraph* graph_;            ///< swapped by refresh graph deltas
   const SpatialNodeIndex* spatial_;
   std::size_t num_shards_;
@@ -402,6 +423,8 @@ class ConcurrentXarSystem {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> next_shard_{0};
   std::atomic<std::uint64_t> epoch_{0};
+  /// Write generation: SearchAndBook re-searches only if it moved.
+  std::atomic<std::uint64_t> writes_{0};
   mutable std::mutex refresh_mutex_;
   RefreshStats refresh_stats_;  ///< guarded by refresh_mutex_
 

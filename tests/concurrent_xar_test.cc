@@ -282,6 +282,32 @@ TEST_F(ConcurrentXarTest, ForcedStaleCandidateIsReSearched) {
   EXPECT_EQ(stats.unmatched, 0u);
 }
 
+TEST_F(ConcurrentXarTest, WriteAfterSearchStillReSearches) {
+  // Ride A has the only seat. The hook takes it between the victim's
+  // round-0 search and its book: that Book is a write, so the victim's
+  // failed round is followed by a re-search, which finds nothing left.
+  Corridor c = MakeCorridor(city_.graph.bounds(), 330);
+  c.offer.seats = 1;
+  ASSERT_TRUE(xar_.CreateRide(c.offer).ok());
+
+  std::vector<std::size_t> rounds;
+  xar_.SetPostSearchHookForTest([&](const RideRequest&, std::size_t round) {
+    rounds.push_back(round);
+    if (round != 0) return;
+    RideRequest thief = c.request;
+    thief.id = RequestId(331);
+    std::vector<RideMatch> matches = xar_.Search(thief);
+    ASSERT_FALSE(matches.empty());
+    ASSERT_TRUE(xar_.Book(matches.front().ride, thief, matches.front()).ok());
+  });
+
+  EXPECT_FALSE(xar_.SearchAndBook(c.request).ok());
+  EXPECT_EQ(rounds, (std::vector<std::size_t>{0, 1}));
+  RetryStats stats = xar_.retry_stats();
+  EXPECT_EQ(stats.stale_rejections, 1u);
+  EXPECT_EQ(stats.unmatched, 1u);
+}
+
 TEST_F(ConcurrentXarTest, EpochBumpMidSearchTriggersReSearch) {
   // Round 0 searches an empty system — but the hook then creates supply and
   // refreshes, moving the epoch mid-flight. The empty-result-on-stable-epoch

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sim/event_sim.h"
@@ -98,6 +100,40 @@ TEST(EventSimTest, FixedSeedIsBitDeterministic) {
   EXPECT_EQ(runs[0].no_shows_succeeded, runs[1].no_shows_succeeded);
   EXPECT_EQ(runs[0].bookings.size(), runs[1].bookings.size());
   EXPECT_EQ(runs[0].mean_eta_error_s, runs[1].mean_eta_error_s);
+}
+
+// Kinetic booking can refuse a match the search priced (the stop tree has
+// no feasible ordering, or the exact detour is over budget). Driven
+// serially, no write lands between a SearchAndBook's search and its Books,
+// so a round whose candidates all failed is never searched again: each
+// refused insertion is attempted exactly once.
+TEST(EventSimTest, SerialSearchAndBookNeverRepeatsAnUnchangedRound) {
+  TestCity& city = SharedCity();
+  std::vector<TaxiTrip> trips = RushHourTrips(city, 1500);
+  for (std::uint64_t seed : {5u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    XarOptions options;
+    options.kinetic_booking = true;
+    ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                            *city.oracle, options, /*num_shards=*/1);
+    std::size_t max_round = 0;
+    xar.SetPostSearchHookForTest(
+        [&](const RideRequest&, std::size_t round) {
+          max_round = std::max(max_round, round);
+        });
+    ScenarioConfig scenario = TrafficScenario();
+    scenario.seed = seed;
+    EventSim sim(city.graph, xar.options(), scenario);
+    EventSimResult result = RunEventSim(xar, sim, trips);
+
+    const RetryStats retry = xar.retry_stats();
+    ASSERT_GT(retry.stale_rejections, 0u)
+        << "no candidate was refused: the scenario proves nothing";
+    EXPECT_EQ(max_round, 0u);
+    EXPECT_EQ(retry.booked_after_research, 0u);
+    EXPECT_EQ(xar.pooling_stats().rejections, retry.stale_rejections);
+    EXPECT_GT(result.matched, 0u);
+  }
 }
 
 TEST(EventSimTest, SerialAndConcurrentSystemsAgreeOnCounts) {

@@ -9,13 +9,16 @@
 // or Update at now — and compares it with the live index: every cluster
 // list in its one order, the whole (eta, ride) order via
 // EtaRange(-inf, +inf), entry by entry with eta_s bitwise equal, every
-// registration (pass-throughs with their reachable detour estimates,
-// registered clusters and their stored ETA keys), and the registered-ride
-// count. Independently of the index code, it also checks
-// each registration's stored key against the min-aggregated support ETA of
-// the ride's own pass-throughs, and that the cluster's list holds exactly
-// (ride, that eta) at that key: the key that Update's merge, Advance's
-// re-key and Remove later binary-search for.
+// registration (pass-throughs with their reachable clusters and cached
+// next-via pricing terms, registered clusters with their stored ETA keys and
+// support masks), and the registered-ride count. Independently of the index
+// code, it also checks each registration's stored key against the
+// min-aggregated support ETA of the ride's own pass-throughs, and that the
+// cluster's list holds exactly (ride, that eta) at that key: the key that
+// Update's merge, Advance's re-key and Remove later binary-search for. Each
+// support mask must have bit k set iff pass-through k is the cluster or
+// reaches it, and each pass-through's cached terms must be those of the
+// via-point ending its segment in the ride's current via list.
 //
 // RebuildCheckingTarget runs that check inside an EventSim run, after the
 // calls that mutate the index, on every shard of a ConcurrentXarSystem. An
@@ -76,18 +79,12 @@ inline ::testing::AssertionResult SameEntries(
 
 inline bool SamePassThrough(const PassThroughCluster& a,
                             const PassThroughCluster& b) {
-  if (a.cluster != b.cluster || a.landmark != b.landmark ||
-      !SameBits(a.eta_s, b.eta_s) || a.segment != b.segment ||
-      a.reachable != b.reachable ||
-      a.reachable_detour_m.size() != b.reachable_detour_m.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.reachable_detour_m.size(); ++i) {
-    if (!SameBits(a.reachable_detour_m[i], b.reachable_detour_m[i])) {
-      return false;
-    }
-  }
-  return true;
+  return a.cluster == b.cluster && a.landmark == b.landmark &&
+         SameBits(a.eta_s, b.eta_s) && a.segment == b.segment &&
+         a.next_landmark == b.next_landmark &&
+         a.next_cluster == b.next_cluster &&
+         SameBits(a.here_to_next_m, b.here_to_next_m) &&
+         a.reachable == b.reachable;
 }
 
 /// `graph` is the graph the system was built on: a refresh may swap in a
@@ -139,6 +136,11 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
              << "ride " << id.value()
              << ": live registered ETA keys differ from the rebuild's";
     }
+    if (got->registered_support != want->registered_support) {
+      return ::testing::AssertionFailure()
+             << "ride " << id.value()
+             << ": live support masks differ from the rebuild's";
+    }
     if (got->pass_throughs.size() != want->pass_throughs.size()) {
       return ::testing::AssertionFailure()
              << "ride " << id.value() << ": live pass-throughs "
@@ -162,24 +164,63 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
   // exactly its registered clusters, at the min ETA over its pass-throughs
   // — a pass-through's own cluster at its ETA, a reachable cluster at the
   // ETA plus the cluster-distance drive — and each cluster's stored key is
-  // that min ETA.
+  // that min ETA. Bit k of a cluster's support mask is set iff
+  // pass-through k is that cluster or reaches it, and each pass-through's
+  // pricing terms are those of the via-point ending its segment in the
+  // ride's current via list.
   const RegionIndex& region = xar.region();
   for (std::size_t i = 0; i < xar.NumRides(); ++i) {
     const RideId id = ride_at(i);
     const RideRegistration* reg = live.RegistrationOf(id);
     if (reg == nullptr) continue;
-    std::map<ClusterId, double> expected;  // min ETA per cluster
-    auto offer = [&](ClusterId c, double eta) {
-      auto [it, inserted] = expected.emplace(c, eta);
-      if (!inserted) it->second = std::min(it->second, eta);
+    const Ride& ride = *xar.GetRide(id);
+    const std::size_t words =
+        std::max<std::size_t>(1, (reg->pass_throughs.size() + 63) / 64);
+    struct Support {
+      double eta;
+      std::vector<std::uint64_t> mask;
     };
-    for (const PassThroughCluster& pt : reg->pass_throughs) {
-      offer(pt.cluster, pt.eta_s);
+    std::map<ClusterId, Support> expected;  // min ETA and mask per cluster
+    auto offer = [&](ClusterId c, double eta, std::size_t k) {
+      auto [it, inserted] =
+          expected.emplace(c, Support{eta, std::vector<std::uint64_t>(words)});
+      if (!inserted) it->second.eta = std::min(it->second.eta, eta);
+      it->second.mask[k / 64] |= std::uint64_t{1} << (k % 64);
+    };
+    for (std::size_t k = 0; k < reg->pass_throughs.size(); ++k) {
+      const PassThroughCluster& pt = reg->pass_throughs[k];
+      offer(pt.cluster, pt.eta_s, k);
       for (ClusterId reachable : pt.reachable) {
         const double travel = region.ClusterDistance(pt.cluster, reachable) /
                               region.nominal_speed_mps();
-        offer(reachable, pt.eta_s + travel);
+        offer(reachable, pt.eta_s + travel, k);
       }
+      const LandmarkId next = region.LandmarkOfGrid(region.GridOfPoint(
+          graph.PositionOf(ride.via_points.at(pt.segment + 1).node)));
+      const ClusterId next_cluster =
+          next.valid() ? region.ClusterOfLandmark(next) : ClusterId::Invalid();
+      double here_to_next = 0.0;
+      if (pt.landmark.valid() && next.valid()) {
+        here_to_next =
+            region.landmark_metric().At(pt.landmark.value(), next.value());
+      } else if (next_cluster.valid()) {
+        here_to_next = region.ClusterDistance(pt.cluster, next_cluster);
+      }
+      if (pt.next_landmark != next || pt.next_cluster != next_cluster ||
+          !SameBits(pt.here_to_next_m, here_to_next)) {
+        return ::testing::AssertionFailure()
+               << "ride " << id.value() << ": pass-through " << k
+               << " of segment " << pt.segment << " caches next landmark "
+               << pt.next_landmark.value() << " at " << pt.here_to_next_m
+               << " m, its via-point gives " << next.value() << " at "
+               << here_to_next << " m";
+      }
+    }
+    if (reg->registered_support.size() != expected.size() * words) {
+      return ::testing::AssertionFailure()
+             << "ride " << id.value() << " holds "
+             << reg->registered_support.size() << " support words, want "
+             << expected.size() << " clusters x " << words;
     }
     if (expected.size() != reg->registered_clusters.size() ||
         expected.size() != reg->registered_eta_s.size()) {
@@ -190,15 +231,22 @@ inline ::testing::AssertionResult IndexMatchesRebuild(const XarSystem& xar,
              << " ETA keys, its pass-throughs support " << expected.size();
     }
     std::size_t k = 0;
-    for (const auto& [cluster, want_eta] : expected) {
+    for (const auto& [cluster, want] : expected) {
+      const double want_eta = want.eta;
       const double key = reg->registered_eta_s[k];
-      if (reg->registered_clusters[k++] != cluster ||
-          !SameBits(key, want_eta)) {
+      if (reg->registered_clusters[k] != cluster || !SameBits(key, want_eta)) {
         return ::testing::AssertionFailure()
                << "ride " << id.value() << " in cluster " << cluster.value()
                << ": stored key eta " << key
                << ", its pass-throughs give eta " << want_eta;
       }
+      if (!std::equal(want.mask.begin(), want.mask.end(),
+                      reg->registered_support.begin() + k * words)) {
+        return ::testing::AssertionFailure()
+               << "ride " << id.value() << " in cluster " << cluster.value()
+               << ": support mask differs from its pass-throughs' supports";
+      }
+      ++k;
       // The entry sits where the binary search on (key, ride) looks.
       const PotentialRide* got = FindEntry(live.ListOf(cluster), id);
       const std::span<const PotentialRide> at_key =

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
 #include "xar/concurrent_xar.h"
+#include "xar/route_utils.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -241,16 +243,17 @@ TEST(MatchIndexDifferentialTest, ClusterBackendBitEqualToSeedSearch) {
 /// pass-throughs that support the two clusters is scored on the landmark
 /// metric, and the first strict minimum in (pickup, drop-off) pass-through
 /// order wins.
-bool RefChooseInsertionSegments(const XarSystem& xar, const RoadGraph& graph,
-                                const Ride& ride, ClusterId source_cluster,
+bool RefChooseInsertionSegments(const MatchIndex& index,
+                                const RegionIndex& region,
+                                const RoadGraph& graph, const Ride& ride,
+                                ClusterId source_cluster,
                                 LandmarkId pickup_landmark,
                                 ClusterId dest_cluster,
                                 LandmarkId dropoff_landmark,
                                 std::size_t* seg_src, std::size_t* seg_dst,
                                 double* joint_estimate_m) {
-  const RideRegistration* reg = xar.match_index().RegistrationOf(ride.id);
+  const RideRegistration* reg = index.RegistrationOf(ride.id);
   if (reg == nullptr) return false;
-  const RegionIndex& region = xar.region();
   const DistanceMatrix& lm = region.landmark_metric();
   auto supports = [](const PassThroughCluster& pt, ClusterId c) {
     return pt.cluster == c ||
@@ -432,7 +435,8 @@ std::vector<RideMatch> RefSearchMeetingPoints(const XarSystem& xar,
           std::size_t seg_s = 0;
           std::size_t seg_d = 0;
           double joint_detour = 0.0;
-          if (!RefChooseInsertionSegments(xar, graph, *ride, s.cluster,
+          if (!RefChooseInsertionSegments(xar.match_index(), xar.region(),
+                                          graph, *ride, s.cluster,
                                           s.landmark, d.cluster, d.landmark,
                                           &seg_s, &seg_d, &joint_detour)) {
             continue;
@@ -499,8 +503,9 @@ TEST(MatchIndexDifferentialTest, MeetingPointsBitEqualToReferenceSearch) {
       std::size_t ref_s = 0, ref_d = 0, got_s = 0, got_d = 0;
       double ref_est = 0.0, got_est = 0.0;
       ASSERT_TRUE(RefChooseInsertionSegments(
-          xar, city.graph, *ride, m.source_cluster, m.pickup_landmark,
-          m.dest_cluster, m.dropoff_landmark, &ref_s, &ref_d, &ref_est));
+          xar.match_index(), xar.region(), city.graph, *ride,
+          m.source_cluster, m.pickup_landmark, m.dest_cluster,
+          m.dropoff_landmark, &ref_s, &ref_d, &ref_est));
       ASSERT_TRUE(xar.match_index().ChooseInsertionSegments(
           *ride, m.source_cluster, m.pickup_landmark, m.dest_cluster,
           m.dropoff_landmark, &got_s, &got_d, &got_est));
@@ -513,6 +518,79 @@ TEST(MatchIndexDifferentialTest, MeetingPointsBitEqualToReferenceSearch) {
   }
   EXPECT_GT(multi, 0u) << "no ride produced two meeting-point matches";
   EXPECT_GT(booked, 0u) << "workload produced no bookings";
+}
+
+/// A registration with more than 64 pass-throughs spans several support
+/// mask words; the joint chooser must still equal the pairwise reference on
+/// every (pickup, drop-off) pair of clusters the ride is registered under,
+/// with pass-throughs in the later words supporting them too.
+TEST(MatchIndexDifferentialTest, WideSupportMaskMatchesPairwiseChooser) {
+  testing::TestCity& city = testing::SharedCity();
+  const RegionIndex& region = *city.region;
+  GraphOracle oracle(city.graph);
+  MatchIndex index(BorrowRegionSnapshot(region), city.graph);
+
+  // A long zig-zag between opposite edges of the city: every leg crosses
+  // it, so each via-point segment contributes a run of pass-throughs.
+  const BoundingBox& b = city.graph.bounds();
+  auto node_at = [&](double fy, double fx) {
+    return city.spatial->NearestNode(
+        {b.min_lat + fy * (b.max_lat - b.min_lat),
+         b.min_lng + fx * (b.max_lng - b.min_lng)});
+  };
+  Ride ride;
+  ride.id = RideId(0);
+  ride.departure_time_s = 8 * 3600;
+  ride.seats_total = ride.seats_available = 3;
+  ride.detour_limit_m = 1500.0;
+  std::vector<RouteStop> stops;
+  constexpr int kLegs = 12;
+  for (int v = 0; v <= kLegs; ++v) {
+    const double fx = 0.05 + 0.9 * v / kLegs;
+    stops.push_back({ViaPoint{node_at(v % 2 == 0 ? 0.05 : 0.95, fx), 0.0,
+                              RequestId::Invalid(), false}});
+  }
+  std::optional<RouteRewrite> route =
+      RewriteRoute(city.graph, oracle, ride, stops);
+  ASSERT_TRUE(route.has_value());
+  CommitRoute(std::move(*route), &ride);
+  ride.source = ride.via_points.front().node;
+  ride.destination = ride.via_points.back().node;
+
+  index.Insert(ride, 0.0);
+  const RideRegistration* reg = index.RegistrationOf(ride.id);
+  ASSERT_NE(reg, nullptr);
+  ASSERT_GT(reg->pass_throughs.size(), 64u);
+  ASSERT_GT(reg->SupportWords(), 1u);
+  ASSERT_EQ(reg->registered_support.size(),
+            reg->registered_clusters.size() * reg->SupportWords());
+
+  std::size_t agreed = 0;
+  std::size_t high_word = 0;  // drop-offs supported past pass-through 63
+  for (ClusterId source : reg->registered_clusters) {
+    const LandmarkId pickup = region.LandmarksInCluster(source).front();
+    for (ClusterId dest : reg->registered_clusters) {
+      if (dest == source) continue;
+      const LandmarkId dropoff = region.LandmarksInCluster(dest).front();
+      std::size_t ref_s = 0, ref_d = 0, got_s = 0, got_d = 0;
+      double ref_est = 0.0, got_est = 0.0;
+      const bool ref_ok = RefChooseInsertionSegments(
+          index, region, city.graph, ride, source, pickup, dest, dropoff,
+          &ref_s, &ref_d, &ref_est);
+      const bool got_ok = index.ChooseInsertionSegments(
+          ride, source, pickup, dest, dropoff, &got_s, &got_d, &got_est);
+      ASSERT_EQ(ref_ok, got_ok)
+          << "clusters " << source.value() << " -> " << dest.value();
+      if (!got_ok) continue;
+      ASSERT_EQ(ref_s, got_s);
+      ASSERT_EQ(ref_d, got_d);
+      ASSERT_EQ(ref_est, got_est);
+      ++agreed;
+      if (got_d > reg->pass_throughs[63].segment) ++high_word;
+    }
+  }
+  EXPECT_GT(agreed, 0u);
+  EXPECT_GT(high_word, 0u);
 }
 
 // --- Workload replay under the 4-epsilon bound ----------------------------

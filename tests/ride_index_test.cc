@@ -87,21 +87,36 @@ TEST_F(RideIndexTest, PassThroughEtasWithinRideSpan) {
 }
 
 TEST_F(RideIndexTest, ReachableClustersRespectDetourBudget) {
-  Ride ride = MakeDiagonalRide(city_, 8 * 3600, /*detour_limit_m=*/2000);
+  constexpr double kBudget = 2000.0;
+  Ride ride = MakeDiagonalRide(city_, 8 * 3600, /*detour_limit_m=*/kBudget);
   index_.Insert(ride, kMidnight);
   const RegionIndex& region = *city_.region;
-  for (const PassThroughCluster& pt :
-       index_.RegistrationOf(ride.id)->pass_throughs) {
-    ASSERT_EQ(pt.reachable.size(), pt.reachable_detour_m.size());
-    for (std::size_t i = 0; i < pt.reachable.size(); ++i) {
-      EXPECT_NE(pt.reachable[i], pt.cluster);
-      EXPECT_GE(pt.reachable_detour_m[i], 0.0);
-      EXPECT_LE(pt.reachable_detour_m[i], 2000.0 + 1e-9);
-      // The reachable cluster is within the budget of the pass-through.
-      EXPECT_LE(region.ClusterDistance(pt.cluster, pt.reachable[i]),
-                2000.0 + 1e-9);
+  const RideRegistration* reg = index_.RegistrationOf(ride.id);
+  ASSERT_NE(reg, nullptr);
+  ASSERT_FALSE(reg->pass_throughs.empty());
+  std::size_t reached = 0;
+  for (const PassThroughCluster& pt : reg->pass_throughs) {
+    // The paper's triangle test against the via-point ending the segment:
+    // d(C,C') + d(C',next) - d(C,next) <= budget, recomputed from region
+    // distances; a cluster is reachable iff it passes.
+    const ClusterId next = region.ClusterOfPoint(
+        city_.graph.PositionOf(ride.via_points[pt.segment + 1].node));
+    ASSERT_TRUE(next.valid());
+    for (std::size_t c = 0; c < region.NumClusters(); ++c) {
+      const ClusterId other(static_cast<ClusterId::underlying_type>(c));
+      if (other == pt.cluster) continue;
+      const double to_other = region.ClusterDistance(pt.cluster, other);
+      const double detour = to_other + region.ClusterDistance(other, next) -
+                            region.ClusterDistance(pt.cluster, next);
+      const bool reachable = std::binary_search(
+          pt.reachable.begin(), pt.reachable.end(), other);
+      EXPECT_EQ(reachable, to_other <= kBudget && detour <= kBudget)
+          << "cluster " << c << " from " << pt.cluster.value();
+      reached += reachable;
     }
+    EXPECT_TRUE(std::is_sorted(pt.reachable.begin(), pt.reachable.end()));
   }
+  EXPECT_GT(reached, 0u);
 }
 
 TEST_F(RideIndexTest, SmallerBudgetNeverReachesMore) {
